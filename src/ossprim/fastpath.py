@@ -54,6 +54,11 @@ def mix64_np(a, b, c):
     return x
 
 
+def context_word(a: int, b: int, tag) -> int:
+    """A scalar key's fastmix context word: mix64_np of two words under a tag."""
+    return int(mix64_np(_U64(a), _U64(b), tag))
+
+
 def gauss_draw_even(half: int, t, r64):
     """Deterministic hypergeometric stand-in for an even split.
 

@@ -101,16 +101,6 @@ class BitMatrix:
     def to_rows(self) -> list[list[int]]:
         return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.rows)]
 
-    def transpose(self) -> "BitMatrix":
-        new_cols = [0] * self.rows
-        for j, c in enumerate(self.cols):
-            while c:
-                low = c & -c
-                i = low.bit_length() - 1
-                new_cols[i] |= 1 << j
-                c ^= low
-        return BitMatrix(self.ncols, tuple(new_cols))
-
 
 def identity(n: int) -> BitMatrix:
     return BitMatrix(n, tuple(1 << i for i in range(n)))

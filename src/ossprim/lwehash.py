@@ -283,12 +283,6 @@ def hashl_eval_packed(pk: LweKey, x: int) -> int:
     return pack_range(pk.params, hashl_eval(pk, t, f, b))
 
 
-def is_two_to_one_point(pk: LweKey, td: LweTrapdoor, t: np.ndarray, f: np.ndarray, b: int) -> bool:
-    """Whether the claw partner of (t, f, b) stays inside the box."""
-    g = np.asarray(f, dtype=np.int64) + (td.e if b else -td.e)
-    return bool(((g > -pk.params.B) & (g <= pk.params.B)).all())
-
-
 # -- parallel repetition -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -435,10 +429,6 @@ def hashq_coset(qk: QKey, td: QTrapdoor, a: int) -> gf2.AffineCoset:
         raise ContractError(f"deficient (1-to-1) slices {deficient}: preimage set is not a full coset")
     basis = gf2.BitMatrix(n, tuple(cols))
     return gf2.AffineCoset(basis, gf2.BitVector(shift_bits, n))
-
-
-def hashq_coords_of(qk: QKey, w: int) -> gf2.BitVector:
-    return hashq_coords(qk, w)
 
 
 def reconstruct_from_coset(qk: QKey, coset: gf2.AffineCoset, z: gf2.BitVector) -> int:

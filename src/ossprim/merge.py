@@ -13,6 +13,9 @@ is derived, never sampled.
 Key permutation ("swap outputs z and z+1") punctures the tree PRF on the two
 root-to-leaf paths and hard-codes the values of the paths and their siblings,
 with the c=1 variant adjusting the two disjoint ancestor chains by +-1.
+Permuted keys share the honest walk: each carries its own node-value and seed
+memos, seeded from the hard-coded table and the punctured key's copath, and
+never the honest key or its memos.
 
 Keys are immutable and evaluation is pure; the per-key node-value and seed
 memo dicts are written under the GIL with idempotent deterministic values,
@@ -28,11 +31,9 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import fastpath, prng
-from .errors import InvariantViolation, PunctureError, RangeError, UnsupportedBackend
+from .errors import InvariantViolation, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA, HypergeomParams, sample
 from .prng import NodeId, PrfKey, PuncturedPrfKey
-
-TallyNodeId = NodeId  # tally-tree positions are GGM tree positions
 
 SAMPLER_EXACT = "exact"
 SAMPLER_GAUSS = "gauss"
@@ -69,8 +70,7 @@ def make_merge_key(seed: bytes, n0: int, n1: int, kappa: int = DEFAULT_KAPPA,
     key = PrfKey(seed, b"merge", backend)
     ctx = None
     if backend == prng.BACKEND_FASTMIX:
-        k0, k1 = key.fast_words()
-        ctx = int(fastpath.mix64_np(np.uint64(k0), np.uint64(k1), fastpath.TAG_MERGE))
+        ctx = fastpath.context_word(*key.fast_words(), fastpath.TAG_MERGE)
     return MergeKey(key, n0, n1, kappa, sampler, ctx)
 
 
@@ -94,21 +94,6 @@ def tree_depth(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def leaf_node(k: MergeKey, z: int) -> NodeId:
-    """The leaf covering output z (leaves sit at varying depth for odd N)."""
-    if not 0 <= z < k.n:
-        raise RangeError(f"output {z} outside [0, {k.n})")
-    node = prng.ROOT
-    s, lo = k.n, 0
-    while s > 1:
-        sl = left_size(s)
-        if z < lo + sl:
-            node, s = node.child(0), sl
-        else:
-            node, s, lo = node.child(1), s - sl, lo + sl
-    return node
-
-
 # -- node values ---------------------------------------------------------------
 #
 # Hot paths address tree nodes by the int key (1 << depth) | path; NodeId
@@ -118,6 +103,8 @@ def _node_seed(k: MergeKey, nodekey: int) -> bytes:
     seed = k._seeds.get(nodekey)
     if seed is None:
         if nodekey == 1:
+            if isinstance(k, PermutedMergeKey):
+                raise InvariantViolation("punctured, non-hardcoded tally node consulted")
             seed = k.prf_key.root_seed()
         else:
             seed = prng._expand(_node_seed(k, nodekey >> 1), nodekey & 1)
@@ -160,15 +147,6 @@ def _draw_left(k: MergeKey, parent_key: int, s: int, t: int) -> int:
     return _gauss_draw_general(s, sl, t, _gauss_r64(k, parent_key))
 
 
-def _left_value(k: MergeKey, parent_key: int, s: int, t: int) -> int:
-    ck = parent_key << 1
-    vl = k._values.get(ck)
-    if vl is None:
-        vl = _draw_left(k, parent_key, s, t)
-        k._values[ck] = vl
-    return vl
-
-
 def _gauss_draw_general(s: int, sl: int, t: int, r64: int) -> int:
     """Gaussian stand-in draw for an uneven split (non-power-of-two sizes)."""
     from scipy.special import ndtri
@@ -187,33 +165,20 @@ def _gauss_draw_general(s: int, sl: int, t: int, r64: int) -> int:
     return max(lo, min(hi, v))
 
 
-def _value(k: MergeKey, node: NodeId,
-           lookup: Callable[[NodeId], Optional[int]] = None,
-           draw: Callable = None) -> int:
-    """v(node) under a hard-coded override table (permuted-key path)."""
-    hv = lookup(node)
-    if hv is not None:
-        return hv
-    if node.depth == 0:
-        return k.n1
-    parent = NodeId(node.depth - 1, node.path >> 1)
-    s = node_size(k, parent)
-    t = _value(k, parent, lookup, draw)
-    vl = draw(k, parent, s, t)
-    return t - vl if node.path & 1 else vl
-
-
 def tally(k: MergeKey, node: NodeId) -> int:
     """The tally-tree value v(node): count of pile-1 leaves below it."""
     s, t = k.n, k.n1
     nodekey = 1
     for lvl in range(node.depth):
         sl = left_size(s)
-        vl = _left_value(k, nodekey, s, t)
+        ck = nodekey << 1
+        vl = k._values.get(ck)
+        if vl is None:
+            vl = k._values[ck] = _draw_left(k, nodekey, s, t)
         if node.bit(lvl) == 0:
-            nodekey, s, t = nodekey << 1, sl, vl
+            nodekey, s, t = ck, sl, vl
         else:
-            nodekey, s, t = (nodekey << 1) | 1, s - sl, t - vl
+            nodekey, s, t = ck | 1, s - sl, t - vl
         if s < 1:
             raise RangeError("node outside the tree")
     if not 0 <= t <= s:
@@ -222,42 +187,6 @@ def tally(k: MergeKey, node: NodeId) -> int:
 
 
 # -- evaluation ----------------------------------------------------------------
-
-def _descend_inverse(k: MergeKey, z: int, lookup, draw) -> tuple[int, int]:
-    node = prng.ROOT
-    s, lo = k.n, 0
-    t = _value(k, node, lookup, draw)
-    ones = zeros = 0
-    while s > 1:
-        sl = left_size(s)
-        vl = _value(k, node.child(0), lookup, draw)
-        if z < lo + sl:
-            node, s, t = node.child(0), sl, vl
-        else:
-            ones += vl
-            zeros += sl - vl
-            node, s, t, lo = node.child(1), s - sl, t - vl, lo + sl
-    b = t
-    return b, (ones if b else zeros)
-
-
-def _descend_forward(k: MergeKey, b: int, x: int, lookup, draw) -> int:
-    node = prng.ROOT
-    s, pos = k.n, 0
-    t = _value(k, node, lookup, draw)
-    cur = x
-    while s > 1:
-        sl = left_size(s)
-        vl = _value(k, node.child(0), lookup, draw)
-        cnt_left = vl if b else sl - vl
-        if cur < cnt_left:
-            node, s, t = node.child(0), sl, vl
-        else:
-            cur -= cnt_left
-            pos += sl
-            node, s, t = node.child(1), s - sl, t - vl
-    return pos
-
 
 def merge_inverse(k: MergeKey, z: int) -> tuple[int, int]:
     """(pile bit b, index x within the pile) of the preimage of output z."""
@@ -328,17 +257,8 @@ def merge_forward_bsearch(k: MergeKey, b: int, x: int) -> int:
 
 def ones_before(k: MergeKey, z: int) -> int:
     """Count of pile-1 leaves strictly left of output z."""
-    s, lo, t, acc = k.n, 0, k.n1, 0
-    nodekey = 1
-    while s > 1:
-        sl = (s + 1) >> 1
-        vl = _left_value(k, nodekey, s, t)
-        if z < lo + sl:
-            nodekey, s, t = nodekey << 1, sl, vl
-        else:
-            acc += vl
-            nodekey, s, t, lo = (nodekey << 1) | 1, s - sl, t - vl, lo + sl
-    return acc
+    b, x = merge_inverse(k, z)
+    return x if b else z - x  # the ones and zeros left of z sum to z
 
 
 # -- key permutation -----------------------------------------------------------
@@ -353,6 +273,14 @@ class PermutedMergeKey:
     n1: int
     kappa: int
     sampler: str = SAMPLER_EXACT
+    # the honest walk's memos, keyed like MergeKey's; the walk never draws
+    # at a punctured node, since both its children are hard-coded
+    _values: dict = field(default_factory=dict, compare=False, repr=False)
+    _seeds: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._values.update(((1 << nd.depth) | nd.path, v) for nd, v in self.hardcoded.items())
+        self._seeds.update(((1 << nd.depth) | nd.path, seed) for nd, seed in self.punctured.copath)
 
     @property
     def n(self) -> int:
@@ -429,40 +357,10 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
     return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1, k.kappa, k.sampler)
 
 
-def _permuted_shadow(pk: PermutedMergeKey) -> tuple[MergeKey, Callable, Callable]:
-    """A MergeKey-shaped view over the punctured key plus hard-coded table."""
-    shadow = MergeKey(PrfKey(b"\x00" * 32, b"shadow"), pk.n0, pk.n1, pk.kappa, pk.sampler)
-
-    def lookup(node: NodeId) -> Optional[int]:
-        return pk.hardcoded.get(node)
-
-    def draw(_k: MergeKey, parent: NodeId, s: int, t: int) -> int:
-        sl = left_size(s)
-        nbytes = (pk.kappa + 7) // 8
-        try:
-            raw = prng.punctured_tree_eval(pk.punctured, parent, nbytes)
-        except PunctureError as e:
-            raise InvariantViolation(
-                "punctured, non-hardcoded tally node consulted") from e
-        r = int.from_bytes(raw, "big") >> (8 * nbytes - pk.kappa)
-        return sample(HypergeomParams(s, t, sl), r, pk.kappa)
-
-    return shadow, lookup, draw
-
-
-def permuted_merge_inverse(pk: PermutedMergeKey, z: int) -> tuple[int, int]:
-    if not 0 <= z < pk.n:
-        raise RangeError("output outside domain")
-    shadow, lookup, draw = _permuted_shadow(pk)
-    return _descend_inverse(shadow, z, lookup, draw)
-
-
-def permuted_merge_eval(pk: PermutedMergeKey, b: int, x: int) -> int:
-    nb = pk.n1 if b else pk.n0
-    if not 0 <= x < nb:
-        raise RangeError("index outside pile")
-    shadow, lookup, draw = _permuted_shadow(pk)
-    return _descend_forward(shadow, b, x, lookup, draw)
+# The c=1 +-1 adjustments keep every hard-coded parent the sum of its
+# children, so the honest walk's right = parent - left holds on permuted keys.
+permuted_merge_inverse = merge_inverse
+permuted_merge_eval = merge_forward
 
 
 # -- decomposition into neighbor swaps ------------------------------------------
@@ -496,7 +394,8 @@ def _intermediate_evals(k: MergeKey, r: int, mover: int):
             return 1
         if z >= block:
             return 1
-        return 1 if (ones_before(k, z) < r - 1 and merge_inverse(k, z)[0] == 1) else 0
+        b, x = merge_inverse(k, z)  # for a one, x is the ones before z
+        return 1 if (b == 1 and x < r - 1) else 0
 
     def cnt1(z: int) -> int:
         # ones strictly before z in the intermediate arrangement
@@ -560,8 +459,7 @@ def deserialize_key(data: bytes) -> MergeKey:
     sampler = SAMPLER_GAUSS if mode else SAMPLER_EXACT
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
-        k0, k1 = prf_key.fast_words()
-        ctx = int(fastpath.mix64_np(np.uint64(k0), np.uint64(k1), fastpath.TAG_MERGE))
+        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
     return MergeKey(prf_key, n0, n1, kappa, sampler, ctx)
 
 

@@ -69,8 +69,7 @@ def make_prp_key(seed: bytes, n: int, kappa: int = DEFAULT_KAPPA,
     if backend == prng.BACKEND_FASTMIX:
         if sampler != SAMPLER_GAUSS:
             raise UnsupportedBackend("fastmix keys require the gauss sampler")
-        k0, k1 = key.fast_words()
-        ctx = int(fastpath.mix64_np(np.uint64(k0), np.uint64(k1), fastpath.TAG_ROOT))
+        ctx = fastpath.context_word(*key.fast_words(), fastpath.TAG_ROOT)
     return PrpKey(key, n, kappa, sampler, ctx)
 
 
@@ -87,10 +86,8 @@ def _child_key(k: PrpKey, b: int) -> PrpKey:
     if cached is not None:
         return cached
     if k.is_fast():
-        k0w, k1w = k.prf_key.fast_words()
-        ctx = int(fastpath.mix64_np(np.uint64(k.fast_ctx),
-                                    np.uint64(k1w) ^ np.uint64(b),
-                                    fastpath.TAG_CHILD))
+        k1w = k.prf_key.fast_words()[1]
+        ctx = fastpath.context_word(k.fast_ctx, k1w ^ b, fastpath.TAG_CHILD)
         child = PrpKey(k.prf_key, nb, k.kappa, k.sampler, ctx)
     else:
         sub = prng.derive_key(k.prf_key, b"half%d" % b)
@@ -104,9 +101,8 @@ def _merge_key(k: PrpKey) -> MergeKey:
     if cached is not None:
         return cached
     if k.is_fast():
-        k0w, k1w = k.prf_key.fast_words()
-        mctx = int(fastpath.mix64_np(np.uint64(k.fast_ctx), np.uint64(k1w),
-                                     fastpath.TAG_MERGE))
+        k1w = k.prf_key.fast_words()[1]
+        mctx = fastpath.context_word(k.fast_ctx, k1w, fastpath.TAG_MERGE)
         mk = MergeKey(k.prf_key, k.n0, k.n1, k.kappa, k.sampler, mctx)
     else:
         sub = prng.derive_key(k.prf_key, b"merge")
@@ -117,9 +113,8 @@ def _merge_key(k: PrpKey) -> MergeKey:
 
 def _xor_bit(k: PrpKey) -> int:
     if k.is_fast():
-        k0w, k1w = k.prf_key.fast_words()
-        return int(fastpath.mix64_np(np.uint64(k.fast_ctx), np.uint64(k1w),
-                                     fastpath.TAG_XOR)) & 1
+        k1w = k.prf_key.fast_words()[1]
+        return fastpath.context_word(k.fast_ctx, k1w, fastpath.TAG_XOR) & 1
     return prng.prf_eval(k.prf_key, b"\x02xorbit", 1)[0] & 1
 
 
@@ -348,11 +343,6 @@ def prp_decompose(k: PrpKey) -> Iterator[PermStep]:
         yield PermStep(z=st.z, forward=fwd, inverse=inv)
 
 
-def prp_schedule_length(k: PrpKey) -> int:
-    """Number of swaps prp_decompose will emit (materializes the schedule)."""
-    return sum(1 for _ in prp_decompose(k))
-
-
 # -- serialization ------------------------------------------------------------------
 # Mirrors the merge module's framing; permuted keys carry a level-count
 # header followed by one record per spine level.
@@ -369,8 +359,7 @@ def deserialize_key(data: bytes) -> PrpKey:
     sampler = SAMPLER_GAUSS if mode else SAMPLER_EXACT
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
-        k0, k1 = prf_key.fast_words()
-        ctx = int(fastpath.mix64_np(np.uint64(k0), np.uint64(k1), fastpath.TAG_ROOT))
+        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
     return PrpKey(prf_key, n_minus_1 + 1, kappa, sampler, ctx)
 
 

@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import nsprp, prng
+from . import fastpath, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .hypergeom import DEFAULT_KAPPA
 from .nsprp import PrpKey, make_prp_key, make_scale_prp_key, prp_forward, prp_inverse
@@ -163,12 +163,7 @@ def deserialize_owp_public(data: bytes) -> MockObfuscation:
     sampler = nsprp.SAMPLER_GAUSS if prf_key.backend == prng.BACKEND_FASTMIX else nsprp.SAMPLER_EXACT
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
-        import numpy as np
-
-        from . import fastpath
-
-        k0, k1 = prf_key.fast_words()
-        ctx = int(fastpath.mix64_np(np.uint64(k0), np.uint64(k1), fastpath.TAG_ROOT))
+        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
     sk = PrpKey(prf_key, pn, DEFAULT_KAPPA, sampler, ctx)
     return MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
                            pn, payload, label)

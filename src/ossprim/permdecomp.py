@@ -565,6 +565,9 @@ def verify_decomposition(g: DecomposablePermutation, budget: int = 1 << 20) -> V
 
 # -- textual description language ---------------------------------------------------
 
+_PERM_ARITY = {"swap": 2, "transp": 3, "cycle": 3, "add": 2, "affine": 3}
+
+
 def parse_perm(desc: str) -> DecomposablePermutation:
     """Parse the CLI permutation language.
 
@@ -579,6 +582,8 @@ def parse_perm(desc: str) -> DecomposablePermutation:
     for p in parts:
         toks = p.split()
         op = toks[0]
+        if op in _PERM_ARITY and len(toks) != 1 + _PERM_ARITY[op]:
+            raise ContractError(f"{op!r} takes {_PERM_ARITY[op]} arguments, got {len(toks) - 1}")
         if op == "swap":
             gs.append(neighbor_swap(int(toks[1]), int(toks[2])))
         elif op == "transp":

@@ -59,6 +59,12 @@ def test_exit_codes():
     assert run_cli("definitely-not-a-command", check=False).returncode == 2
 
 
+def test_perm_statement_arity_is_a_contract_error():
+    proc = run_cli("perm apply --desc 'swap 8' --x 1", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
 def test_perm_verify_failure_exit_code():
     ok = run_cli("perm verify --desc 'transp 8 0 5' --format kv")
     assert cli.parse_kv(ok.stdout.decode())["ok"] == "1"

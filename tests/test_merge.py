@@ -203,15 +203,26 @@ def test_permuted_key_never_consults_punctured_nodes():
 
 
 def test_permuted_serialization_round_trip():
-    k = key(4, 4, tag=8)
-    z = next(z for z in range(7)
-             if merge.merge_inverse(k, z)[0] != merge.merge_inverse(k, z + 1)[0])
-    pmk = merge.merge_permute(k, z, 1)
-    back = merge.deserialize_permuted(merge.serialize_permuted(pmk))
-    for e in range(8):
-        b = 1 if e >= 4 else 0
-        assert (merge.permuted_merge_eval(back, b, e - 4 if b else e)
-                == merge.permuted_merge_eval(pmk, b, e - 4 if b else e))
+    # a deserialized key rebuilds its memos from the parsed table and copath
+    for tag, (n0, n1) in enumerate([(4, 4), (3, 4), (5, 6)], start=8):
+        k = key(n0, n1, tag)
+        base = full_table(k)
+        for z in range(k.n - 1):
+            for c in (0, 1):
+                pmk = merge.merge_permute(k, z, c)
+                if pmk is None:
+                    continue
+                back = merge.deserialize_permuted(merge.serialize_permuted(pmk))
+                want = [merge._tau_swap(z, w) for w in base] if c else base
+                for e in range(k.n):
+                    b = 1 if e >= n0 else 0
+                    x = e - n0 if b else e
+                    assert (merge.permuted_merge_eval(back, b, x)
+                            == merge.permuted_merge_eval(pmk, b, x) == want[e])
+                for zz in range(k.n):
+                    b, x = merge.permuted_merge_inverse(back, zz)
+                    assert (b, x) == merge.permuted_merge_inverse(pmk, zz)
+                    assert want[x + (n0 if b else 0)] == zz
 
 
 def test_permute_requires_exact_sampler():
