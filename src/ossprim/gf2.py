@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, DimensionError, InvariantViolation
+from .wire import Reader
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,12 @@ class BitVector:
 
     def is_zero(self) -> bool:
         return self.bits == 0
+
+
+def reverse_bits(val: int, dim: int) -> int:
+    """The low ``dim`` bits of ``val`` in reverse order: bit dim-1-i lands on
+    bit i.  Converts between MSB-first integer packings and component order."""
+    return int(f"{val & ((1 << dim) - 1):0{dim}b}"[::-1], 2)
 
 
 def zero_vector(dim: int) -> BitVector:
@@ -363,15 +370,9 @@ def serialize_matrix(m: BitMatrix) -> bytes:
 
 
 def deserialize_matrix(data: bytes) -> BitMatrix:
-    rows, ncols = struct.unpack_from("<HH", data, 0)
-    nwords = (rows + 63) // 64
-    off = 4
-    cols = []
-    for _ in range(ncols):
-        c = 0
-        for w in range(nwords):
-            (word,) = struct.unpack_from("<Q", data, off)
-            c |= word << (64 * w)
-            off += 8
-        cols.append(c)
-    return BitMatrix(rows, tuple(cols))
+    r = Reader(data, "GF(2) matrix")
+    rows, ncols = r.unpack("<HH")
+    nbytes = 8 * ((rows + 63) // 64)
+    cols = tuple(int.from_bytes(r.take(nbytes), "little") for _ in range(ncols))
+    r.done()
+    return BitMatrix(rows, cols)

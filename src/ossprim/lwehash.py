@@ -27,6 +27,7 @@ import numpy as np
 from . import gf2
 from .errors import ContractError, DimensionError, RangeError
 from .prng import BitStream
+from .wire import Reader
 
 INSECURE_DEMO_MAGIC = b"INSECURE-DEMO"
 
@@ -363,11 +364,7 @@ def _split_output(qk: QKey, a: int) -> list[int]:
 def hashq_coords(qk: QKey, w: int) -> gf2.BitVector:
     """The last (n-r) bits of w as the coordinates vector z; component i is
     slice i's coordinate bit."""
-    coords = w & ((1 << qk.slices) - 1)
-    bits = 0
-    for i in range(qk.slices):
-        bits |= ((coords >> (qk.slices - 1 - i)) & 1) << i
-    return gf2.BitVector(bits, qk.slices)
+    return gf2.BitVector(gf2.reverse_bits(w, qk.slices), qk.slices)
 
 
 def _lift_slice_preimage(qk: QKey, i: int, slice_input: int) -> int:
@@ -379,15 +376,6 @@ def _lift_slice_preimage(qk: QKey, i: int, slice_input: int) -> int:
     vec = packet << ((qk.slices - 1 - i) * pb)
     coords = b << (qk.slices - 1 - i)
     return (vec << qk.slices) | coords
-
-
-def _as_bitvector(qk: QKey, w: int) -> gf2.BitVector:
-    """n-bit string to a BitVector (component j = bit j counting from MSB)."""
-    n = qk.n_bits
-    bits = 0
-    for j in range(n):
-        bits |= ((w >> (n - 1 - j)) & 1) << j
-    return gf2.BitVector(bits, n)
 
 
 def hashq_preimage_sets(qk: QKey, td: QTrapdoor, a: int) -> list[list[int]]:
@@ -418,8 +406,9 @@ def hashq_coset(qk: QKey, td: QTrapdoor, a: int) -> gf2.AffineCoset:
             raise ContractError(f"slice {i}: output not in the image")
         zero_side = [p for p in pres if (p & 1) == 0]
         one_side = [p for p in pres if (p & 1) == 1]
-        w0 = _as_bitvector(qk, _lift_slice_preimage(qk, i, zero_side[0])).bits if zero_side else 0
-        w1 = _as_bitvector(qk, _lift_slice_preimage(qk, i, one_side[0])).bits if one_side else 0
+        # component j of a lifted preimage is its bit j counting from the MSB
+        w0 = gf2.reverse_bits(_lift_slice_preimage(qk, i, zero_side[0]), n) if zero_side else 0
+        w1 = gf2.reverse_bits(_lift_slice_preimage(qk, i, one_side[0]), n) if one_side else 0
         shift_bits ^= w0
         col = w0 ^ w1
         if not (zero_side and one_side):
@@ -433,12 +422,7 @@ def hashq_coset(qk: QKey, td: QTrapdoor, a: int) -> gf2.AffineCoset:
 
 def reconstruct_from_coset(qk: QKey, coset: gf2.AffineCoset, z: gf2.BitVector) -> int:
     """w = basis.z + shift, re-packed into the n-bit integer layout."""
-    w_vec = coset.point(z)
-    n = qk.n_bits
-    w = 0
-    for j in range(n):
-        w |= ((w_vec.bits >> j) & 1) << (n - 1 - j)
-    return w
+    return gf2.reverse_bits(coset.point(z).bits, qk.n_bits)
 
 
 def measure_two_to_one_fraction(qk_or_pk, td, samples: int, stream: BitStream) -> float:
@@ -473,6 +457,9 @@ def parse_params(text: str) -> LweParams:
             continue
         key, _, val = line.partition("=")
         kv[key.strip()] = val.strip()
+    missing = [key for key in ("u", "v", "q", "B", "Bbar", "sigma") if key not in kv]
+    if missing:
+        raise ContractError(f"parameter file lacks {', '.join(missing)}")
     return LweParams(u=int(kv["u"]), v=int(kv["v"]), q=int(kv["q"]),
                      B=int(kv["B"]), Bbar=int(kv["Bbar"]), sigma=float(kv["sigma"]))
 
@@ -486,16 +473,23 @@ def serialize_key(pk: LweKey, insecure: bool = True) -> bytes:
     return head + body
 
 
+def _read_head(r: Reader, plain_head: bytes) -> None:
+    """One of the two 14-byte heads a serializer writes: ``plain_head`` or
+    its tag byte behind the INSECURE-DEMO magic."""
+    if r.take(14) not in (INSECURE_DEMO_MAGIC + plain_head[-1:], plain_head):
+        raise ContractError(f"not an {r.what} file")
+
+
 def deserialize_key(data: bytes) -> LweKey:
-    head, data = data[:14], data[14:]
-    (plen,) = struct.unpack_from("<H", data, 0)
-    p = parse_params(data[2 : 2 + plen].decode())
-    off = 2 + plen
-    (size,) = struct.unpack_from("<I", data, off)
-    flat = np.frombuffer(data[off + 4 : off + 4 + 8 * size], dtype="<i8").astype(np.int64)
-    b_mat = flat[: p.v * p.u].reshape(p.v, p.u)
-    c_vec = flat[p.v * p.u :]
-    return LweKey(p, b_mat, c_vec)
+    r = Reader(data, "LWE key")
+    _read_head(r, b"LWE-KEY------\x00")
+    p = parse_params(r.blob("<H").decode())
+    (size,) = r.unpack("<I")
+    if size != p.v * (p.u + 1):
+        raise ContractError(f"LWE key holds {size} entries, its parameters need {p.v * (p.u + 1)}")
+    flat = np.frombuffer(r.take(8 * size), dtype="<i8").astype(np.int64)
+    r.done()
+    return LweKey(p, flat[: p.v * p.u].reshape(p.v, p.u), flat[p.v * p.u :])
 
 
 def serialize_trapdoor(p: LweParams, td: LweTrapdoor, insecure: bool = True) -> bytes:
@@ -505,6 +499,9 @@ def serialize_trapdoor(p: LweParams, td: LweTrapdoor, insecure: bool = True) -> 
 
 
 def deserialize_trapdoor(data: bytes) -> LweTrapdoor:
-    u, v = struct.unpack_from("<HH", data, 14)
-    flat = np.frombuffer(data[18 : 18 + 8 * (u + v)], dtype="<i8").astype(np.int64)
+    r = Reader(data, "LWE trapdoor")
+    _read_head(r, b"LWE-TD-------\x01")
+    u, v = r.unpack("<HH")
+    flat = np.frombuffer(r.take(8 * (u + v)), dtype="<i8").astype(np.int64)
+    r.done()
     return LweTrapdoor(flat[:u], flat[u:])

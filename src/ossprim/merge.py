@@ -31,9 +31,10 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import fastpath, prng
-from .errors import InvariantViolation, RangeError, UnsupportedBackend
+from .errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA, HypergeomParams, sample
 from .prng import NodeId, PrfKey, PuncturedPrfKey
+from .wire import Reader
 
 SAMPLER_EXACT = "exact"
 SAMPLER_GAUSS = "gauss"
@@ -453,10 +454,19 @@ def serialize_key(k: MergeKey) -> bytes:
     return struct.pack("<QQIB", k.n0, k.n1, k.kappa, mode) + blob
 
 
+def read_sampler(r: Reader) -> str:
+    """The sampler of a serialized key from its mode byte: 0 exact, 1 gauss."""
+    (mode,) = r.unpack("<B")
+    if mode not in (0, 1):
+        raise ContractError(f"unknown sampler mode {mode}")
+    return SAMPLER_GAUSS if mode else SAMPLER_EXACT
+
+
 def deserialize_key(data: bytes) -> MergeKey:
-    n0, n1, kappa, mode = struct.unpack_from("<QQIB", data, 0)
-    prf_key = prng.deserialize_key(data[struct.calcsize("<QQIB"):])
-    sampler = SAMPLER_GAUSS if mode else SAMPLER_EXACT
+    r = Reader(data, "merge key")
+    n0, n1, kappa = r.unpack("<QQI")
+    sampler = read_sampler(r)
+    prf_key = prng.deserialize_key(r.rest())
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
@@ -478,20 +488,17 @@ def serialize_permuted(pk: PermutedMergeKey) -> bytes:
 
 
 def deserialize_permuted(data: bytes) -> PermutedMergeKey:
-    (bloblen,) = struct.unpack_from("<I", data, 0)
-    off = 4
-    punct = prng.deserialize_punctured(data[off : off + bloblen])
-    off += bloblen
-    n0, n1, kappa, c, z = struct.unpack_from("<QQIBQ", data, off)
-    off += struct.calcsize("<QQIBQ")
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    r = Reader(data, "permuted merge key")
+    punct = prng.deserialize_punctured(r.blob("<I"))
+    n0, n1, kappa, c, z = r.unpack("<QQIBQ")
+    (count,) = r.unpack("<I")
     hard = {}
     for _ in range(count):
-        depth, path = struct.unpack_from("<HQ", data, off)
-        off += 10
-        (vlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        hard[NodeId(depth, path)] = int.from_bytes(data[off : off + vlen], "big")
-        off += vlen
+        node = NodeId(*r.unpack("<HQ"))
+        hard[node] = int.from_bytes(r.blob("<H"), "big")
+    r.done()
+    for node, value in hard.items():
+        left, right = hard.get(node.child(0)), hard.get(node.child(1))
+        if left is not None and right is not None and value != left + right:
+            raise ContractError(f"hard-coded tally at {node} is not the sum of its children")
     return PermutedMergeKey(punct, hard, z, c, n0, n1, kappa)

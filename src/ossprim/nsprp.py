@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import fastpath, merge as merge_mod, prng
-from .errors import RangeError, UnsupportedBackend
+from .errors import ContractError, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA
 from .merge import (
     MergeKey,
@@ -34,6 +34,7 @@ from .merge import (
     SAMPLER_GAUSS,
 )
 from .prng import PrfKey
+from .wire import Reader
 
 
 @dataclass(frozen=True)
@@ -354,9 +355,10 @@ def serialize_key(k: PrpKey) -> bytes:
 
 
 def deserialize_key(data: bytes) -> PrpKey:
-    n_minus_1, kappa, mode = struct.unpack_from("<QIB", data, 0)
-    prf_key = prng.deserialize_key(data[struct.calcsize("<QIB"):])
-    sampler = SAMPLER_GAUSS if mode else SAMPLER_EXACT
+    r = Reader(data, "PRP key")
+    n_minus_1, kappa = r.unpack("<QI")
+    sampler = merge_mod.read_sampler(r)
+    prf_key = prng.deserialize_key(r.rest())
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
@@ -386,19 +388,13 @@ def serialize_permuted_key(pk: PermutedPrpKey) -> bytes:
 
 
 def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
-    n_minus_1, kappa, z, c, count = struct.unpack_from("<QIQBH", data, 0)
-    off = struct.calcsize("<QIQBH")
-    records = []
-    for _ in range(count):
-        kind, flag = struct.unpack_from("<BB", data, off)
-        off += 2
-        blobs = []
-        for _ in range(3):
-            (ln,) = struct.unpack_from("<I", data, off)
-            off += 4
-            blobs.append(data[off : off + ln])
-            off += ln
-        records.append((kind, flag, *blobs))
+    r = Reader(data, "permuted PRP key")
+    n_minus_1, kappa, z, c, count = r.unpack("<QIQBH")
+    records = [(*r.unpack("<BB"), r.blob("<I"), r.blob("<I"), r.blob("<I")) for _ in range(count)]
+    r.done()
+    kinds = [rec[0] for rec in records]
+    if not kinds or kinds[-1] not in (0, 1) or set(kinds[:-1]) - {2}:
+        raise ContractError("permuted PRP key records do not form a spine")
     node = None
     for kind, flag, b1, b2, b3 in reversed(records):
         if kind == 0:

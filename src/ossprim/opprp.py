@@ -13,11 +13,12 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import fastpath, nsprp, prng
+from . import fastpath, merge as merge_mod, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .hypergeom import DEFAULT_KAPPA
 from .nsprp import PrpKey, make_prp_key, make_scale_prp_key, prp_forward, prp_inverse
 from .permdecomp import DecomposablePermutation
+from .wire import Reader
 
 MOCK_LABEL = b"MOCK-IO: FUNCTIONAL ONLY, NO HIDING"
 _OWP_MAGIC = b"OWPK"
@@ -48,24 +49,17 @@ class MockObfuscation:
 @dataclass(frozen=True)
 class OpPrpPermutedKey:
     """Sealed forward/inverse pair computing Gamma^c o Pi(k, .) and its
-    inverse Pi^-1(k, Gamma^-c(.)).
-
-    ``pad_size`` records the circuit-size padding a real obfuscator would be
-    called with; the mock has no circuits to pad, so it is carried, never
-    used.
-    """
+    inverse Pi^-1(k, Gamma^-c(.))."""
 
     sealed: MockObfuscation
     c: int
-    pad_size: int = 0
 
     @property
     def n(self) -> int:
         return self.sealed.n
 
 
-def op_permute(k: PrpKey, g: DecomposablePermutation, c: int,
-               pad_size: int = 0) -> OpPrpPermutedKey:
+def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> OpPrpPermutedKey:
     """Deterministic permuted key: evaluation composes g on the output iff c=1."""
     if g.n != k.n:
         raise DimensionError("permutation domain != PRP domain")
@@ -78,7 +72,7 @@ def op_permute(k: PrpKey, g: DecomposablePermutation, c: int,
         fwd = lambda x: g.forward(prp_forward(k, x))
         inv = lambda z: prp_inverse(k, g.inverse(z))
     payload = prng.serialize_key(k.prf_key) + struct.pack("<QB", k.n - 1, c)
-    return OpPrpPermutedKey(MockObfuscation(fwd, inv, k.n, payload), c, pad_size)
+    return OpPrpPermutedKey(MockObfuscation(fwd, inv, k.n, payload), c)
 
 
 def hybrid_walk(k: PrpKey, g: DecomposablePermutation, t: int) -> tuple[Callable, Callable]:
@@ -144,22 +138,23 @@ def serialize_owp_secret(keys: TrapdoorOwpKeys) -> bytes:
 
 
 def deserialize_owp_public(data: bytes) -> MockObfuscation:
-    if data[:4] != _OWP_MAGIC:
+    r = Reader(data, "OWP public key")
+    if r.take(4) != _OWP_MAGIC:
         raise ContractError("not an OWP public key file")
-    (bits,) = struct.unpack_from("<H", data, 4)
-    off = 6
-    (lab_len,) = struct.unpack_from("<H", data, off)
-    off += 2
-    label = data[off : off + lab_len]
+    (bits,) = r.unpack("<H")
+    label = r.blob("<H")
     if MOCK_LABEL not in label:
         raise ContractError("missing mock-obfuscation warning label")
-    off += lab_len
-    n_minus_1, payload_len = struct.unpack_from("<QI", data, off)
-    off += 12
-    payload = data[off : off + payload_len]
-    prf_key = prng.deserialize_key(payload[: len(payload) - 9])
-    pn_minus_1, c = struct.unpack_from("<QB", payload, len(payload) - 9)
+    (n_minus_1,) = r.unpack("<Q")
+    payload = r.blob("<I")
+    r.done()
+    p = Reader(payload, "OWP public key payload")
+    prf_key = prng.deserialize_key(p.take(len(payload) - 9))
+    pn_minus_1, _ = p.unpack("<QB")
+    p.done()
     pn = pn_minus_1 + 1
+    if pn != n_minus_1 + 1 or pn != 1 << bits:
+        raise ContractError("OWP public key domain sizes disagree")
     sampler = nsprp.SAMPLER_GAUSS if prf_key.backend == prng.BACKEND_FASTMIX else nsprp.SAMPLER_EXACT
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
@@ -170,14 +165,13 @@ def deserialize_owp_public(data: bytes) -> MockObfuscation:
 
 
 def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
-    if data[:5] != _OWP_MAGIC + b"S":
+    r = Reader(data, "OWP secret key")
+    if r.take(5) != _OWP_MAGIC + b"S":
         raise ContractError("not an OWP secret key file")
-    bits, kappa = struct.unpack_from("<HI", data, 5)
-    gauss = data[11]
-    prf_key = prng.deserialize_key(data[12:])
-    backend = prf_key.backend
-    sk = make_prp_key(prf_key.seed, 1 << bits, kappa,
-                      nsprp.SAMPLER_GAUSS if gauss else nsprp.SAMPLER_EXACT, backend)
+    bits, kappa = r.unpack("<HI")
+    sampler = merge_mod.read_sampler(r)
+    prf_key = prng.deserialize_key(r.rest())
+    sk = make_prp_key(prf_key.seed, 1 << bits, kappa, sampler, prf_key.backend)
     payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
     pk = MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
                          sk.n, payload)

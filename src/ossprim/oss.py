@@ -36,6 +36,7 @@ from .gf2 import AffineCoset, BitMatrix, BitVector
 from .hypergeom import DEFAULT_KAPPA
 from .opprp import MOCK_LABEL, MockObfuscation
 from .prng import BitStream, PrfKey
+from .wire import Reader
 
 MODE_ORACLE = "oracle"
 MODE_STANDARD = "standard"
@@ -43,17 +44,11 @@ MODE_STANDARD = "standard"
 
 def int_to_vec(val: int, dim: int) -> BitVector:
     """Component i = bit (dim-1-i): component 0 is the most significant bit."""
-    bits = 0
-    for i in range(dim):
-        bits |= ((val >> (dim - 1 - i)) & 1) << i
-    return BitVector(bits, dim)
+    return BitVector(gf2.reverse_bits(val, dim), dim)
 
 
 def vec_to_int(v: BitVector) -> int:
-    out = 0
-    for i in range(v.dim):
-        out |= ((v.bits >> i) & 1) << (v.dim - 1 - i)
-    return out
+    return gf2.reverse_bits(v.bits, v.dim)
 
 
 @dataclass(frozen=True)
@@ -176,24 +171,28 @@ class CosetSource(Protocol):
 
 @dataclass(frozen=True)
 class PrfCosetSource:
-    """(A(y), b(y)) from an unbounded per-y derived bit stream.
+    """(M(y), v(y)) from an unbounded derived bit stream labelled ``label:y``:
+    M a random full-column-rank k x cols matrix (invertible when cols = k),
+    v a random vector of Z2^k.
 
-    The rejection sampler consumes however many bits it needs; the fixed
-    output budget a truly random F would have is replaced by the stream.
+    Instances draw their cosets (A(y), b(y)) under ``coset``; the reductions
+    draw their rerandomizers (C(y), d(y)) under ``cd``.  The rejection
+    sampler consumes however many bits it needs; the fixed output budget a
+    truly random F would have is replaced by the stream.
     """
 
     prf_key: PrfKey
     k: int
     cols: int
+    label: bytes = b"coset"
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __call__(self, y: int) -> tuple[BitMatrix, BitVector]:
         got = self._cache.get(y)
         if got is None:
-            stream = prng.bit_stream(self.prf_key, b"coset:%d" % y)
-            a = gf2.random_full_column_rank(self.k, self.cols, stream)
-            b = gf2.random_vector(self.k, stream)
-            got = (a, b)
+            stream = prng.bit_stream(self.prf_key, b"%s:%d" % (self.label, y))
+            got = (gf2.random_full_column_rank(self.k, self.cols, stream),
+                   gf2.random_vector(self.k, stream))
             self._cache[y] = got
         return got
 
@@ -218,25 +217,6 @@ class TransformedCosetSource:
         a, b = self.base(y)
         c, d = self.cd_source(y)
         return gf2.mat_mul(c, a), gf2.mat_mul_vec(c, b) ^ d
-
-
-@dataclass(frozen=True)
-class PrfSquareSource:
-    """(C(y), d(y)) with C a random invertible k x k matrix."""
-
-    prf_key: PrfKey
-    k: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __call__(self, y: int) -> tuple[BitMatrix, BitVector]:
-        got = self._cache.get(y)
-        if got is None:
-            stream = prng.bit_stream(self.prf_key, b"cd:%d" % y)
-            c = gf2.random_invertible(self.k, stream)
-            d = gf2.random_vector(self.k, stream)
-            got = (c, d)
-            self._cache[y] = got
-        return got
 
 
 # -- the instance -----------------------------------------------------------------
@@ -419,7 +399,7 @@ def self_reduce(inst: OssInstance, seed: bytes, table_gamma: Optional[bool] = No
         gamma: PermBackend = random_table_perm(p.n, prng.bit_stream(root, b"gamma"))
     else:
         gamma = PrpPerm(nsprp.PrpKey(prng.derive_key(root, b"gamma"), 1 << p.n), p.n)
-    cd = PrfSquareSource(prng.derive_key(root, b"cd"), p.k)
+    cd = PrfCosetSource(prng.derive_key(root, b"cd"), p.k, p.k, b"cd")
     new_pi = ComposedPerm(inner=gamma, outer=inst.pi, n_bits=p.n)
     new_src = TransformedCosetSource(inst.coset_source, cd)
     inst2 = OssInstance(p, new_pi, new_src, inst.out_perm)
@@ -660,26 +640,6 @@ class EmbeddedTriple:
     back_map: Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class PrfTallSource:
-    """(C(y), d(y)) with C a random full-column-rank k x n matrix."""
-
-    prf_key: PrfKey
-    k: int
-    n: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __call__(self, y: int) -> tuple[BitMatrix, BitVector]:
-        got = self._cache.get(y)
-        if got is None:
-            stream = prng.bit_stream(self.prf_key, b"cd:%d" % y)
-            c = gf2.random_full_column_rank(self.k, self.n, stream)
-            d = gf2.random_vector(self.k, stream)
-            got = (c, d)
-            self._cache[y] = got
-        return got
-
-
 def embed_cpf(q: CosetPartitionFunction, k: int, seed: bytes,
               validate: bool = False) -> EmbeddedTriple:
     """Simulate (P, P^-1) from forward queries to a coset partition function."""
@@ -693,7 +653,7 @@ def embed_cpf(q: CosetPartitionFunction, k: int, seed: bytes,
         raise ContractError("supplied function is not a coset partition function")
     root = PrfKey(seed, b"embed")
     gamma = random_table_perm(n, prng.bit_stream(root, b"gamma"))
-    cd = PrfTallSource(prng.derive_key(root, b"cd"), k, n)
+    cd = PrfCosetSource(prng.derive_key(root, b"cd"), k, n, b"cd")
 
     def p(x: int) -> tuple[int, BitVector]:
         if not 0 <= x < (1 << n):
@@ -721,14 +681,15 @@ def embed_cpf(q: CosetPartitionFunction, k: int, seed: bytes,
 # -- instance files ------------------------------------------------------------------
 
 _OSS_MAGIC = b"OSS1"
+_MAX_TABLE_BITS = 14
 
 
 def materialize(inst: OssInstance) -> OssInstance:
     """Explicit-table copy of a (tiny) instance: permutation tables plus a
     dictionary coset source, suitable for serialization."""
     p = inst.params
-    if p.n > 14 or (p.mode == MODE_STANDARD and p.d > 14):
-        raise RangeError("materializing above 2^14 refused")
+    if max(p.n, p.d if p.mode == MODE_STANDARD else 0) > _MAX_TABLE_BITS:
+        raise RangeError(f"materializing above 2^{_MAX_TABLE_BITS} refused")
     pi = TablePerm(tuple(inst.pi.forward(x) for x in range(1 << p.n)), p.n)
     out = None
     if p.mode == MODE_STANDARD:
@@ -766,31 +727,25 @@ def serialize_instance(inst: OssInstance) -> bytes:
 
 
 def deserialize_instance(data: bytes) -> OssInstance:
-    if data[:4] != _OSS_MAGIC:
+    r = Reader(data, "instance file")
+    if r.take(4) != _OSS_MAGIC:
         raise ContractError("not an instance file")
-    mode, n, r, k, d = struct.unpack_from("<BHHHH", data, 4)
-    off = 4 + struct.calcsize("<BHHHH")
-    table = struct.unpack_from(f"<{1 << n}I", data, off)
-    off += 4 << n
-    pi = TablePerm(tuple(table), n)
-    out = None
-    if mode:
-        out_table = struct.unpack_from(f"<{1 << d}I", data, off)
-        off += 4 << d
-        out = TablePerm(tuple(out_table), d)
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    mode, n, r_bits, k, d = r.unpack("<BHHHH")
+    if mode not in (0, 1):
+        raise ContractError(f"unknown instance mode {mode}")
+    if max(n, d if mode else 0) > _MAX_TABLE_BITS:
+        raise ContractError(f"instance tables above 2^{_MAX_TABLE_BITS}")
+    params = OssParams(0, n - r_bits, r_bits, n, k, d if mode else None,
+                       MODE_STANDARD if mode else MODE_ORACLE)
+    pi = TablePerm(r.unpack(f"<{1 << n}I"), n)
+    out = TablePerm(r.unpack(f"<{1 << d}I"), d) if mode else None
+    (count,) = r.unpack("<I")
     entries = {}
     for _ in range(count):
-        y, mlen = struct.unpack_from("<QI", data, off)
-        off += 12
-        a = gf2.deserialize_matrix(data[off : off + mlen])
-        off += mlen
-        (bbits,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        entries[y] = (a, BitVector(bbits, k))
-    params = OssParams(0, n - r, r, n, k, d if mode else None,
-                       MODE_STANDARD if mode else MODE_ORACLE)
+        (y,) = r.unpack("<Q")
+        a = gf2.deserialize_matrix(r.blob("<I"))
+        entries[y] = (a, BitVector(*r.unpack("<Q"), k))
+    r.done()
     return OssInstance(params, pi, DictCosetSource(entries), out)
 
 

@@ -25,7 +25,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DimensionError, EntropyError, PunctureError, UnsupportedBackend
+from .errors import ContractError, DimensionError, EntropyError, PunctureError, UnsupportedBackend
+from .wire import Reader
 
 BACKEND_SHA256 = 1
 BACKEND_FASTMIX = 2
@@ -327,11 +328,19 @@ def serialize_key(key: PrfKey) -> bytes:
     return bytes([key.backend]) + struct.pack("<H", len(key.domain_tag)) + key.domain_tag + key.seed
 
 
+def _read_backend(r: Reader) -> int:
+    (backend,) = r.unpack("<B")
+    if backend not in (BACKEND_SHA256, BACKEND_FASTMIX):
+        raise ContractError(f"unknown PRF backend id {backend}")
+    return backend
+
+
 def deserialize_key(data: bytes) -> PrfKey:
-    backend = data[0]
-    (taglen,) = struct.unpack_from("<H", data, 1)
-    tag = data[3 : 3 + taglen]
-    seed = data[3 + taglen : 3 + taglen + SEED_LEN]
+    r = Reader(data, "PRF key")
+    backend = _read_backend(r)
+    tag = r.blob("<H")
+    seed = r.take(SEED_LEN)
+    r.done()
     return PrfKey(seed, tag, backend)
 
 
@@ -339,11 +348,9 @@ def _pack_node(n: NodeId) -> bytes:
     return struct.pack("<H", n.depth) + n.path.to_bytes((n.depth + 7) // 8 or 1, "big")
 
 
-def _unpack_node(data: bytes, off: int) -> tuple[NodeId, int]:
-    (depth,) = struct.unpack_from("<H", data, off)
-    nb = (depth + 7) // 8 or 1
-    path = int.from_bytes(data[off + 2 : off + 2 + nb], "big")
-    return NodeId(depth, path), off + 2 + nb
+def _read_node(r: Reader) -> NodeId:
+    (depth,) = r.unpack("<H")
+    return NodeId(depth, int.from_bytes(r.take((depth + 7) // 8 or 1), "big"))
 
 
 def serialize_punctured(pk: PuncturedPrfKey) -> bytes:
@@ -361,21 +368,12 @@ def serialize_punctured(pk: PuncturedPrfKey) -> bytes:
 
 
 def deserialize_punctured(data: bytes) -> PuncturedPrfKey:
-    backend = data[0]
-    (taglen,) = struct.unpack_from("<H", data, 1)
-    tag = data[3 : 3 + taglen]
-    off = 3 + taglen
-    (npts,) = struct.unpack_from("<I", data, off)
-    off += 4
-    pts = []
-    for _ in range(npts):
-        node, off = _unpack_node(data, off)
-        pts.append(node)
-    (ncp,) = struct.unpack_from("<I", data, off)
-    off += 4
-    copath = []
-    for _ in range(ncp):
-        node, off = _unpack_node(data, off)
-        copath.append((node, data[off : off + SEED_LEN]))
-        off += SEED_LEN
-    return PuncturedPrfKey(tuple(pts), tuple(copath), tag, backend)
+    r = Reader(data, "punctured PRF key")
+    backend = _read_backend(r)
+    tag = r.blob("<H")
+    (npts,) = r.unpack("<I")
+    pts = tuple(_read_node(r) for _ in range(npts))
+    (ncp,) = r.unpack("<I")
+    copath = tuple((_read_node(r), r.take(SEED_LEN)) for _ in range(ncp))
+    r.done()
+    return PuncturedPrfKey(pts, copath, tag, backend)

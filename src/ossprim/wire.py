@@ -1,0 +1,48 @@
+"""The one checked reader behind every deserializer.
+
+Contract: a deserializer reads its blob front to back through a ``Reader``
+and finishes with ``done()``, so truncated, overlong or mislabelled input
+raises ``ContractError`` and never a lower-level exception or a silently
+misread object.  Serializers write with ``struct.pack`` directly.
+"""
+
+from __future__ import annotations
+
+import struct
+
+from .errors import ContractError
+
+
+class Reader:
+    """Sequential little-endian reads over ``data``; ``what`` names the
+    artifact in error messages."""
+
+    def __init__(self, data: bytes, what: str):
+        self._data = bytes(data)
+        self._off = 0
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        """The next ``n`` bytes."""
+        end = self._off + n
+        if n < 0 or end > len(self._data):
+            raise ContractError(f"truncated {self.what}")
+        out = self._data[self._off : end]
+        self._off = end
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def blob(self, len_fmt: str) -> bytes:
+        """A byte string prefixed by its length in format ``len_fmt``."""
+        (n,) = self.unpack(len_fmt)
+        return self.take(n)
+
+    def rest(self) -> bytes:
+        """Everything not yet read."""
+        return self.take(len(self._data) - self._off)
+
+    def done(self) -> None:
+        if self._off != len(self._data):
+            raise ContractError(f"{len(self._data) - self._off} trailing bytes after {self.what}")

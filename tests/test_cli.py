@@ -65,6 +65,23 @@ def test_perm_statement_arity_is_a_contract_error():
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
+def test_truncated_instance_file_is_a_contract_error(tmp_path):
+    inst = tmp_path / "inst.bin"
+    run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv")
+    inst.write_bytes(inst.read_bytes()[:40])
+    proc = run_cli(f"oss hash --inst {inst} --x 5", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: truncated instance file") and b"Traceback" not in proc.stderr
+
+
+def test_params_file_missing_keys_is_a_contract_error(tmp_path):
+    params = tmp_path / "params.txt"
+    params.write_text("u=4\nv=8\n")
+    proc = run_cli(f"lwe keygen --params-file {params} --seed 01", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
 def test_perm_verify_failure_exit_code():
     ok = run_cli("perm verify --desc 'transp 8 0 5' --format kv")
     assert cli.parse_kv(ok.stdout.decode())["ok"] == "1"

@@ -15,6 +15,13 @@ def test_vector_packing_conventions():
     v = int_to_vec(0b1101, 4)
     assert v.to_list() == [1, 1, 0, 1]  # component 0 is the MSB
     assert vec_to_int(v) == 0b1101
+    # the bit-by-bit reference: bits of val at or above dim are dropped
+    for dim in (0, 1, 2, 7, 64, 80):
+        for val in (0, 1, 0b1101, (1 << dim) - 1, 1 << dim, 3 << dim | 5, 0x9E3779B97F4A7C15 << 17):
+            want = sum(((val >> (dim - 1 - i)) & 1) << i for i in range(dim))
+            assert gf2.reverse_bits(val, dim) == want
+            assert int_to_vec(val, dim) == gf2.BitVector(want, dim)
+            assert vec_to_int(gf2.BitVector(want, dim)) == val & ((1 << dim) - 1)
 
 
 def test_paper_preset_arithmetic():

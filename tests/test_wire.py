@@ -1,0 +1,141 @@
+"""Every serialized artifact round-trips byte for byte, and every deserializer
+rejects truncated, overlong or mislabelled input with ContractError only."""
+
+import re
+
+import pytest
+
+from ossprim import gf2, lwehash as lh, merge, nsprp, opprp, oss, prng, wire
+from ossprim.errors import ContractError
+from ossprim.prng import NodeId, PrfKey, bit_stream
+
+KEY = PrfKey(b"\x71" * 32, b"wire-tests")
+
+
+def _merge_key():
+    return merge.make_merge_key(b"\x72" * 32, 5, 6)
+
+
+def _permuted_merge_key():
+    k = _merge_key()
+    return next(pmk for z in range(k.n - 1) if (pmk := merge.merge_permute(k, z, 1)))
+
+
+def _owp_keys():
+    return opprp.owp_gen(b"\x73" * 32, 6)
+
+
+def _lwe_keys():
+    return lh.hashl_keygen(lh.MICRO, bit_stream(KEY, b"lwe"))
+
+
+# name -> (object factory, serialize, deserialize)
+ARTIFACTS = {
+    "prf_key": (lambda: KEY, prng.serialize_key, prng.deserialize_key),
+    "punctured_prf_key": (lambda: prng.puncture_nodes(KEY, {NodeId(3, 5), NodeId(9, 300)}),
+                          prng.serialize_punctured, prng.deserialize_punctured),
+    "merge_key": (_merge_key, merge.serialize_key, merge.deserialize_key),
+    "permuted_merge_key": (_permuted_merge_key, merge.serialize_permuted,
+                           merge.deserialize_permuted),
+    "prp_key": (lambda: nsprp.make_prp_key(b"\x74" * 32, 12),
+                nsprp.serialize_key, nsprp.deserialize_key),
+    "permuted_prp_key": (lambda: nsprp.prp_permute(nsprp.make_prp_key(b"\x74" * 32, 12), 4, 1),
+                         nsprp.serialize_permuted_key, nsprp.deserialize_permuted_key),
+    "owp_public": (lambda: _owp_keys().pk,
+                   lambda pk: opprp.serialize_owp_public(
+                       opprp.TrapdoorOwpKeys(pk, None, pk.n.bit_length() - 1)),
+                   opprp.deserialize_owp_public),
+    "owp_secret": (_owp_keys, opprp.serialize_owp_secret, opprp.deserialize_owp_secret),
+    "gf2_matrix": (lambda: gf2.random_full_column_rank(70, 5, bit_stream(KEY, b"m")),
+                   gf2.serialize_matrix, gf2.deserialize_matrix),
+    "lwe_key": (lambda: _lwe_keys()[0], lh.serialize_key, lh.deserialize_key),
+    "lwe_trapdoor": (lambda: _lwe_keys()[1], lambda td: lh.serialize_trapdoor(lh.MICRO, td),
+                     lh.deserialize_trapdoor),
+    "oss_instance": (lambda: oss.oss_gen(oss.OssParams.tiny(4, 2, 5), b"\x75" * 32),
+                     oss.serialize_instance, oss.deserialize_instance),
+}
+
+
+def blob_of(name):
+    make, ser, _ = ARTIFACTS[name]
+    return ser(make())
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_round_trip_bytes_and_truncation(name):
+    _, ser, de = ARTIFACTS[name]
+    blob = blob_of(name)
+    assert ser(de(blob)) == blob
+    for bad in [blob[:i] for i in range(len(blob))] + [blob + b"\x00"]:
+        with pytest.raises(ContractError):
+            de(bad)
+
+
+def _patched(blob, offset, value):
+    return blob[:offset] + bytes([value]) + blob[offset + 1:]
+
+
+def _bad_permuted_merge_blob():
+    pmk = _permuted_merge_key()
+    hard = dict(pmk.hardcoded)
+    hard[NodeId(1, 1)] += 5
+    return merge.serialize_permuted(merge.PermutedMergeKey(
+        pmk.punctured, hard, pmk.z, pmk.c, pmk.n0, pmk.n1, pmk.kappa))
+
+
+def _bad_owp_public_blob():
+    keys = _owp_keys()
+    return opprp.serialize_owp_public(opprp.TrapdoorOwpKeys(keys.pk, None, keys.bits + 1))
+
+
+# (case, deserializer, corrupted blob factory, message fragment)
+HEADER_CASES = [
+    ("prf key backend id", prng.deserialize_key,
+     lambda: _patched(blob_of("prf_key"), 0, 7), "backend"),
+    ("punctured key backend id", prng.deserialize_punctured,
+     lambda: _patched(blob_of("punctured_prf_key"), 0, 7), "backend"),
+    ("merge key sampler mode", merge.deserialize_key,
+     lambda: _patched(blob_of("merge_key"), 20, 5), "sampler"),
+    ("prp key sampler mode", nsprp.deserialize_key,
+     lambda: _patched(blob_of("prp_key"), 12, 5), "sampler"),
+    ("owp secret sampler mode", opprp.deserialize_owp_secret,
+     lambda: _patched(blob_of("owp_secret"), 11, 5), "sampler"),
+    ("lwe key head", lh.deserialize_key,
+     lambda: b"LWE-TD-------\x00" + blob_of("lwe_key")[14:], "LWE key"),
+    ("lwe trapdoor head", lh.deserialize_trapdoor,
+     lambda: _patched(blob_of("lwe_trapdoor"), 13, 0), "LWE trapdoor"),
+    ("permuted merge parent != left + right", merge.deserialize_permuted,
+     _bad_permuted_merge_blob, "sum of its children"),
+    ("permuted prp record kind", nsprp.deserialize_permuted_key,
+     lambda: _patched(blob_of("permuted_prp_key"), 23, 3), "spine"),
+    ("owp public domain size", opprp.deserialize_owp_public,
+     _bad_owp_public_blob, "domain"),
+    ("instance mode", oss.deserialize_instance,
+     lambda: _patched(blob_of("oss_instance"), 4, 2), "mode"),
+    ("instance table width", oss.deserialize_instance,
+     lambda: _patched(blob_of("oss_instance"), 5, 40), "2^14"),
+]
+
+
+@pytest.mark.parametrize("case,de,make_blob,fragment", HEADER_CASES, ids=[c[0] for c in HEADER_CASES])
+def test_header_fields_are_validated(case, de, make_blob, fragment):
+    with pytest.raises(ContractError, match=re.escape(fragment)):
+        de(make_blob())
+
+
+def test_parse_params_names_missing_keys():
+    with pytest.raises(ContractError, match="q, B, Bbar, sigma"):
+        lh.parse_params("u=4\nv=8\n")
+
+
+def test_reader_contract():
+    r = wire.Reader(b"\x05\x00abcdeZ", "demo")
+    assert r.blob("<H") == b"abcde"
+    with pytest.raises(ContractError, match="1 trailing bytes after demo"):
+        r.done()
+    assert r.rest() == b"Z"
+    r.done()
+    with pytest.raises(ContractError, match="truncated demo"):
+        r.take(1)
+    with pytest.raises(ContractError, match="truncated demo"):
+        wire.Reader(b"abc", "demo").take(-1)
