@@ -112,6 +112,8 @@ class TablePerm:
     def __post_init__(self):
         if len(self.table) != 1 << self.n_bits:
             raise DimensionError("table length != 2^n")
+        if sorted(self.table) != list(range(len(self.table))):
+            raise ContractError("table is not a permutation of [0, 2^n)")
         if self.inverse_table is None:
             inv = [0] * len(self.table)
             for i, v in enumerate(self.table):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import ContractError, DimensionError, EntropyError, PunctureError, UnsupportedBackend
@@ -35,6 +36,9 @@ SEED_LEN = 32
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+_BIT = (b"\x00", b"\x01")
+_DERIVE = b"\x01derive:"
 
 
 def _sha(data: bytes) -> bytes:
@@ -95,8 +99,17 @@ class PrfKey:
         if len(self.seed) != SEED_LEN:
             raise DimensionError(f"seed must be {SEED_LEN} bytes")
 
-    def root_seed(self) -> bytes:
+    @cached_property
+    def _root(self) -> bytes:
         return _sha(b"root" + bytes([self.backend]) + struct.pack("<H", len(self.domain_tag)) + self.domain_tag + self.seed)
+
+    @cached_property
+    def _derive_prefix(self) -> bytes:
+        """GGM seed at the node every ``derive_key`` label sits under."""
+        return _descend(self._root, _bytes_to_node(_DERIVE))
+
+    def root_seed(self) -> bytes:
+        return self._root
 
     def fast_words(self) -> tuple[int, int]:
         r = self.root_seed()
@@ -105,7 +118,7 @@ class PrfKey:
 
 def _expand(seed: bytes, bit: int) -> bytes:
     """Length-doubling step: child seed for branch ``bit``."""
-    return _sha(seed + bytes([bit]))
+    return _sha(seed + _BIT[bit])
 
 
 def _finalize(seed: bytes, out_len: int) -> bytes:
@@ -123,8 +136,12 @@ def _bytes_to_node(x: bytes) -> NodeId:
 
 
 def _descend(seed: bytes, node: NodeId, from_depth: int = 0) -> bytes:
-    for lvl in range(from_depth, node.depth):
-        seed = _expand(seed, node.bit(lvl))
+    """Seed at ``node``, from ``seed`` at its ancestor of depth ``from_depth``."""
+    # hashlib is read per call, so perfbench's tracer, which swaps this
+    # module's hashlib binding, still counts every hash
+    path, sha256 = node.path, hashlib.sha256
+    for shift in range(node.depth - 1 - from_depth, -1, -1):
+        seed = sha256(seed + _BIT[(path >> shift) & 1]).digest()
     return seed
 
 
@@ -310,7 +327,11 @@ def bit_stream(key: PrfKey, label: bytes) -> BitStream:
 
 def derive_key(key: PrfKey, label: bytes) -> PrfKey:
     """Child key under a domain label; keeps the parent's backend."""
-    seed = prf_eval(key, b"\x01derive:" + label, SEED_LEN)
+    if key.backend == BACKEND_FASTMIX:
+        seed = prf_eval(key, _DERIVE + label, SEED_LEN)
+    else:
+        node = _bytes_to_node(_DERIVE + label)
+        seed = _finalize(_descend(key._derive_prefix, node, 8 * len(_DERIVE)), SEED_LEN)
     return PrfKey(seed, key.domain_tag + b"/" + label, key.backend)
 
 

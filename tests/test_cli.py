@@ -74,6 +74,27 @@ def test_truncated_instance_file_is_a_contract_error(tmp_path):
     assert proc.stderr.startswith(b"error: truncated instance file") and b"Traceback" not in proc.stderr
 
 
+def _out_of_range_entry(blob):
+    return blob[:13] + b"\xff\xff\xff\x7f" + blob[17:]
+
+
+def _duplicated_entry(blob):
+    return blob[:17] + blob[13:17] + blob[21:]
+
+
+@pytest.mark.parametrize("corrupt", [_out_of_range_entry, _duplicated_entry])
+def test_instance_table_not_a_permutation_is_a_contract_error(tmp_path, corrupt):
+    # bytes 13..20 hold the first two u32 entries of the 2^4-entry pi table
+    inst = tmp_path / "inst.bin"
+    run_cli(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv")
+    blob = inst.read_bytes()
+    assert blob[13:17] != blob[17:21]
+    inst.write_bytes(corrupt(blob))
+    proc = run_cli(f"oss hash --inst {inst} --x 1", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: table is not a permutation") and b"Traceback" not in proc.stderr
+
+
 def test_params_file_missing_keys_is_a_contract_error(tmp_path):
     params = tmp_path / "params.txt"
     params.write_text("u=4\nv=8\n")

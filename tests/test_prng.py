@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -152,3 +153,43 @@ def test_mix64_matches_numpy_twin():
 
     for a, b, c in [(1, 2, 3), (2**64 - 1, 0x1234, 7), (0, 0, 0), (0xDEADBEEF, 2**63, 2**32)]:
         assert prng.mix64(a, b, c) == int(mix64_np(np.uint64(a), np.uint64(b), np.uint64(c)))
+
+
+def test_descend_matches_stepwise_expand():
+    rng = random.Random(6)
+    for _ in range(300):
+        depth = rng.randint(0, 130)
+        node = NodeId(depth, rng.getrandbits(depth) if depth else 0)
+        seed = rng.randbytes(32)
+        walk = [seed]
+        for lvl in range(depth):
+            walk.append(prng._expand(walk[-1], (node.path >> (depth - 1 - lvl)) & 1))
+        for from_depth in range(depth + 1):
+            assert prng._descend(walk[from_depth], node, from_depth) == walk[depth]
+
+
+@pytest.mark.parametrize("backend", [prng.BACKEND_SHA256, prng.BACKEND_FASTMIX])
+@pytest.mark.parametrize("label", [b"", b"m", b"half1", bytes(range(40))])
+def test_derive_key_is_prf_eval_under_the_derive_prefix(backend, label):
+    k = PrfKey(b"\x0e" * 32, b"derive-tests", backend)
+    want = PrfKey(prng.prf_eval(k, b"\x01derive:" + label, 32), b"derive-tests/" + label, backend)
+    assert prng.derive_key(k, label) == want
+    assert prng.derive_key(k, label) == want  # again, from the memoized prefix
+
+
+def test_derive_key_memo_is_per_key():
+    a = PrfKey(b"\x0f" * 32, b"one")
+    keys = [a, PrfKey(a.seed, b"two"), PrfKey(a.seed, b"one", prng.BACKEND_FASTMIX)]
+    seeds = [prng.derive_key(k, b"child").seed for k in keys]
+    assert len(set(seeds)) == 3
+    assert [prng.derive_key(k, b"child").seed for k in reversed(keys)] == seeds[::-1]
+
+
+def test_memoized_seeds_leave_equality_and_hash_unchanged():
+    a = PrfKey(b"\x10" * 32, b"eq")
+    b = PrfKey(b"\x10" * 32, b"eq")
+    before = hash(a)
+    a.root_seed()
+    prng.derive_key(a, b"x")
+    assert a == b and hash(a) == hash(b) == before
+    assert prng.serialize_key(a) == prng.serialize_key(b)
