@@ -373,6 +373,7 @@ def deserialize_matrix(data: bytes) -> BitMatrix:
     r = Reader(data, "GF(2) matrix")
     rows, ncols = r.unpack("<HH")
     nbytes = 8 * ((rows + 63) // 64)
-    cols = tuple(int.from_bytes(r.take(nbytes), "little") for _ in range(ncols))
+    cols = tuple(r.fits(int.from_bytes(r.take(nbytes), "little"), rows, "matrix column")
+                 for _ in range(ncols))
     r.done()
     return BitMatrix(rows, cols)

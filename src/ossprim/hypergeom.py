@@ -6,16 +6,30 @@ cross-multiplications, and weights are exact binomials maintained by
 multiplicative running products.  Exactness is what makes keys bit-portable;
 it is only feasible while the support is enumerable, so large-domain scale
 keys use the separate gaussian approximation in ``fastpath`` instead.
+
+On wide supports the walk starts a few standard deviations below the mode
+(after the mode-centred search of Kachitvichyanukul and Schmeiser, 1985)
+instead of at ``support_min``.  The weight below the start is never summed;
+an exact integer bound on it decides every comparison, and any comparison
+the bound cannot decide falls back to the walk from ``support_min``.  So the
+window changes how far the walk goes, never the x it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 from .errors import RangeError
 
 DEFAULT_KAPPA = 128
+# The window starts _WINDOW_SIGMAS standard deviations (plus 8) below the
+# mode.  Any value gives the same output; it only sets how often the bound
+# cannot decide and the draw falls back to the walk from support_min.
+_WINDOW_SIGMAS = 13
+# Below this support width the window's isqrt and start weight cost more
+# than the steps they skip, so the walk starts at support_min as it always did.
+_WINDOW_MIN_SUPPORT = 128
 
 
 @dataclass(frozen=True)
@@ -63,22 +77,63 @@ def sample(p: HypergeomParams, r: int, kappa: int = DEFAULT_KAPPA) -> int:
     W(x) is the cumulative weight through x.  Monotone non-decreasing in r;
     total variation from the exact distribution is at most
     support_size * 2^-kappa.
+
+    W is an integer, so the condition is W(x) > q with q = floor(r*C(N,s) /
+    2^kappa), computed once.  Supports at least ``_WINDOW_MIN_SUPPORT`` wide
+    first try ``_window_sample``; narrower ones, and every draw the window
+    cannot certify, walk up from support_min.
     """
     if not 0 <= r < (1 << kappa):
         raise RangeError("r must be a kappa-bit unsigned integer")
     N, t, s = p.population, p.successes, p.draws
     lo, hi = p.support_min, p.support_max
-    target = r * comb(N, s)
-    # running term: C(t,x) * C(N-t, s-x), updated multiplicatively
+    q = (r * comb(N, s)) >> kappa
+    if hi - lo >= _WINDOW_MIN_SUPPORT:
+        x = _window_sample(N, t, s, lo, hi, q)
+        if x is not None:
+            return x
     term = comb(t, lo) * comb(N - t, s - lo)
+    return _walk(N, t, s, lo, hi, term, q)[0]
+
+
+def _window_sample(N: int, t: int, s: int, lo: int, hi: int, q: int) -> int | None:
+    """The smallest x with W(x) > q, found by a walk from a start a below the
+    mode, or None when the walk cannot certify it.
+
+    The pmf is log-concave, so w(j-1)/w(j) only shrinks as j falls below a
+    and W(a-1) <= w(a)*rho/(1-rho) =: tail, with rho = w(a-1)/w(a) < 1.  With
+    acc = w(a)+...+w(x), W(x) lies in [acc, acc + tail].  The walk steps on
+    while acc + tail <= q (so W(x) <= q) and stops at x once acc > q (so
+    W(x) > q); tail <= q makes W(a-1) <= q for x = a.  A stop with
+    acc <= q < acc + tail is undecided.  rho < 1 because a lies below the
+    mode; the rho check only keeps the division safe.
+    """
+    m = min(max((s + 1) * (t + 1) // (N + 2), lo), hi)
+    sigma = isqrt(t * s * (N - t) * (N - s) // (N * N * (N - 1)))
+    a = m - _WINDOW_SIGMAS * sigma - 8
+    if a <= lo:
+        return None
+    rn, rd = a * (N - t - s + a), (t - a + 1) * (s - a + 1)
+    if rn >= rd:
+        return None
+    term = comb(t, a) * comb(N - t, s - a)
+    tail = -(-term * rn // (rd - rn))
+    if tail > q:
+        return None
+    x, acc = _walk(N, t, s, a, hi, term, q - tail)
+    return x if x == hi or acc > q else None
+
+
+def _walk(N: int, t: int, s: int, x: int, hi: int, term: int, limit: int) -> tuple[int, int]:
+    """Step up from x, where term = w(x), while x < hi and the partial sum
+    from the start stays <= limit; returns the last x and that sum."""
     acc = term
-    x = lo
-    while x < hi and target >= (acc << kappa):
+    while x < hi and acc <= limit:
         # C(t,x+1) = C(t,x)*(t-x)/(x+1);  C(N-t,s-x-1) = C(N-t,s-x)*(s-x)/(N-t-s+x+1)
         term = term * (t - x) * (s - x) // ((x + 1) * (N - t - s + x + 1))
         acc += term
         x += 1
-    return x
+    return x, acc
 
 
 def sampler_thresholds(p: HypergeomParams, kappa: int) -> list[tuple[int, int]]:

@@ -494,7 +494,8 @@ def deserialize_permuted(data: bytes) -> PermutedMergeKey:
     (count,) = r.unpack("<I")
     hard = {}
     for _ in range(count):
-        node = NodeId(*r.unpack("<HQ"))
+        depth, path = r.unpack("<HQ")
+        node = NodeId(depth, r.fits(path, depth, "node path"))
         hard[node] = int.from_bytes(r.blob("<H"), "big")
     r.done()
     for node, value in hard.items():

@@ -746,7 +746,8 @@ def deserialize_instance(data: bytes) -> OssInstance:
     for _ in range(count):
         (y,) = r.unpack("<Q")
         a = gf2.deserialize_matrix(r.blob("<I"))
-        entries[y] = (a, BitVector(*r.unpack("<Q"), k))
+        (shift,) = r.unpack("<Q")
+        entries[y] = (a, BitVector(r.fits(shift, k, "coset shift"), k))
     r.done()
     return OssInstance(params, pi, DictCosetSource(entries), out)
 

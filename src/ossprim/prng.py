@@ -371,7 +371,8 @@ def _pack_node(n: NodeId) -> bytes:
 
 def _read_node(r: Reader) -> NodeId:
     (depth,) = r.unpack("<H")
-    return NodeId(depth, int.from_bytes(r.take((depth + 7) // 8 or 1), "big"))
+    path = int.from_bytes(r.take((depth + 7) // 8 or 1), "big")
+    return NodeId(depth, r.fits(path, depth, "node path"))
 
 
 def serialize_punctured(pk: PuncturedPrfKey) -> bytes:

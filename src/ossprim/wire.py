@@ -39,6 +39,13 @@ class Reader:
         (n,) = self.unpack(len_fmt)
         return self.take(n)
 
+    def fits(self, value: int, bits: int, field: str) -> int:
+        """``value`` if it is below ``2^bits``: a payload field wider than its
+        declared width is corrupt input, not a caller's dimension mistake."""
+        if value >> bits:
+            raise ContractError(f"{field} wider than {bits} bits in {self.what}")
+        return value
+
     def rest(self) -> bytes:
         """Everything not yet read."""
         return self.take(len(self._data) - self._off)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -96,3 +97,132 @@ def test_invalid_params_rejected():
         hg.HypergeomParams(4, 5, 2)
     with pytest.raises(RangeError):
         hg.HypergeomParams(4, 2, -1)
+
+
+# -- the window below the mode ----------------------------------------------------
+
+def _walk_from_support_min(p, r, kappa):
+    """The walk from support_min as it stood before the window: the reference."""
+    N, t, s = p.population, p.successes, p.draws
+    x, hi = p.support_min, p.support_max
+    target = r * comb(N, s)
+    term = comb(t, x) * comb(N - t, s - x)
+    acc = term
+    while x < hi and target >= (acc << kappa):
+        term = term * (t - x) * (s - x) // ((x + 1) * (N - t - s + x + 1))
+        acc += term
+        x += 1
+    return x
+
+
+def test_window_matches_walk_exhaustively_on_small_supports(monkeypatch):
+    # every support tries the window here, so its guards see every tiny shape
+    monkeypatch.setattr(hg, "_WINDOW_MIN_SUPPORT", 1)
+    for n in range(33):
+        for t in range(n + 1):
+            for s in range(n + 1):
+                p = hg.HypergeomParams(n, t, s)
+                for r in range(1 << 5):
+                    assert hg.sample(p, r, 5) == _walk_from_support_min(p, r, 5), (n, t, s, r)
+
+
+@pytest.mark.parametrize("sigmas", [0, hg._WINDOW_SIGMAS])
+def test_window_matches_walk_on_random_draws(monkeypatch, sigmas):
+    # the window width only decides how often the bound falls back, never x
+    monkeypatch.setattr(hg, "_WINDOW_MIN_SUPPORT", 1)
+    monkeypatch.setattr(hg, "_WINDOW_SIGMAS", sigmas)
+    rng = random.Random(f"window-{sigmas}")
+    for _ in range(300):
+        n = rng.randint(16, 700)
+        p = hg.HypergeomParams(n, rng.randint(0, n), rng.randint(0, n))
+        for kappa in (6, 128):
+            for r in (0, (1 << kappa) - 1, rng.randrange(8), rng.randrange(1 << kappa)):
+                assert hg.sample(p, r, kappa) == _walk_from_support_min(p, r, kappa)
+
+
+def test_window_matches_walk_at_kappa_128_up_to_2_14():
+    rng = random.Random("window-large")
+    for _ in range(24):
+        n = int(2 ** rng.uniform(7, 14))
+        p = hg.HypergeomParams(n, rng.randint(n // 4, 3 * n // 4), rng.randint(0, n))
+        r = rng.randrange(1 << 128)
+        assert hg.sample(p, r, 128) == _walk_from_support_min(p, r, 128), (n, p, r)
+
+
+@pytest.mark.parametrize("kappa", [128, None])
+def test_window_is_exact_at_every_threshold(kappa):
+    # kappa None: 2^kappa >= C(N,s), so adjacent r differ by at most 1 in q
+    # and each cut sits at the exact boundary W(x) = q + 1
+    rng = random.Random(f"boundary-{kappa}")
+    for _ in range(3):
+        n = rng.randint(1 << 10, 1 << 11)
+        p = hg.HypergeomParams(n, rng.randint(n // 3, 2 * n // 3), rng.randint(n // 3, 2 * n // 3))
+        assert p.support_max - p.support_min >= hg._WINDOW_MIN_SUPPORT
+        k = kappa or comb(n, p.draws).bit_length()
+        cut = 0
+        for x, count in hg.sampler_thresholds(p, k):
+            if count:
+                assert hg.sample(p, cut, k) == x
+                cut += count
+                assert hg.sample(p, cut - 1, k) == x
+        assert cut == 1 << k
+
+
+def _record_walks(monkeypatch):
+    """A list that receives the start of every walk later draws make."""
+    starts = []
+    walk = hg._walk
+
+    def recorded(N, t, s, x, *rest):
+        starts.append(x)
+        return walk(N, t, s, x, *rest)
+
+    monkeypatch.setattr(hg, "_walk", recorded)
+    return starts
+
+
+ROOT = hg.HypergeomParams(1 << 12, 1 << 11, 1 << 11)
+
+
+def test_window_path_returns_without_fallback(monkeypatch):
+    starts = _record_walks(monkeypatch)
+    assert hg.sample(ROOT, 1 << 127, 128) == _walk_from_support_min(ROOT, 1 << 127, 128)
+    assert len(starts) == 1 and starts[0] > ROOT.support_min
+
+
+def test_lower_tail_falls_back(monkeypatch):
+    # r = 0 gives q = 0, below any bound on the weight under the window
+    starts = _record_walks(monkeypatch)
+    assert hg.sample(ROOT, 0, 128) == ROOT.support_min
+    assert starts == [ROOT.support_min]
+
+
+def test_undecided_draw_falls_back(monkeypatch):
+    starts = _record_walks(monkeypatch)
+    hg.sample(ROOT, 1 << 127, 128)
+    (a,) = starts
+    N, t, s = ROOT.population, ROOT.successes, ROOT.draws
+    w = comb(t, a) * comb(N - t, s - a)
+    rn, rd = a * (N - t - s + a), (t - a + 1) * (s - a + 1)
+    tail = -(-w * rn // (rd - rn))
+    # q in [w(a), w(a) + tail): W(a) may or may not exceed q on the bound alone
+    q = w + tail - 1
+    total = comb(N, s)
+    kappa = total.bit_length()
+    r = -(-(q << kappa) // total)
+    assert (r * total) >> kappa == q
+    starts.clear()
+    assert hg.sample(ROOT, r, kappa) == _walk_from_support_min(ROOT, r, kappa)
+    assert starts == [a, ROOT.support_min]
+
+
+def test_small_support_walks_from_support_min(monkeypatch):
+    def no_isqrt(_):
+        raise AssertionError("small supports skip the window")
+
+    monkeypatch.setattr(hg, "isqrt", no_isqrt)
+    starts = _record_walks(monkeypatch)
+    p = hg.HypergeomParams(254, 127, 127)
+    assert p.support_max - p.support_min == hg._WINDOW_MIN_SUPPORT - 1
+    assert hg.sample(p, 1 << 127, 128) == _walk_from_support_min(p, 1 << 127, 128)
+    assert starts == [p.support_min]

@@ -88,6 +88,20 @@ def _bad_owp_public_blob():
     return opprp.serialize_owp_public(opprp.TrapdoorOwpKeys(keys.pk, None, keys.bits + 1))
 
 
+def _wide_punctured_path_blob():
+    blob = blob_of("punctured_prf_key")
+    at = blob.index(b"\x03\x00\x05") + 2  # NodeId(3, 5): depth u16, one path byte
+    return _patched(blob, at, 0xFF)
+
+
+def _wide_hardcoded_path_blob():
+    pmk = _permuted_merge_key()
+    blob = merge.serialize_permuted(pmk)
+    first = min(pmk.hardcoded, key=NodeId.sort_key)
+    at = 4 + len(prng.serialize_punctured(pmk.punctured)) + 29 + 4 + 2  # first node's path u64
+    return blob[:at] + (first.path | 1 << first.depth).to_bytes(8, "little") + blob[at + 8:]
+
+
 # (case, deserializer, corrupted blob factory, message fragment)
 HEADER_CASES = [
     ("prf key backend id", prng.deserialize_key,
@@ -114,6 +128,16 @@ HEADER_CASES = [
      lambda: _patched(blob_of("oss_instance"), 4, 2), "mode"),
     ("instance table width", oss.deserialize_instance,
      lambda: _patched(blob_of("oss_instance"), 5, 40), "2^14"),
+    # payload values wider than the width their header declares
+    ("punctured key node path", prng.deserialize_punctured,
+     _wide_punctured_path_blob, "node path wider than 3 bits"),
+    ("permuted merge node path", merge.deserialize_permuted,
+     _wide_hardcoded_path_blob, "node path wider than"),
+    ("matrix column", gf2.deserialize_matrix,
+     lambda: _patched(blob_of("gf2_matrix"), 4 + 15, 0xFF), "matrix column wider than 70 bits"),
+    ("instance coset shift", oss.deserialize_instance,
+     lambda: _patched(blob_of("oss_instance"), len(blob_of("oss_instance")) - 1, 1),
+     "coset shift wider than"),
 ]
 
 
