@@ -336,7 +336,7 @@ def crit07_opprp_owp(hybrid_n: int = 16, owp_bits: int = 12,
         img = sorted(pk.sealed.forward(x) for x in range(n))
         if img != list(range(n)):
             return False, f"permuted image != [N] at N={n}"
-    keys = opprp.owp_gen(_seed(71_000), owp_bits, scale=False)
+    keys = opprp.owp_gen(_seed(71_000), owp_bits)
     img = [opprp.owp_forward(keys.pk, x) for x in range(1 << owp_bits)]
     if sorted(img) != list(range(1 << owp_bits)):
         return False, "owp not a bijection"

@@ -43,6 +43,8 @@ DOC_EXAMPLES = [
     "qsim sign --n 8 --m 1 --seed 0f --format kv",
 ]
 
+PERM_DESC_EXAMPLE = "swap 8 3; transp 8 0 5; cycle 8 1 6; add 8 3; affine 3 10b 2"
+
 
 def parse_kv(text: str) -> dict[str, str]:
     """Parse the machine-readable key=value line format."""
@@ -380,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("apply", "verify"):
         s = pm_sub.add_parser(name)
         s.add_argument("--desc", required=True,
-                       help="e.g. 'swap 8 3; transp 8 0 5; cycle 8 1 6; add 8 3; affine 3 1d 2'")
+                       help=f"e.g. '{PERM_DESC_EXAMPLE}'")
         _add_common(s)
         if name == "apply":
             s.add_argument("--x", type=int, required=True)

@@ -8,8 +8,11 @@ integers).  Scale keys therefore use a deterministic gaussian-quantile draw
 evaluates merges and the recursive PRP for power-of-two domains in numpy
 lockstep so 10^4-point sweeps at N = 2^64 take seconds.
 
-The scalar API routes through length-1 batches, so there is exactly one
-definition of every drawing formula.  Tree sizes are uniform per depth for a
+Scalar draws on even splits up to 2^64 route through length-1 batches of
+the same vector formula.  Uneven splits and sizes above 2^64 (such as the top
+16 levels of the paper preset's 2^80 merges) use a second definition,
+``merge._gauss_draw_general``, with a different float-op order; folding the
+two into one is ROADMAP open item 3.  Tree sizes are uniform per depth for a
 power-of-two domain and are carried as per-step scalars; 2^64 itself never
 has to fit in a u64 lane.
 """

@@ -50,18 +50,11 @@ class BitVector:
     def to_list(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.dim)]
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
 
 def reverse_bits(val: int, dim: int) -> int:
     """The low ``dim`` bits of ``val`` in reverse order: bit dim-1-i lands on
     bit i.  Converts between MSB-first integer packings and component order."""
     return int(f"{val & ((1 << dim) - 1):0{dim}b}"[::-1], 2)
-
-
-def zero_vector(dim: int) -> BitVector:
-    return BitVector(0, dim)
 
 
 @dataclass(frozen=True)
@@ -94,10 +87,6 @@ class BitMatrix:
             for j, b in enumerate(r):
                 cols[j] |= (b & 1) << i
         return cls(nrows, tuple(cols))
-
-    @classmethod
-    def from_cols(cls, rows: int, cols: Sequence[int]) -> "BitMatrix":
-        return cls(rows, tuple(cols))
 
     def entry(self, i: int, j: int) -> int:
         return (self.cols[j] >> i) & 1

@@ -460,12 +460,15 @@ def parse_params(text: str) -> LweParams:
     missing = [key for key in ("u", "v", "q", "B", "Bbar", "sigma") if key not in kv]
     if missing:
         raise ContractError(f"parameter file lacks {', '.join(missing)}")
-    return LweParams(u=int(kv["u"]), v=int(kv["v"]), q=int(kv["q"]),
-                     B=int(kv["B"]), Bbar=int(kv["Bbar"]), sigma=float(kv["sigma"]))
+    try:
+        return LweParams(u=int(kv["u"]), v=int(kv["v"]), q=int(kv["q"]),
+                         B=int(kv["B"]), Bbar=int(kv["Bbar"]), sigma=float(kv["sigma"]))
+    except ValueError as e:  # not a number, or a set LweParams rejects
+        raise ContractError(f"bad LWE parameter value: {e}") from None
 
 
-def serialize_key(pk: LweKey, insecure: bool = True) -> bytes:
-    head = (INSECURE_DEMO_MAGIC if insecure else b"LWE-KEY------") + b"\x00"
+def serialize_key(pk: LweKey) -> bytes:
+    head = INSECURE_DEMO_MAGIC + b"\x00"
     params = serialize_params(pk.params).encode()
     body = struct.pack("<H", len(params)) + params
     flat = np.concatenate([pk.b_mat.reshape(-1), pk.c_vec])
@@ -473,17 +476,15 @@ def serialize_key(pk: LweKey, insecure: bool = True) -> bytes:
     return head + body
 
 
-def _read_head(r: Reader, plain_head: bytes) -> None:
-    """One of the two 14-byte heads a serializer writes: ``plain_head`` or
-    its tag byte behind the INSECURE-DEMO magic."""
-    if r.take(14) not in (INSECURE_DEMO_MAGIC + plain_head[-1:], plain_head):
-        raise ContractError(f"not an {r.what} file")
-
-
 def deserialize_key(data: bytes) -> LweKey:
     r = Reader(data, "LWE key")
-    _read_head(r, b"LWE-KEY------\x00")
-    p = parse_params(r.blob("<H").decode())
+    if r.take(14) != INSECURE_DEMO_MAGIC + b"\x00":
+        raise ContractError("not an LWE key file")
+    try:
+        text = r.blob("<H").decode()
+    except UnicodeDecodeError:
+        raise ContractError("LWE key parameter text is not UTF-8") from None
+    p = parse_params(text)
     (size,) = r.unpack("<I")
     if size != p.v * (p.u + 1):
         raise ContractError(f"LWE key holds {size} entries, its parameters need {p.v * (p.u + 1)}")
@@ -492,15 +493,16 @@ def deserialize_key(data: bytes) -> LweKey:
     return LweKey(p, flat[: p.v * p.u].reshape(p.v, p.u), flat[p.v * p.u :])
 
 
-def serialize_trapdoor(p: LweParams, td: LweTrapdoor, insecure: bool = True) -> bytes:
-    head = (INSECURE_DEMO_MAGIC if insecure else b"LWE-TD-------") + b"\x01"
+def serialize_trapdoor(p: LweParams, td: LweTrapdoor) -> bytes:
+    head = INSECURE_DEMO_MAGIC + b"\x01"
     flat = np.concatenate([td.s, td.e])
     return head + struct.pack("<HH", p.u, p.v) + flat.astype("<i8").tobytes()
 
 
 def deserialize_trapdoor(data: bytes) -> LweTrapdoor:
     r = Reader(data, "LWE trapdoor")
-    _read_head(r, b"LWE-TD-------\x01")
+    if r.take(14) != INSECURE_DEMO_MAGIC + b"\x01":
+        raise ContractError("not an LWE trapdoor file")
     u, v = r.unpack("<HH")
     flat = np.frombuffer(r.take(8 * (u + v)), dtype="<i8").astype(np.int64)
     r.done()

@@ -91,10 +91,6 @@ def node_size(k: MergeKey, node: NodeId) -> int:
     return s
 
 
-def tree_depth(n: int) -> int:
-    return (n - 1).bit_length()
-
-
 # -- node values ---------------------------------------------------------------
 #
 # Hot paths address tree nodes by the int key (1 << depth) | path; NodeId

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import fastpath, merge as merge_mod, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
@@ -97,18 +97,15 @@ class TrapdoorOwpKeys:
     bits: int
 
 
-def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA,
-            scale: Optional[bool] = None) -> TrapdoorOwpKeys:
+def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> TrapdoorOwpKeys:
     """Key pair for the full-domain permutation on {0,1}^bits.
 
-    ``scale`` selects the INSECURE-DEMO fastmix/gauss key (default for
-    bits > 20, where exact sampling is infeasible).
+    Above 20 bits, where exact sampling is infeasible, the key is the
+    INSECURE-DEMO fastmix/gauss key.
     """
     if bits < 1:
         raise RangeError("bits must be >= 1")
-    if scale is None:
-        scale = bits > 20
-    sk = make_scale_prp_key(seed, bits, kappa) if scale else make_prp_key(seed, 1 << bits, kappa)
+    sk = make_scale_prp_key(seed, bits, kappa) if bits > 20 else make_prp_key(seed, 1 << bits, kappa)
     payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
     pk = MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
                          sk.n, payload)
@@ -169,6 +166,8 @@ def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
     if r.take(5) != _OWP_MAGIC + b"S":
         raise ContractError("not an OWP secret key file")
     bits, kappa = r.unpack("<HI")
+    if not 1 <= bits <= 64:
+        raise ContractError(f"OWP secret key bits {bits} outside [1, 64]")
     sampler = merge_mod.read_sampler(r)
     prf_key = prng.deserialize_key(r.rest())
     sk = make_prp_key(prf_key.seed, 1 << bits, kappa, sampler, prf_key.backend)

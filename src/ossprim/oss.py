@@ -386,7 +386,7 @@ class SelfReduction:
     back_map: Callable[[int], int]  # collisions of the new H to the old H
 
 
-def self_reduce(inst: OssInstance, seed: bytes, table_gamma: Optional[bool] = None) -> SelfReduction:
+def self_reduce(inst: OssInstance, seed: bytes) -> SelfReduction:
     """Fresh-looking instance: Pi' = Pi o Gamma, A' = C_y A, b' = C_y b + d_y.
 
     Gamma is a seeded random permutation of the inputs (explicit table at
@@ -395,9 +395,7 @@ def self_reduce(inst: OssInstance, seed: bytes, table_gamma: Optional[bool] = No
     """
     p = inst.params
     root = PrfKey(seed, b"selfreduce")
-    if table_gamma is None:
-        table_gamma = p.n <= 12
-    if table_gamma:
+    if p.n <= 12:
         gamma: PermBackend = random_table_perm(p.n, prng.bit_stream(root, b"gamma"))
     else:
         gamma = PrpPerm(nsprp.PrpKey(prng.derive_key(root, b"gamma"), 1 << p.n), p.n)

@@ -10,14 +10,15 @@ were re-derived and unit-tested under this convention ("Gamma1 then Gamma2"
 always means apply Gamma1 first).
 
 Schedules are random-access (index -> step) rather than materialized, since T
-may be exponential; constructors whose step offsets are data-dependent
-(involutions, controlled families, conjugations) memoize a cumulative offset
-table lazily and are therefore only indexable up to a stage-count cap.
+may be exponential.  Composite constructors (involutions, compositions,
+controlled families, conjugations) share one staged walk, `_staged`, whose
+cumulative stage-offset table caps them at _STAGE_CAP stages.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -65,14 +66,10 @@ def _bad_index(i):
     raise RangeError(f"schedule index {i} out of range")
 
 
-def _check_domain(n: int, z: int, hi: int) -> None:
-    if not 0 <= z < hi:
-        raise RangeError(f"{z} outside [0, {hi})")
-
-
 def neighbor_swap(n: int, z: int) -> DecomposablePermutation:
     """The swap of z and z+1 mod n (z = n-1 wraps around); schedule length 1."""
-    _check_domain(n, z, n)
+    if not 0 <= z < n:
+        raise RangeError(f"{z} outside [0, {n})")
     f = lambda x: _tau(n, z, x)
     return DecomposablePermutation(
         n=n, length=1, forward=f, inverse=f,
@@ -115,21 +112,6 @@ def linear_cycle(n: int, j: int, l: int) -> DecomposablePermutation:
         step=lambda i: (l - i) if 1 <= i <= T else _bad_index(i),
         gamma=lambda i, x: _cycle(l - i, l, x),
         gamma_inv=lambda i, x: _cycle_inv(l - i, l, x),
-    )
-
-
-def inv_linear_cycle(n: int, j: int, l: int) -> DecomposablePermutation:
-    """The inverse cycle: l -> j, everything in [j, l) shifted up by 1."""
-    if not 0 <= j <= l < n:
-        raise RangeError("need 0 <= j <= l < n")
-    T = l - j
-    return DecomposablePermutation(
-        n=n, length=T,
-        forward=lambda x: _cycle_inv(j, l, x),
-        inverse=lambda x: _cycle(j, l, x),
-        step=lambda i: (j + i - 1) if 1 <= i <= T else _bad_index(i),
-        gamma=lambda i, x: _cycle_inv(j, j + i, x),
-        gamma_inv=lambda i, x: _cycle(j, j + i, x),
     )
 
 
@@ -224,101 +206,93 @@ def scalar_add(n: int, s: int) -> DecomposablePermutation:
     )
 
 
-class _Staged:
-    """Lazy stage-offset machinery shared by the data-dependent constructors.
+def _staged(n: int, forward: Callable[[int], int], inverse: Callable[[int], int],
+            stages: int, stage: Callable[[int], Optional[DecomposablePermutation]],
+            milestone: Callable[[int, int], int],
+            milestone_inv: Callable[[int, int], int]) -> DecomposablePermutation:
+    """Run `stages` sub-schedules back to back.
 
-    stage_len(i) gives stage i's swap count; stage_parts(i) returns the stage
-    as (step, gamma, gamma_inv) over its local schedule; milestones are the
-    full permutations after whole stages.
+    stage(s) is stage s as a permutation of [n] (None when it has no swaps);
+    milestone(s, x) and milestone_inv(s, x) are the prefix after stages
+    0..s-1 and its inverse.  Gamma at local index t of stage s is
+    milestone(s) o stage(s).Gamma_t.
     """
+    if stages > _STAGE_CAP:
+        raise RangeError("schedule offset table above the stage cap")
+    # walks visit one stage many times in a row; keep the last one built
+    stage = functools.lru_cache(maxsize=1)(stage)
+    offsets = [0]
+    for s in range(stages):
+        g = stage(s)
+        offsets.append(offsets[-1] + (0 if g is None else g.length))
+    total = offsets[-1]
 
-    def __init__(self, n_stages: int, stage_len: Callable[[int], int]):
-        if n_stages > _STAGE_CAP:
-            raise RangeError("schedule offset table above the stage cap")
-        self.offsets = [0]
-        for i in range(n_stages):
-            self.offsets.append(self.offsets[-1] + stage_len(i))
+    def locate(i: int) -> int:
+        # the stage holding swap i; i - offsets[s] is its 1-indexed place there
+        if not 1 <= i <= total:
+            _bad_index(i)
+        return bisect.bisect_left(offsets, i) - 1
 
-    @property
-    def total(self) -> int:
-        return self.offsets[-1]
+    def step(i: int) -> Optional[int]:
+        s = locate(i)
+        return stage(s).step(i - offsets[s])
 
-    def locate(self, i: int) -> tuple[int, int]:
-        """Map global index i in [0, total] to (stage, local index)."""
-        stage = bisect.bisect_right(self.offsets, i) - 1
-        if stage == len(self.offsets) - 1:
-            stage -= 1
-        return stage, i - self.offsets[stage]
+    def gamma(i: int, x: int) -> int:
+        if i == 0:
+            return x
+        s = locate(i)
+        return milestone(s, stage(s).gamma(i - offsets[s], x))
+
+    def gamma_inv(i: int, x: int) -> int:
+        if i == 0:
+            return x
+        s = locate(i)
+        return stage(s).gamma_inv(i - offsets[s], milestone_inv(s, x))
+
+    return DecomposablePermutation(
+        n=n, length=total, forward=forward, inverse=inverse,
+        step=step, gamma=gamma, gamma_inv=gamma_inv,
+    )
 
 
-def involution(n: int, fwd: Callable[[int], int],
-               samples: int = 64) -> DecomposablePermutation:
+def involution(n: int, fwd: Callable[[int], int]) -> DecomposablePermutation:
     """Decompose an involution by activating its disjoint transpositions one
     endpoint at a time: stage i contributes (fwd(i) i) exactly when
-    fwd(i) < i.  Verified to be an involution by sampling (exhaustively when
-    n <= 2^16)."""
+    fwd(i) < i.  Verified to be an involution by sampling 64 points
+    (exhaustively when n <= 2^16)."""
     if n <= (1 << 16):
         probe = range(n)
     else:
-        probe = [(x * 0x9E3779B97F4A7C15) % n for x in range(samples)]
+        probe = [(x * 0x9E3779B97F4A7C15) % n for x in range(64)]
     for x in probe:
         y = fwd(x)
         if not 0 <= y < n or fwd(y) != x:
             raise ContractError("supplied evaluator is not an involution")
 
-    def prefix(m: int, x: int) -> int:
-        # transpositions with both endpoints <= m are active
-        y = fwd(x)
-        return y if x <= m and y <= m else x
-
-    def stage_parts(i: int):
+    def stage(i: int) -> Optional[DecomposablePermutation]:
         j = fwd(i)
-        return transposition(n, j, i)  # only called when j < i
+        return transposition(n, j, i) if j < i else None
 
-    st = _Staged(n, lambda i: 0 if fwd(i) >= i else 2 * (i - fwd(i)) - 1)
+    def prefix(s: int, x: int) -> int:
+        # transpositions with both endpoints below s are active; each prefix
+        # is an involution, so it is its own inverse
+        y = fwd(x)
+        return y if x < s and y < s else x
 
-    def step(idx: int) -> int:
-        if not 1 <= idx <= st.total:
-            _bad_index(idx)
-        stage, t = st.locate(idx - 1)
-        return stage_parts(stage).step(t + 1)
-
-    def gamma(idx: int, x: int) -> int:
-        stage, t = st.locate(idx)
-        if t == 0:
-            return prefix(stage - 1, x)  # prefix(-1) is the identity
-        return prefix(stage - 1, stage_parts(stage).gamma(t, x))
-
-    def gamma_inv(idx: int, x: int) -> int:
-        stage, t = st.locate(idx)
-        if t == 0:
-            return prefix(stage - 1, x)  # stage prefixes are involutions
-        return stage_parts(stage).gamma_inv(t, prefix(stage - 1, x))
-
-    return DecomposablePermutation(
-        n=n, length=st.total, forward=fwd, inverse=fwd,
-        step=step, gamma=gamma, gamma_inv=gamma_inv,
-    )
+    return _staged(n, fwd, fwd, n, stage, prefix, prefix)
 
 
 def compose(g1: DecomposablePermutation, g2: DecomposablePermutation) -> DecomposablePermutation:
     """Apply g1 first, then g2; schedules concatenate outer-factor-first."""
     if g1.n != g2.n:
         raise DimensionError("composed permutations must share a domain")
-    L2 = g2.length
-
-    def step(i: int):
-        if not 1 <= i <= L2 + g1.length:
-            _bad_index(i)
-        return g2.step(i) if i <= L2 else g1.step(i - L2)
-
-    return DecomposablePermutation(
-        n=g1.n, length=g1.length + L2,
-        forward=lambda x: g2.forward(g1.forward(x)),
-        inverse=lambda x: g1.inverse(g2.inverse(x)),
-        step=step,
-        gamma=lambda i, x: g2.gamma(i, x) if i <= L2 else g2.forward(g1.gamma(i - L2, x)),
-        gamma_inv=lambda i, x: g2.gamma_inv(i, x) if i <= L2 else g1.gamma_inv(i - L2, g2.inverse(x)),
+    return _staged(
+        g1.n,
+        lambda x: g2.forward(g1.forward(x)),
+        lambda x: g1.inverse(g2.inverse(x)),
+        2, (g2, g1).__getitem__,
+        lambda s, x: g2.forward(x) if s else x,
+        lambda s, x: g2.inverse(x) if s else x,
     )
 
 
@@ -330,6 +304,28 @@ def compose_all(gs: Sequence[DecomposablePermutation]) -> DecomposablePermutatio
     for g in gs[1:]:
         out = compose(out, g)
     return out
+
+
+def _in_block(g: DecomposablePermutation, v: int, n: int) -> DecomposablePermutation:
+    """g acting on block v of [n], the elements v*g.n .. v*g.n + g.n - 1."""
+    n0, base = g.n, v * g.n
+
+    def lift(f: Callable[[int, int], int]) -> Callable[[int, int], int]:
+        return lambda i, e: base + f(i, e - base) if base <= e < base + n0 else e
+
+    def step(i: int) -> Optional[int]:
+        z = g.step(i)
+        if z == n0 - 1:
+            raise ContractError("wraparound sub-swap cannot embed in a block")
+        return None if z is None else base + z
+
+    gamma, gamma_inv = lift(g.gamma), lift(g.gamma_inv)
+    return DecomposablePermutation(
+        n=n, length=g.length,
+        forward=lambda e: gamma(g.length, e),
+        inverse=lambda e: gamma_inv(g.length, e),
+        step=step, gamma=gamma, gamma_inv=gamma_inv,
+    )
 
 
 def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
@@ -344,8 +340,8 @@ def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
     for g in fams:
         if g.n != n0:
             raise DimensionError("family member domain != n0")
-    st = _Staged(n1, lambda v: fams[v].length)
     n = n0 * n1
+    blocks = [_in_block(g, v, n) for v, g in enumerate(fams)]
 
     def fwd(e: int) -> int:
         v, a = divmod(e, n0)
@@ -355,39 +351,10 @@ def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
         v, a = divmod(e, n0)
         return v * n0 + fams[v].inverse(a)
 
-    def step(i: int) -> int:
-        if not 1 <= i <= st.total:
-            _bad_index(i)
-        v, t = st.locate(i - 1)
-        z = fams[v].step(t + 1)
-        if z is None:
-            return None
-        if z == n0 - 1:
-            raise ContractError("wraparound sub-swap cannot embed in a block")
-        return v * n0 + z
-
-    def gamma(i: int, e: int) -> int:
-        v, t = st.locate(i)
-        bv, a = divmod(e, n0)
-        if bv < v:
-            return bv * n0 + fams[bv].forward(a)
-        if bv == v and t:
-            return bv * n0 + fams[bv].gamma(t, a)
-        return e
-
-    def gamma_inv(i: int, e: int) -> int:
-        v, t = st.locate(i)
-        bv, a = divmod(e, n0)
-        if bv < v:
-            return bv * n0 + fams[bv].inverse(a)
-        if bv == v and t:
-            return bv * n0 + fams[bv].gamma_inv(t, a)
-        return e
-
-    return DecomposablePermutation(
-        n=n, length=st.total, forward=fwd, inverse=inv,
-        step=step, gamma=gamma, gamma_inv=gamma_inv,
-    )
+    # after whole stages 0..s-1, exactly the blocks below s are permuted
+    return _staged(n, fwd, inv, n1, blocks.__getitem__,
+                   lambda s, e: fwd(e) if e < s * n0 else e,
+                   lambda s, e: inv(e) if e < s * n0 else e)
 
 
 def conditional(n0: int, g: DecomposablePermutation, target: int,
@@ -409,48 +376,20 @@ def conjugate(lam: Callable[[int], int], lam_inv: Callable[[int], int],
     """
     n = g.n
 
-    def stage_transposition(i: int) -> Optional[DecomposablePermutation]:
+    def stage(i: int) -> Optional[DecomposablePermutation]:
         z = g.step(i + 1)
         if z is None:
             return None
         a, b = lam_inv(z), lam_inv((z + 1) % n)
         return transposition(n, min(a, b), max(a, b))
 
-    def stage_len(i: int) -> int:
-        t = stage_transposition(i)
-        return 0 if t is None else t.length
-
-    st = _Staged(g.length, stage_len)
-
-    def milestone(i: int, x: int) -> int:
-        return lam_inv(g.gamma(i, lam(x)))
-
-    def milestone_inv(i: int, x: int) -> int:
-        return lam_inv(g.gamma_inv(i, lam(x)))
-
-    def step(idx: int) -> int:
-        if not 1 <= idx <= st.total:
-            _bad_index(idx)
-        stage, t = st.locate(idx - 1)
-        return stage_transposition(stage).step(t + 1)
-
-    def gamma(idx: int, x: int) -> int:
-        stage, t = st.locate(idx)
-        if t == 0:
-            return milestone(stage, x) if idx else x
-        return milestone(stage, stage_transposition(stage).gamma(t, x))
-
-    def gamma_inv(idx: int, x: int) -> int:
-        stage, t = st.locate(idx)
-        if t == 0:
-            return milestone_inv(stage, x) if idx else x
-        return stage_transposition(stage).gamma_inv(t, milestone_inv(stage, x))
-
-    return DecomposablePermutation(
-        n=n, length=st.total,
-        forward=lambda x: lam_inv(g.forward(lam(x))),
-        inverse=lambda x: lam_inv(g.inverse(lam(x))),
-        step=step, gamma=gamma, gamma_inv=gamma_inv,
+    return _staged(
+        n,
+        lambda x: lam_inv(g.forward(lam(x))),
+        lambda x: lam_inv(g.inverse(lam(x))),
+        g.length, stage,
+        lambda i, x: lam_inv(g.gamma(i, lam(x))),
+        lambda i, x: lam_inv(g.gamma_inv(i, lam(x))),
     )
 
 

@@ -118,28 +118,7 @@ def measure(sv: StateVector, qubits: Sequence[int], rng: Optional[np.random.Gene
     collapsed state).
     """
     qubits = list(qubits)
-    labels = np.arange(1 << sv.n)
-    outcome_of = np.array([_slice_value(int(x), sv.n, qubits) for x in labels])
-    probs: dict[int, float] = {}
-    for o in set(outcome_of.tolist()):
-        sel = outcome_of == o
-        p = float(np.sum(np.abs(sv.amps[sel]) ** 2))
-        if p > 0:
-            probs[o] = p
-
-    def collapse(o: int) -> StateVector:
-        sel = outcome_of == o
-        amps = np.where(sel, sv.amps, 0)
-        return StateVector(amps / np.sqrt(probs[o]), sv.n)
-
-    if exhaustive:
-        return [(o, p, collapse(o)) for o, p in sorted(probs.items())]
-    if rng is None:
-        raise ContractError("sampling measurement needs an rng")
-    outs = sorted(probs)
-    pvec = np.array([probs[o] for o in outs])
-    o = outs[rng.choice(len(outs), p=pvec / pvec.sum())]
-    return o, collapse(o)
+    return measure_fn(sv, lambda x: _slice_value(x, sv.n, qubits), rng, exhaustive)
 
 
 def measure_fn(sv: StateVector, fn: Callable[[int], int],

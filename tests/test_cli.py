@@ -1,10 +1,11 @@
+import hashlib
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from ossprim import cli
+from ossprim import cli, permdecomp as pd
 
 
 def run_cli(argv_str, check=True):
@@ -41,6 +42,16 @@ def test_owp_file_round_trip(tmp_path):
     x = cli.parse_kv(run_cli(f"owp invert --bits 10 --sk {sk} --y {y} --format kv").stdout.decode())["x"]
     assert int(x) == 100
     assert b"MOCK-IO" in pk.read_bytes()
+
+
+def test_owp_secret_key_with_bad_bits_is_a_contract_error(tmp_path):
+    sk = tmp_path / "sk.bin"
+    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv")
+    blob = sk.read_bytes()
+    sk.write_bytes(blob[:5] + bytes([blob[5] ^ 0x40]) + blob[6:])  # bits u16: 6 -> 70
+    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
 def test_oss_instance_file_round_trip(tmp_path):
@@ -108,10 +119,57 @@ def test_perm_verify_failure_exit_code():
     assert cli.parse_kv(ok.stdout.decode())["ok"] == "1"
 
 
+# sha256 of each documented example's stdout: the CLI contract is these bytes,
+# so a change that alters any of them must be a declared format change
+DOC_EXAMPLE_SHA256 = {
+    "prp eval --bits 16 --seed 00 --x 5 --format kv":
+        "6877f1bd43cbc3070d991883d2329c16098bd468a532c61e8ce455c413bfcc49",
+    "prp inv --bits 16 --seed 00 --z 37584 --format kv":
+        "7d3c789cf2b757877f478a491b4baca53c2e1ae378a15a81ac164d8b963ff92e",
+    "prp permute-eval --bits 4 --seed 0a --z 6 --c 1 --x 9 --format kv":
+        "769e8b9aa7d498cdae79af440695e0aeca84843e9168e1e79eedc1eab13737c8",
+    "merge eval --n0 8 --n1 8 --seed 0b --b 1 --x 3 --format kv":
+        "06e14e72c627e4c283ee89728dca4bf0e6ff1c6172495895633e62503c9ae421",
+    "merge inv --n0 8 --n1 8 --seed 0b --z 11 --format kv":
+        "02943b33118ad25dd5162803dd4fc11d522e647d7776af40016002b7437ec430",
+    "perm apply --desc 'transp 8 0 5; add 8 3' --x 2 --format kv":
+        "64da2c80fec019f60b32bbccad0ade9e636d85ece2bdd5dc713be98ac26c9e1b",
+    "perm verify --desc 'cycle 16 2 9' --format kv":
+        "5d186e78cb1d10d8cd79700093333a372e58a878f300f96cd271974e66102ddb",
+    "hypergeom sample --N 12 --t 5 --s 7 --r 19999 --kappa 16 --format kv":
+        "7b519d327803fabd4c74e1b993360e8d48b414771a12d0a868d6edf7cfec50bb",
+    "owp gen --bits 12 --seed 0c --format kv":
+        "7fcf8558347f8d7b55c136bc6753c6c19ed43273fb6f3ad40d5ee4548643e1e9",
+    "owp eval --bits 12 --seed 0c --x 100 --format kv":
+        "3d3df3bdaa471d7350f10fdf0e9ad350f46559f666606a485d528de606b7420d",
+    "owp invert --bits 12 --seed 0c --y 1723 --format kv":
+        "9cd73dfa63d8cf30e36f6be2054d26162d07ffb8e5cab0bc051a839a195ab8fc",
+    "oss hash --tiny 8,4,8 --seed 07 --x 5 --format kv":
+        "9c2598b875c08a57013a6b5fb15c18acba7faa209a0419746f7bbc1cd606616f",
+    "oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 3 --v 129 --format kv":
+        "1875e5c6396541cd100c8bbf49dc557ca0c98332141379b6e04316271fa8518f",
+    "lwe eval --preset micro --seed 0d --x 17 --format kv":
+        "7aeaa27a4152f39c10721c47defaaae2e1a559c785ee9c1e036e3af042fa92f9",
+    "qsim noncollapse --n 6 --r 3 --k 6 --seed 0e --branch partial --format kv":
+        "af5cb0a33c994d2f725d9c31e7b18eb905b310a7be121c7c4f3b7078047a9b0c",
+    "qsim noncollapse --n 6 --r 3 --k 6 --seed 0e --branch full --format kv":
+        "31c51ba55a30cc07e97f328b64386c9ba3cea8f16176f4ae25011728dd70555d",
+    "qsim sign --n 8 --m 1 --seed 0f --format kv":
+        "ac1016b2aa03d983beeceb7578e20bb34e05c3c08f25d0dc1e5eff1a8db410eb",
+}
+
+
 @pytest.mark.parametrize("example", cli.DOC_EXAMPLES)
 def test_documented_examples_are_deterministic(example):
     # acceptance criterion: byte-identical machine-readable output across runs
     first = run_cli(example).stdout
     second = run_cli(example).stdout
     assert first == second and first
+    assert hashlib.sha256(first).hexdigest() == DOC_EXAMPLE_SHA256[example]
     cli.parse_kv(first.decode())  # every documented example is kv-parseable
+
+
+def test_perm_help_example_is_valid():
+    g = pd.parse_perm(cli.PERM_DESC_EXAMPLE)
+    kv = cli.parse_kv(run_cli(f"perm apply --desc '{cli.PERM_DESC_EXAMPLE}' --x 2 --format kv").stdout.decode())
+    assert int(kv["y"]) == g.forward(2)

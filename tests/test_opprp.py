@@ -68,7 +68,7 @@ def test_hybrid_walk_endpoints_and_steps():
 
 
 def test_owp_bijection_and_inversion_exhaustive():
-    keys = opprp.owp_gen(b"\x41" * 32, 10, scale=False)
+    keys = opprp.owp_gen(b"\x41" * 32, 10)
     img = [opprp.owp_forward(keys.pk, x) for x in range(1 << 10)]
     assert sorted(img) == list(range(1 << 10))
     for x in range(0, 1 << 10, 7):

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ossprim import gf2, permdecomp as pd
+from ossprim import checks, gf2, permdecomp as pd
 from ossprim.errors import ContractError, DimensionError
 
 
@@ -237,3 +239,35 @@ def test_parse_affine():
     # A = identity over 3 bits (bits 0,4,8 set), v = e2
     g = pd.parse_perm("affine 3 111 4")
     assert g.table() == [x ^ 4 for x in range(8)]
+
+
+# Descriptions whose schedules are pinned next to the Fig.-5 families.
+PINNED_DESCS = [
+    "transp 8 0 5; add 8 3",
+    "cycle 16 2 9",
+    "affine 3 10b 2",
+    "swap 8 7; affine 3 6a 5; add 8 6",
+    "swap 8 3; transp 8 0 5; cycle 8 1 6; add 8 3; affine 3 10b 2",
+]
+# sha256 over every pinned permutation's size, length, steps and every
+# Gamma_i and Gamma_i^-1 table: the schedules themselves are the contract,
+# not only the verification oracle's verdict on them.
+PINNED_SCHEDULES_SHA256 = "8309b4f19cfe362e011f4c7324f43ea99e62cd20865c314c3fd76086ffde83f8"
+
+
+def _schedule_digest(perms):
+    total = hashlib.sha256()
+    for g in perms:
+        h = hashlib.sha256()
+        h.update(f"{g.n} {g.length}\n".encode())
+        h.update(repr([g.step(i) for i in range(1, g.length + 1)]).encode())
+        for i in range(g.length + 1):
+            h.update(repr([g.gamma(i, x) for x in range(g.n)]).encode())
+            h.update(repr([g.gamma_inv(i, x) for x in range(g.n)]).encode())
+        total.update(h.hexdigest().encode())
+    return total.hexdigest()
+
+
+def test_schedules_match_pinned_digest():
+    perms = [g for _, g in checks._fig5_constructors(32)] + [pd.parse_perm(d) for d in PINNED_DESCS]
+    assert _schedule_digest(perms) == PINNED_SCHEDULES_SHA256

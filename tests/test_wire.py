@@ -114,8 +114,14 @@ HEADER_CASES = [
      lambda: _patched(blob_of("prp_key"), 12, 5), "sampler"),
     ("owp secret sampler mode", opprp.deserialize_owp_secret,
      lambda: _patched(blob_of("owp_secret"), 11, 5), "sampler"),
+    ("owp secret bits", opprp.deserialize_owp_secret,
+     lambda: _patched(blob_of("owp_secret"), 5, 6 ^ 0x40), "bits 70 outside [1, 64]"),
     ("lwe key head", lh.deserialize_key,
      lambda: b"LWE-TD-------\x00" + blob_of("lwe_key")[14:], "LWE key"),
+    ("lwe key parameter text not UTF-8", lh.deserialize_key,
+     lambda: _patched(blob_of("lwe_key"), 16, 0xFF), "not UTF-8"),
+    ("lwe key parameter not a number", lh.deserialize_key,
+     lambda: _patched(blob_of("lwe_key"), 18, ord("x")), "bad LWE parameter value"),
     ("lwe trapdoor head", lh.deserialize_trapdoor,
      lambda: _patched(blob_of("lwe_trapdoor"), 13, 0), "LWE trapdoor"),
     ("permuted merge parent != left + right", merge.deserialize_permuted,
