@@ -93,7 +93,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 # -- prp ----------------------------------------------------------------------------
 
 def _prp_key(args) -> nsprp.PrpKey:
-    if args.bits > 20:
+    if args.bits > nsprp.EXACT_MAX_BITS:
         return nsprp.make_scale_prp_key(_seed_bytes(args.seed), args.bits)
     return nsprp.make_prp_key(_seed_bytes(args.seed), 1 << args.bits)
 

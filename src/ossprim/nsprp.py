@@ -74,6 +74,11 @@ def make_prp_key(seed: bytes, n: int, kappa: int = DEFAULT_KAPPA,
     return PrpKey(key, n, kappa, sampler, ctx)
 
 
+# Exact-sampler keys stay feasible up to 2^EXACT_MAX_BITS points; wider
+# domains take the scale key below.
+EXACT_MAX_BITS = 20
+
+
 def make_scale_prp_key(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> PrpKey:
     """INSECURE-DEMO key for {0,1}^bits: fastmix PRF + gauss sampler."""
     return make_prp_key(seed, 1 << bits, kappa, SAMPLER_GAUSS, prng.BACKEND_FASTMIX)

@@ -16,7 +16,7 @@ from typing import Callable
 from . import fastpath, merge as merge_mod, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .hypergeom import DEFAULT_KAPPA
-from .nsprp import PrpKey, make_prp_key, make_scale_prp_key, prp_forward, prp_inverse
+from .nsprp import PrpKey, make_prp_key, prp_forward, prp_inverse
 from .permdecomp import DecomposablePermutation
 from .wire import Reader
 
@@ -97,15 +97,25 @@ class TrapdoorOwpKeys:
     bits: int
 
 
+def _owp_key_kind(bits: int) -> tuple[str, int]:
+    """The (sampler, PRF backend) of an ``owp_gen`` key on {0,1}^bits; the
+    key readers reject any other combination with ContractError."""
+    if not 1 <= bits <= 64:
+        raise ContractError(f"OWP key bits {bits} outside [1, 64]")
+    if bits > nsprp.EXACT_MAX_BITS:
+        return nsprp.SAMPLER_GAUSS, prng.BACKEND_FASTMIX
+    return nsprp.SAMPLER_EXACT, prng.BACKEND_SHA256
+
+
 def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> TrapdoorOwpKeys:
     """Key pair for the full-domain permutation on {0,1}^bits.
 
-    Above 20 bits, where exact sampling is infeasible, the key is the
-    INSECURE-DEMO fastmix/gauss key.
+    Above ``nsprp.EXACT_MAX_BITS`` bits, where exact sampling is infeasible,
+    the key is the INSECURE-DEMO fastmix/gauss key.
     """
-    if bits < 1:
-        raise RangeError("bits must be >= 1")
-    sk = make_scale_prp_key(seed, bits, kappa) if bits > 20 else make_prp_key(seed, 1 << bits, kappa)
+    if not 1 <= bits <= 64:
+        raise RangeError("bits must be in [1, 64]")
+    sk = make_prp_key(seed, 1 << bits, kappa, *_owp_key_kind(bits))
     payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
     pk = MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
                          sk.n, payload)
@@ -152,7 +162,10 @@ def deserialize_owp_public(data: bytes) -> MockObfuscation:
     pn = pn_minus_1 + 1
     if pn != n_minus_1 + 1 or pn != 1 << bits:
         raise ContractError("OWP public key domain sizes disagree")
-    sampler = nsprp.SAMPLER_GAUSS if prf_key.backend == prng.BACKEND_FASTMIX else nsprp.SAMPLER_EXACT
+    sampler, backend = _owp_key_kind(bits)
+    if prf_key.backend != backend:
+        raise ContractError(f"a {bits}-bit OWP public key has PRF backend {backend}, "
+                            f"not {prf_key.backend}")
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
@@ -166,10 +179,12 @@ def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
     if r.take(5) != _OWP_MAGIC + b"S":
         raise ContractError("not an OWP secret key file")
     bits, kappa = r.unpack("<HI")
-    if not 1 <= bits <= 64:
-        raise ContractError(f"OWP secret key bits {bits} outside [1, 64]")
+    want = _owp_key_kind(bits)
     sampler = merge_mod.read_sampler(r)
     prf_key = prng.deserialize_key(r.rest())
+    if (sampler, prf_key.backend) != want:
+        raise ContractError(f"a {bits}-bit OWP secret key has the {want[0]} sampler on PRF "
+                            f"backend {want[1]}, not {sampler} on {prf_key.backend}")
     sk = make_prp_key(prf_key.seed, 1 << bits, kappa, sampler, prf_key.backend)
     payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
     pk = MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),

@@ -276,10 +276,9 @@ def oss_gen(params: OssParams, seed: bytes, backend: str = "auto",
         if params.mode == MODE_STANDARD:
             out = random_table_perm(params.d, prng.bit_stream(root, b"pi-out"))
     else:
-        # exact-sampler keys stay feasible to about 2^20; paper-scale widths
-        # ride the INSECURE-DEMO gauss path
+        # paper-scale widths ride the INSECURE-DEMO gauss path
         def prp_key(tag: bytes, bits: int) -> nsprp.PrpKey:
-            if bits > 20:
+            if bits > nsprp.EXACT_MAX_BITS:
                 return nsprp.make_scale_prp_key(prng.derive_key(root, tag).seed, bits, kappa)
             return nsprp.PrpKey(prng.derive_key(root, tag), 1 << bits, kappa)
 

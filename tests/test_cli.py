@@ -8,9 +8,9 @@ import pytest
 from ossprim import cli, permdecomp as pd
 
 
-def run_cli(argv_str, check=True):
+def run_cli(argv_str, check=True, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "ossprim.cli"] + shlex.split(argv_str),
-                          capture_output=True)
+                          capture_output=True, timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -50,6 +50,22 @@ def test_owp_secret_key_with_bad_bits_is_a_contract_error(tmp_path):
     blob = sk.read_bytes()
     sk.write_bytes(blob[:5] + bytes([blob[5] ^ 0x40]) + blob[6:])  # bits u16: 6 -> 70
     proc = run_cli(f"owp invert --sk {sk} --y 3", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+def test_owp_secret_key_exact_above_20_bits_is_a_contract_error(tmp_path):
+    sk = tmp_path / "sk.bin"
+    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv")
+    blob = sk.read_bytes()
+    sk.write_bytes(blob[:5] + bytes([blob[5] ^ 0x10]) + blob[6:])  # bits u16: 6 -> 22, still exact
+    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+def test_owp_gen_above_64_bits_is_an_error():
+    proc = run_cli("owp gen --bits 70 --seed 0c", check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 

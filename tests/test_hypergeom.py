@@ -1,11 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ossprim import hypergeom as hg
+from ossprim import hypergeom as hg, nsprp
 from ossprim.errors import RangeError
 
 
@@ -226,3 +227,60 @@ def test_small_support_walks_from_support_min(monkeypatch):
     assert p.support_max - p.support_min == hg._WINDOW_MIN_SUPPORT - 1
     assert hg.sample(p, 1 << 127, 128) == _walk_from_support_min(p, 1 << 127, 128)
     assert starts == [p.support_min]
+
+
+# -- exact binomials from prime powers --------------------------------------------
+
+def _binomial_cases():
+    rng = random.Random("binomial")
+    for n in (*range(41), 300, 1023, 1024, 1025, 5000, (1 << 14) + 3, 1 << 16):
+        edge = isqrt(256 * n)
+        ks = {0, 1, n // 2, n - 1, n, edge - 1, edge, edge + 1, n - edge}
+        ks.update(rng.sample(range(n + 1), min(n + 1, 6)))
+        yield from ((n, k) for k in sorted(ks) if 0 <= k <= n)
+
+
+def test_binomial_matches_math_comb():
+    for n, k in _binomial_cases():
+        assert hg.binomial(n, k) == comb(n, k), (n, k)
+        assert hg._prime_power_binomial(n, min(k, n - k)) == comb(n, k), (n, k)
+    assert hg.binomial(5, 7) == 0
+
+
+# (1024, 512) and (2^14, 2^11) sit exactly on min(k, n-k)^2 = 256 n
+@pytest.mark.parametrize("n,k,primes", [
+    (1024, 511, False), (1024, 512, True), (1024, 513, False), (1023, 511, False),
+    (1 << 14, 2047, False), (1 << 14, 2048, True), (1 << 14, (1 << 14) - 2048, True),
+    (1 << 16, 10, False),
+])
+def test_binomial_switches_to_primes_at_the_cutoff(monkeypatch, n, k, primes):
+    calls = []
+    monkeypatch.setattr(hg, "comb", lambda *a: calls.append(a) or comb(*a))
+    assert hg.binomial(n, k) == comb(n, k)
+    assert calls == ([] if primes else [(n, k)])
+
+
+def _pinned_draws():
+    rng = random.Random(9)
+    for n in (1 << 12, (1 << 12) + 1, 1 << 14, 1 << 16):
+        half = -(-n // 2)
+        for t, s in ((half, half), (n // 8, n // 3), (n - n // 5, n // 7)):
+            rs = (0, 1, 1 << 127, (1 << 128) - 1, *(rng.getrandbits(128) for _ in range(4)))
+            for r in rs:
+                yield n, t, s, r
+
+
+def test_large_draws_match_pinned_digest():
+    # recorded before large binomials were built from primes
+    h = hashlib.sha256()
+    for n, t, s, r in _pinned_draws():
+        x = hg.sample(hg.HypergeomParams(n, t, s), r, 128)
+        h.update(f"{n} {t} {s} {r} {x}\n".encode())
+    assert h.hexdigest() == "a6184dd1accbacaa52495185751cc56cb6ed50c50eadfa074760de7a890ffac3"
+
+
+def test_cold_exact_prp_at_2_16():
+    # each key is fresh, so every tally draw on the path is made cold
+    y = nsprp.prp_forward(nsprp.make_prp_key(b"\x5a" * 32, 1 << 16), 40503)
+    assert y == 42533
+    assert nsprp.prp_inverse(nsprp.make_prp_key(b"\x5a" * 32, 1 << 16), y) == 40503

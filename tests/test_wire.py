@@ -88,6 +88,12 @@ def _bad_owp_public_blob():
     return opprp.serialize_owp_public(opprp.TrapdoorOwpKeys(keys.pk, None, keys.bits + 1))
 
 
+def _sha256_owp_public_blob_22():
+    blob = opprp.serialize_owp_public(opprp.owp_gen(b"\x73" * 32, 22))
+    at = 4 + 2 + 2 + len(opprp.MOCK_LABEL) + 8 + 4  # the payload's PRF backend byte
+    return _patched(blob, at, prng.BACKEND_SHA256)
+
+
 def _wide_punctured_path_blob():
     blob = blob_of("punctured_prf_key")
     at = blob.index(b"\x03\x00\x05") + 2  # NodeId(3, 5): depth u16, one path byte
@@ -116,6 +122,12 @@ HEADER_CASES = [
      lambda: _patched(blob_of("owp_secret"), 11, 5), "sampler"),
     ("owp secret bits", opprp.deserialize_owp_secret,
      lambda: _patched(blob_of("owp_secret"), 5, 6 ^ 0x40), "bits 70 outside [1, 64]"),
+    ("owp secret exact sampler at 22 bits", opprp.deserialize_owp_secret,
+     lambda: _patched(blob_of("owp_secret"), 5, 6 ^ 0x10), "22-bit OWP secret key"),
+    ("owp secret gauss sampler on sha256", opprp.deserialize_owp_secret,
+     lambda: _patched(blob_of("owp_secret"), 11, 1), "6-bit OWP secret key"),
+    ("owp public sha256 backend at 22 bits", opprp.deserialize_owp_public,
+     _sha256_owp_public_blob_22, "22-bit OWP public key"),
     ("lwe key head", lh.deserialize_key,
      lambda: b"LWE-TD-------\x00" + blob_of("lwe_key")[14:], "LWE key"),
     ("lwe key parameter text not UTF-8", lh.deserialize_key,
