@@ -65,14 +65,18 @@ class MergeKey:
         return self.n0 + self.n1
 
 
+def _root_key(prf_key: PrfKey, n0: int, n1: int, kappa: int, sampler: str) -> MergeKey:
+    """The merge key of piles [n0] and [n1] rooted at ``prf_key``."""
+    ctx = None
+    if prf_key.backend == prng.BACKEND_FASTMIX:
+        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
+    return MergeKey(prf_key, n0, n1, kappa, sampler, ctx)
+
+
 def make_merge_key(seed: bytes, n0: int, n1: int, kappa: int = DEFAULT_KAPPA,
                    sampler: str = SAMPLER_EXACT,
                    backend: int = prng.BACKEND_SHA256) -> MergeKey:
-    key = PrfKey(seed, b"merge", backend)
-    ctx = None
-    if backend == prng.BACKEND_FASTMIX:
-        ctx = fastpath.context_word(*key.fast_words(), fastpath.TAG_MERGE)
-    return MergeKey(key, n0, n1, kappa, sampler, ctx)
+    return _root_key(PrfKey(seed, b"merge", backend), n0, n1, kappa, sampler)
 
 
 # -- tree geometry -------------------------------------------------------------
@@ -450,23 +454,23 @@ def serialize_key(k: MergeKey) -> bytes:
     return struct.pack("<QQIB", k.n0, k.n1, k.kappa, mode) + blob
 
 
-def read_sampler(r: Reader) -> str:
-    """The sampler of a serialized key from its mode byte: 0 exact, 1 gauss."""
+def read_sampler_key(r: Reader) -> tuple[str, PrfKey]:
+    """The sampler mode byte (0 exact, 1 gauss) and the PRF key after it,
+    which end every serialized key; exact keys need the sha256 backend."""
     (mode,) = r.unpack("<B")
     if mode not in (0, 1):
         raise ContractError(f"unknown sampler mode {mode}")
-    return SAMPLER_GAUSS if mode else SAMPLER_EXACT
+    prf_key = prng.deserialize_key(r.rest())
+    if mode == 0 and prf_key.backend != prng.BACKEND_SHA256:
+        raise ContractError(f"exact sampler mode on PRF backend {prf_key.backend}, not sha256")
+    return (SAMPLER_GAUSS if mode else SAMPLER_EXACT), prf_key
 
 
 def deserialize_key(data: bytes) -> MergeKey:
     r = Reader(data, "merge key")
     n0, n1, kappa = r.unpack("<QQI")
-    sampler = read_sampler(r)
-    prf_key = prng.deserialize_key(r.rest())
-    ctx = None
-    if prf_key.backend == prng.BACKEND_FASTMIX:
-        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
-    return MergeKey(prf_key, n0, n1, kappa, sampler, ctx)
+    sampler, prf_key = read_sampler_key(r)
+    return _root_key(prf_key, n0, n1, kappa, sampler)
 
 
 def serialize_permuted(pk: PermutedMergeKey) -> bytes:

@@ -10,7 +10,10 @@ right perm) triple, which is why a random key simulates a random permutation.
 preimages straddle the piles the merge key is swapped, otherwise the merge's
 order preservation makes the preimages adjacent inside one pile and the swap
 recurses there.  The result is always a working key, never the merge layer's
-illegal bottom.
+illegal bottom.  A permuted key is a pre-seeded key: its cache holds, level
+by level down the swap's spine, the honest child and merge keys and, where
+the swap lands, the permuted merge key or the c-adjusted N=2 bit, so
+``prp_forward``/``prp_inverse`` walk it like any other key.
 
 Large power-of-two domains with fastmix keys ride the vectorized path in
 ``fastpath``; see there for why exact sampling cannot scale.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -37,8 +40,20 @@ from .prng import PrfKey
 from .wire import Reader
 
 
+class _Piles:
+    """The split of a level over [n]: piles of floor(n/2) and the rest."""
+
+    @property
+    def n0(self) -> int:
+        return self.n // 2
+
+    @property
+    def n1(self) -> int:
+        return self.n - self.n // 2
+
+
 @dataclass(frozen=True)
-class PrpKey:
+class PrpKey(_Piles):
     prf_key: PrfKey
     n: int
     kappa: int = DEFAULT_KAPPA
@@ -50,28 +65,27 @@ class PrpKey:
         if self.n < 1:
             raise RangeError("domain size must be >= 1")
 
-    @property
-    def n0(self) -> int:
-        return self.n // 2
-
-    @property
-    def n1(self) -> int:
-        return self.n - self.n // 2
-
     def is_fast(self) -> bool:
         return self.fast_ctx is not None
+
+
+def _root_key(prf_key: PrfKey, n: int, kappa: int, sampler: str) -> PrpKey:
+    """The key over [n] rooted at ``prf_key``; fastmix keys need the gauss sampler."""
+    ctx = None
+    if prf_key.backend == prng.BACKEND_FASTMIX:
+        if sampler != SAMPLER_GAUSS:
+            raise UnsupportedBackend("fastmix keys require the gauss sampler")
+        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
+    return PrpKey(prf_key, n, kappa, sampler, ctx)
+
+
+PRP_TAG = b"prp"  # the PRF domain tag of every make_prp_key key
 
 
 def make_prp_key(seed: bytes, n: int, kappa: int = DEFAULT_KAPPA,
                  sampler: str = SAMPLER_EXACT,
                  backend: int = prng.BACKEND_SHA256) -> PrpKey:
-    key = PrfKey(seed, b"prp", backend)
-    ctx = None
-    if backend == prng.BACKEND_FASTMIX:
-        if sampler != SAMPLER_GAUSS:
-            raise UnsupportedBackend("fastmix keys require the gauss sampler")
-        ctx = fastpath.context_word(*key.fast_words(), fastpath.TAG_ROOT)
-    return PrpKey(key, n, kappa, sampler, ctx)
+    return _root_key(PrfKey(seed, PRP_TAG, backend), n, kappa, sampler)
 
 
 # Exact-sampler keys stay feasible up to 2^EXACT_MAX_BITS points; wider
@@ -118,6 +132,9 @@ def _merge_key(k: PrpKey) -> MergeKey:
 
 
 def _xor_bit(k: PrpKey) -> int:
+    bit = k._cache.get("xor")  # set only on permuted keys
+    if bit is not None:
+        return bit
     if k.is_fast():
         k1w = k.prf_key.fast_words()[1]
         return fastpath.context_word(k.fast_ctx, k1w, fastpath.TAG_XOR) & 1
@@ -174,39 +191,15 @@ def prp_inverse_batch(k: PrpKey, zs: np.ndarray) -> np.ndarray:
 # -- key permutation -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class XorLevel:
-    """Base case payload: the (already c-adjusted) key bit for N=2."""
+class PermutedPrpKey(_Piles):
+    """A key with the swap (z z+1)^c composed after it, walked by
+    ``prp_forward``/``prp_inverse`` through the cache ``prp_permute`` fills."""
 
-    bit: int
-
-
-@dataclass(frozen=True)
-class MergeLevel:
-    """Terminal payload when the swap lands in this level's merge."""
-
-    k0: PrpKey
-    k1: PrpKey
-    pmk: PermutedMergeKey
-
-
-@dataclass(frozen=True)
-class RecurseLevel:
-    """Pass-through level: the swap lives inside pile ``b``."""
-
-    b: int
-    child: Union["XorLevel", "MergeLevel", "RecurseLevel"]
-    k_other: PrpKey
-    mk: MergeKey
-    n: int
-
-
-@dataclass(frozen=True)
-class PermutedPrpKey:
     n: int
     kappa: int
     z: int
     c: int
-    spine: Union[XorLevel, MergeLevel, RecurseLevel]
+    _cache: dict = field(default_factory=dict, repr=False)
 
 
 def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
@@ -220,69 +213,28 @@ def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
         raise RangeError("need 0 <= z < N-1")
     if c not in (0, 1):
         raise RangeError("c is a bit")
-    return PermutedPrpKey(k.n, k.kappa, z, c, _permute_node(k, z, c))
-
-
-def _permute_node(k: PrpKey, z: int, c: int) -> Union[XorLevel, MergeLevel, RecurseLevel]:
-    if k.n == 2:
-        return XorLevel(_xor_bit(k) ^ (c & (z == 0)))
+    pk = PermutedPrpKey(k.n, k.kappa, z, c)
+    if k.n == 2:  # z == 0: the swap flips the key bit
+        pk._cache["xor"] = _xor_bit(k) ^ c
+        return pk
     mk = _merge_key(k)
+    children = [_child_key(k, 0), _child_key(k, 1)]
     b0, y0 = merge_mod.merge_inverse(mk, z)
     b1, y1 = merge_mod.merge_inverse(mk, z + 1)
     if b0 != b1:
-        pmk = merge_mod.merge_permute(mk, z, c)
-        assert pmk is not None  # cross-pile swaps are exactly the legal ones
-        return MergeLevel(_child_key(k, 0), _child_key(k, 1), pmk)
-    # same pile: order preservation forces y1 == y0 + 1
-    assert y1 == y0 + 1, "merge order preservation violated"
-    child = _permute_node(_child_key(k, b0), y0, c)
-    return RecurseLevel(b0, child, _child_key(k, 1 - b0), mk, k.n)
-
-
-def _node_forward(node, n: int, x: int) -> int:
-    if isinstance(node, XorLevel):
-        return x ^ node.bit
-    if isinstance(node, MergeLevel):
-        n0 = n // 2
-        b, sub = (1, x - n0) if x >= n0 else (0, x)
-        y = prp_forward(node.k1 if b else node.k0, sub)
-        return merge_mod.permuted_merge_eval(node.pmk, b, y)
-    n0 = node.n // 2
-    b, sub = (1, x - n0) if x >= n0 else (0, x)
-    if b == node.b:
-        y = _node_forward(node.child, (node.n - n0) if b else n0, sub)
+        mk = merge_mod.merge_permute(mk, z, c)
+        assert mk is not None  # cross-pile swaps are exactly the legal ones
     else:
-        y = prp_forward(node.k_other, sub)
-    return merge_mod.merge_forward(node.mk, b, y)
+        # same pile: order preservation forces y1 == y0 + 1
+        assert y1 == y0 + 1, "merge order preservation violated"
+        children[b0] = prp_permute(children[b0], y0, c)
+    pk._cache.update({("child", 0): children[0], ("child", 1): children[1], "merge": mk})
+    return pk
 
 
-def _node_inverse(node, n: int, z: int) -> int:
-    if isinstance(node, XorLevel):
-        return z ^ node.bit
-    if isinstance(node, MergeLevel):
-        n0 = n // 2
-        b, y = merge_mod.permuted_merge_inverse(node.pmk, z)
-        x = prp_inverse(node.k1 if b else node.k0, y)
-        return x + (n0 if b else 0)
-    n0 = node.n // 2
-    b, y = merge_mod.merge_inverse(node.mk, z)
-    if b == node.b:
-        x = _node_inverse(node.child, (node.n - n0) if b else n0, y)
-    else:
-        x = prp_inverse(node.k_other, y)
-    return x + (n0 if b else 0)
-
-
-def permuted_prp_forward(pk: PermutedPrpKey, x: int) -> int:
-    if not 0 <= x < pk.n:
-        raise RangeError("input outside domain")
-    return _node_forward(pk.spine, pk.n, x)
-
-
-def permuted_prp_inverse(pk: PermutedPrpKey, z: int) -> int:
-    if not 0 <= z < pk.n:
-        raise RangeError("output outside domain")
-    return _node_inverse(pk.spine, pk.n, z)
+# A permuted key is a pre-seeded key: the honest walk evaluates it.
+permuted_prp_forward = prp_forward
+permuted_prp_inverse = prp_inverse
 
 
 # -- decomposition ----------------------------------------------------------------
@@ -351,7 +303,9 @@ def prp_decompose(k: PrpKey) -> Iterator[PermStep]:
 
 # -- serialization ------------------------------------------------------------------
 # Mirrors the merge module's framing; permuted keys carry a level-count
-# header followed by one record per spine level.
+# header followed by one record per spine level: kind 0 holds the N=2 bit,
+# kind 1 the two child keys and the permuted merge key, kind 2 the pile the
+# swap recurses into, the other child key and the honest merge key.
 
 def serialize_key(k: PrpKey) -> bytes:
     blob = prng.serialize_key(k.prf_key)
@@ -362,27 +316,24 @@ def serialize_key(k: PrpKey) -> bytes:
 def deserialize_key(data: bytes) -> PrpKey:
     r = Reader(data, "PRP key")
     n_minus_1, kappa = r.unpack("<QI")
-    sampler = merge_mod.read_sampler(r)
-    prf_key = prng.deserialize_key(r.rest())
-    ctx = None
-    if prf_key.backend == prng.BACKEND_FASTMIX:
-        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
-    return PrpKey(prf_key, n_minus_1 + 1, kappa, sampler, ctx)
+    sampler, prf_key = merge_mod.read_sampler_key(r)
+    return _root_key(prf_key, n_minus_1 + 1, kappa, sampler)
 
 
-def _node_records(node) -> list[tuple]:
-    if isinstance(node, XorLevel):
-        return [(0, node.bit, b"", b"", b"")]
-    if isinstance(node, MergeLevel):
-        return [(1, 0, serialize_key(node.k0), serialize_key(node.k1),
-                 merge_mod.serialize_permuted(node.pmk))]
-    rec = (2, node.b, serialize_key(node.k_other),
-           merge_mod.serialize_key(node.mk), b"")
-    return [rec] + _node_records(node.child)
+def _spine_records(pk: PermutedPrpKey) -> list[tuple]:
+    if pk.n == 2:
+        return [(0, pk._cache["xor"], b"", b"", b"")]
+    kids, mk = (_child_key(pk, 0), _child_key(pk, 1)), _merge_key(pk)
+    if isinstance(mk, PermutedMergeKey):
+        return [(1, 0, serialize_key(kids[0]), serialize_key(kids[1]),
+                 merge_mod.serialize_permuted(mk))]
+    b = int(isinstance(kids[1], PermutedPrpKey))
+    rec = (2, b, serialize_key(kids[1 - b]), merge_mod.serialize_key(mk), b"")
+    return [rec] + _spine_records(kids[b])
 
 
 def serialize_permuted_key(pk: PermutedPrpKey) -> bytes:
-    records = _node_records(pk.spine)
+    records = _spine_records(pk)
     out = [struct.pack("<QIQBH", pk.n - 1, pk.kappa, pk.z, pk.c, len(records))]
     for kind, flag, b1, b2, b3 in records:
         out.append(struct.pack("<BB", kind, flag))
@@ -390,6 +341,17 @@ def serialize_permuted_key(pk: PermutedPrpKey) -> bytes:
             out.append(struct.pack("<I", len(blob)))
             out.append(blob)
     return b"".join(out)
+
+
+def _check_level(what: str, got: tuple, want: tuple) -> None:
+    if got != want:
+        raise ContractError(f"permuted PRP key: {what} {got} where its level has {want}")
+
+
+def _level_key(blob: bytes, n: int, kappa: int) -> PrpKey:
+    k = deserialize_key(blob)
+    _check_level("child key (N, kappa)", (k.n, k.kappa), (n, kappa))
+    return k
 
 
 def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
@@ -400,14 +362,31 @@ def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
     kinds = [rec[0] for rec in records]
     if not kinds or kinds[-1] not in (0, 1) or set(kinds[:-1]) - {2}:
         raise ContractError("permuted PRP key records do not form a spine")
-    node = None
-    for kind, flag, b1, b2, b3 in reversed(records):
+    if not 0 <= z < n_minus_1 or c > 1:
+        raise ContractError(f"permuted PRP key swap z={z}, c={c} outside [0, N-1) x {{0, 1}}")
+    top = pk = PermutedPrpKey(n_minus_1 + 1, kappa, z, c)
+    for kind, flag, b1, b2, b3 in records:
+        if (kind == 0) != (pk.n == 2):
+            raise ContractError(f"permuted PRP key has a kind-{kind} record at a level over N={pk.n}")
+        # fields a kind does not use are zero or empty
+        if flag > 1 or (kind == 1 and flag) or (kind != 1 and b3) or (kind == 0 and b1 + b2):
+            raise ContractError(f"malformed kind-{kind} record in permuted PRP key")
         if kind == 0:
-            node = XorLevel(flag & 1)
-        elif kind == 1:
-            node = MergeLevel(deserialize_key(b1), deserialize_key(b2),
-                              merge_mod.deserialize_permuted(b3))
+            pk._cache["xor"] = flag
+            continue
+        sizes = (pk.n0, pk.n1)
+        mk = merge_mod.deserialize_permuted(b3) if kind == 1 else merge_mod.deserialize_key(b2)
+        _check_level("merge key (n0, n1, kappa)", (mk.n0, mk.n1, mk.kappa), (*sizes, kappa))
+        if kind == 1:
+            _check_level("merge swap (z, c)", (mk.z, mk.c), (pk.z, c))
+            kids = [_level_key(b1, sizes[0], kappa), _level_key(b2, sizes[1], kappa)]
         else:
-            mk = merge_mod.deserialize_key(b2)
-            node = RecurseLevel(flag & 1, node, deserialize_key(b1), mk, mk.n)
-    return PermutedPrpKey(n_minus_1 + 1, kappa, z, c, node)
+            (p0, y0), (p1, _) = merge_mod.merge_inverse(mk, pk.z), merge_mod.merge_inverse(mk, pk.z + 1)
+            if p0 != flag or p1 != flag:
+                raise ContractError(f"permuted PRP key swap z={pk.z} does not land in pile {flag}")
+            kids = [None, None]
+            kids[flag] = PermutedPrpKey(sizes[flag], kappa, y0, c)
+            kids[1 - flag] = _level_key(b1, sizes[1 - flag], kappa)
+        pk._cache.update({("child", 0): kids[0], ("child", 1): kids[1], "merge": mk})
+        pk = kids[flag]  # the next level; a kind-1 record is the last
+    return top

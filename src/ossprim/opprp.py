@@ -13,11 +13,12 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from . import fastpath, merge as merge_mod, nsprp, prng
+from . import merge as merge_mod, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .hypergeom import DEFAULT_KAPPA
 from .nsprp import PrpKey, make_prp_key, prp_forward, prp_inverse
 from .permdecomp import DecomposablePermutation
+from .prng import PrfKey
 from .wire import Reader
 
 MOCK_LABEL = b"MOCK-IO: FUNCTIONAL ONLY, NO HIDING"
@@ -107,6 +108,24 @@ def _owp_key_kind(bits: int) -> tuple[str, int]:
     return nsprp.SAMPLER_EXACT, prng.BACKEND_SHA256
 
 
+def _owp_read_key(what: str, prf_key: PrfKey, bits: int, kappa: int, sampler: str) -> PrpKey:
+    """The PRP key of an OWP key file, which must be one ``owp_gen`` makes."""
+    want = _owp_key_kind(bits)
+    if (sampler, prf_key.backend) != want:
+        raise ContractError(f"a {bits}-bit {what} has the {want[0]} sampler on PRF "
+                            f"backend {want[1]}, not {sampler} on {prf_key.backend}")
+    if prf_key.domain_tag != nsprp.PRP_TAG:
+        raise ContractError(f"{what} PRF tag {prf_key.domain_tag!r} is not {nsprp.PRP_TAG!r}")
+    return nsprp._root_key(prf_key, 1 << bits, kappa, sampler)
+
+
+def _owp_public(sk: PrpKey, label: bytes = MOCK_LABEL) -> MockObfuscation:
+    """The sealed forward/inverse pair of ``sk``, carrying the key verbatim."""
+    payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
+    return MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
+                           sk.n, payload, label)
+
+
 def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> TrapdoorOwpKeys:
     """Key pair for the full-domain permutation on {0,1}^bits.
 
@@ -116,10 +135,7 @@ def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> TrapdoorOwpKe
     if not 1 <= bits <= 64:
         raise RangeError("bits must be in [1, 64]")
     sk = make_prp_key(seed, 1 << bits, kappa, *_owp_key_kind(bits))
-    payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
-    pk = MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
-                         sk.n, payload)
-    return TrapdoorOwpKeys(pk, sk, bits)
+    return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
 
 
 def owp_forward(pk: MockObfuscation, x: int) -> int:
@@ -157,21 +173,15 @@ def deserialize_owp_public(data: bytes) -> MockObfuscation:
     r.done()
     p = Reader(payload, "OWP public key payload")
     prf_key = prng.deserialize_key(p.take(len(payload) - 9))
-    pn_minus_1, _ = p.unpack("<QB")
+    pn_minus_1, c = p.unpack("<QB")
     p.done()
     pn = pn_minus_1 + 1
     if pn != n_minus_1 + 1 or pn != 1 << bits:
         raise ContractError("OWP public key domain sizes disagree")
-    sampler, backend = _owp_key_kind(bits)
-    if prf_key.backend != backend:
-        raise ContractError(f"a {bits}-bit OWP public key has PRF backend {backend}, "
-                            f"not {prf_key.backend}")
-    ctx = None
-    if prf_key.backend == prng.BACKEND_FASTMIX:
-        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
-    sk = PrpKey(prf_key, pn, DEFAULT_KAPPA, sampler, ctx)
-    return MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
-                           pn, payload, label)
+    if c:
+        raise ContractError(f"OWP public key payload flag {c} is not 0")
+    sampler = _owp_key_kind(bits)[0]
+    return _owp_public(_owp_read_key(r.what, prf_key, bits, DEFAULT_KAPPA, sampler), label)
 
 
 def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
@@ -179,17 +189,9 @@ def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
     if r.take(5) != _OWP_MAGIC + b"S":
         raise ContractError("not an OWP secret key file")
     bits, kappa = r.unpack("<HI")
-    want = _owp_key_kind(bits)
-    sampler = merge_mod.read_sampler(r)
-    prf_key = prng.deserialize_key(r.rest())
-    if (sampler, prf_key.backend) != want:
-        raise ContractError(f"a {bits}-bit OWP secret key has the {want[0]} sampler on PRF "
-                            f"backend {want[1]}, not {sampler} on {prf_key.backend}")
-    sk = make_prp_key(prf_key.seed, 1 << bits, kappa, sampler, prf_key.backend)
-    payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
-    pk = MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
-                         sk.n, payload)
-    return TrapdoorOwpKeys(pk, sk, bits)
+    sampler, prf_key = merge_mod.read_sampler_key(r)
+    sk = _owp_read_key(r.what, prf_key, bits, kappa, sampler)
+    return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
 
 
 # -- fixed sparse trigger template -------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,11 +143,31 @@ def test_key_serialization_round_trip():
 
 
 def test_permuted_key_serialization_round_trip():
-    k = key(20, 6)
-    for z in (0, 7, 18):
-        for c in (0, 1):
-            pk = nsprp.prp_permute(k, z, c)
-            back = nsprp.deserialize_permuted_key(nsprp.serialize_permuted_key(pk))
-            for x in range(20):
-                assert nsprp.permuted_prp_forward(back, x) == nsprp.permuted_prp_forward(pk, x)
-                assert nsprp.permuted_prp_inverse(back, x) == nsprp.permuted_prp_inverse(pk, x)
+    cases = [(key(2, 6), 0, c) for c in (0, 1)] + [(key(3, 6), z, c) for z in (0, 1) for c in (0, 1)]
+    cases += [(key(20, 6), z, c) for z in range(19) for c in (0, 1)]
+    for k, z, c in cases:
+        pk = nsprp.prp_permute(k, z, c)
+        blob = nsprp.serialize_permuted_key(pk)
+        back = nsprp.deserialize_permuted_key(blob)
+        assert nsprp.serialize_permuted_key(back) == blob
+        for x in range(k.n):
+            assert nsprp.permuted_prp_forward(back, x) == nsprp.permuted_prp_forward(pk, x)
+            assert nsprp.permuted_prp_inverse(back, x) == nsprp.permuted_prp_inverse(pk, x)
+
+
+# sha256 over every permuted key's blob and tables for N = 2..40, recorded
+# before permuted keys became pre-seeded keys of the honest walk
+PERMUTED_SHA256 = "4b75a453ca1fd81fd8fd3cf9d0c8ff664f4318cc8479b8cdbe06782122533af3"
+
+
+def test_permuted_keys_pinned_digest():
+    h = hashlib.sha256()
+    for n in range(2, 41):
+        k = nsprp.make_prp_key(bytes([n]) * 32, n)
+        for z in range(n - 1):
+            for c in (0, 1):
+                pk = nsprp.prp_permute(k, z, c)
+                h.update(nsprp.serialize_permuted_key(pk))
+                h.update(bytes(nsprp.permuted_prp_forward(pk, x) for x in range(n)))
+                h.update(bytes(nsprp.permuted_prp_inverse(pk, x) for x in range(n)))
+    assert h.hexdigest() == PERMUTED_SHA256

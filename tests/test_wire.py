@@ -2,6 +2,7 @@
 rejects truncated, overlong or mislabelled input with ContractError only."""
 
 import re
+import struct
 
 import pytest
 
@@ -108,6 +109,47 @@ def _wide_hardcoded_path_blob():
     return blob[:at] + (first.path | 1 << first.depth).to_bytes(8, "little") + blob[at + 8:]
 
 
+def _permuted_prp_blob(n, z, c):
+    return nsprp.serialize_permuted_key(nsprp.prp_permute(nsprp.make_prp_key(b"\x74" * 32, n), z, c))
+
+
+def _edit_spine_record(z, c, i, field, edit):
+    """The N=12 permuted PRP key blob at (z, c) with ``edit`` applied to
+    field ``field`` (kind, flag, then three blobs) of spine record ``i``."""
+    r = wire.Reader(_permuted_prp_blob(12, z, c), "permuted PRP key")
+    head = r.unpack("<QIQBH")
+    records = [[*r.unpack("<BB"), r.blob("<I"), r.blob("<I"), r.blob("<I")] for _ in range(head[-1])]
+    records[i][field] = edit(records[i][field])
+    out = [struct.pack("<QIQBH", *head)]
+    for kind, flag, *blobs in records:
+        out.append(struct.pack("<BB", kind, flag))
+        out += [struct.pack("<I", len(b)) + b for b in blobs]
+    return b"".join(out)
+
+
+def _bump(blob, at, delta):
+    return _patched(blob, at, blob[at] + delta)
+
+
+def _bump_permuted_merge_head(blob, at):
+    """A permuted merge key blob with byte ``at`` of its (n0, n1, kappa, c, z)
+    head, after the punctured key, raised by 1."""
+    return _bump(blob, 4 + int.from_bytes(blob[:4], "little") + at, 1)
+
+
+def _owp_tag_flipped(blob, tag_at):
+    assert blob[tag_at:tag_at + 3] == b"prp"
+    return _patched(blob, tag_at, blob[tag_at] ^ 1)
+
+
+def _owp8_public_blob():
+    return opprp.serialize_owp_public(opprp.owp_gen(b"\x73" * 32, 8))
+
+
+OWP_PUBLIC_TAG_AT = 4 + 2 + 2 + len(opprp.MOCK_LABEL) + 8 + 4 + 3  # after the backend and tag length
+OWP_SECRET_TAG_AT = 5 + 6 + 1 + 3
+
+
 # (case, deserializer, corrupted blob factory, message fragment)
 HEADER_CASES = [
     ("prf key backend id", prng.deserialize_key,
@@ -140,6 +182,39 @@ HEADER_CASES = [
      _bad_permuted_merge_blob, "sum of its children"),
     ("permuted prp record kind", nsprp.deserialize_permuted_key,
      lambda: _patched(blob_of("permuted_prp_key"), 23, 3), "spine"),
+    ("permuted prp child key size", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(4, 1, 0, 2, lambda b: _bump(b, 0, 3)), "child key (N, kappa) (9,"),
+    ("permuted prp merge key size", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(4, 1, 0, 3, lambda b: _bump(b, 0, 1)), "merge key (n0, n1, kappa) (7,"),
+    ("permuted prp permuted merge key size", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(1, 1, 0, 4, lambda b: _bump_permuted_merge_head(b, 0)),
+     "merge key (n0, n1, kappa) (7,"),
+    ("permuted prp merge swap c", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(4, 1, 1, 4, lambda b: _bump_permuted_merge_head(b, 20)),
+     "merge swap (z, c)"),
+    ("permuted prp recursion pile", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(4, 1, 0, 1, lambda flag: 1 - flag), "does not land in pile 1"),
+    ("permuted prp bit record above N=2", nsprp.deserialize_permuted_key,
+     lambda: _patched(_permuted_prp_blob(2, 0, 1), 0, 2), "kind-0 record at a level over N=3"),
+    ("permuted prp swap z", nsprp.deserialize_permuted_key,
+     lambda: _patched(blob_of("permuted_prp_key"), 12, 11), "swap z=11"),
+    ("permuted prp bit record flag", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(6, 1, 3, 1, lambda flag: 2), "malformed kind-0 record"),
+    # a fastmix key's sampler mode set to exact
+    ("prp key exact sampler on fastmix", nsprp.deserialize_key,
+     lambda: _patched(nsprp.serialize_key(nsprp.make_scale_prp_key(b"\x74" * 32, 8)), 12, 0),
+     "exact sampler mode on PRF backend"),
+    ("merge key exact sampler on fastmix", merge.deserialize_key,
+     lambda: _patched(merge.serialize_key(merge.make_merge_key(
+         b"\x72" * 32, 5, 6, sampler=merge.SAMPLER_GAUSS, backend=prng.BACKEND_FASTMIX)), 20, 0),
+     "exact sampler mode on PRF backend"),
+    ("owp public prf tag", opprp.deserialize_owp_public,
+     lambda: _owp_tag_flipped(_owp8_public_blob(), OWP_PUBLIC_TAG_AT), "PRF tag b'qrp'"),
+    ("owp secret prf tag", opprp.deserialize_owp_secret,
+     lambda: _owp_tag_flipped(opprp.serialize_owp_secret(opprp.owp_gen(b"\x73" * 32, 8)),
+                              OWP_SECRET_TAG_AT), "PRF tag b'qrp'"),
+    ("owp public payload flag", opprp.deserialize_owp_public,
+     lambda: _owp8_public_blob()[:-1] + b"\x01", "payload flag 1"),
     ("owp public domain size", opprp.deserialize_owp_public,
      _bad_owp_public_blob, "domain"),
     ("instance mode", oss.deserialize_instance,
