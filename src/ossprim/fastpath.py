@@ -3,16 +3,16 @@
 Exact big-integer hypergeometric sampling is what makes small-domain keys
 bit-portable, but it is infeasible once tally-tree supports stop being
 enumerable (the root draw at N = 2^64 would sum ~2^62 terms of ~2^64-bit
-integers).  Scale keys therefore use a deterministic gaussian-quantile draw
-(``gauss`` sampler mode) and the fastmix PRF backend, and this module
-evaluates merges and the recursive PRP for power-of-two domains in numpy
-lockstep so 10^4-point sweeps at N = 2^64 take seconds.
+integers).  Scale keys therefore use the fastmix PRF backend, whose keys
+draw through a deterministic gaussian quantile (``gauss`` mode), and this
+module evaluates merges and the recursive PRP for power-of-two domains in
+numpy lockstep so 10^4-point sweeps at N = 2^64 take seconds.
 
 Scalar draws on even splits up to 2^64 route through length-1 batches of
 the same vector formula.  Uneven splits and sizes above 2^64 (such as the top
 16 levels of the paper preset's 2^80 merges) use a second definition,
 ``merge._gauss_draw_general``, with a different float-op order; folding the
-two into one is ROADMAP open item 3.  Tree sizes are uniform per depth for a
+two into one is ROADMAP open item 4.  Tree sizes are uniform per depth for a
 power-of-two domain and are carried as per-step scalars; 2^64 itself never
 has to fit in a u64 lane.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import prng
 from .errors import RangeError
 
 _ndtri = None
@@ -58,8 +59,8 @@ def mix64_np(a, b, c):
 
 
 def context_word(a: int, b: int, tag) -> int:
-    """A scalar key's fastmix context word: mix64_np of two words under a tag."""
-    return int(mix64_np(_U64(a), _U64(b), tag))
+    """A scalar key's fastmix context word: the mix64 of two words under a tag."""
+    return prng.mix64(a, b, int(tag))
 
 
 def gauss_draw_even(half: int, t, r64):
@@ -163,9 +164,6 @@ def prp_forward_batch(k0: int, k1: int, bits: int, xs: np.ndarray) -> np.ndarray
     xs = np.asarray(xs, dtype=np.uint64)
     k0v = _U64(k0)
     k1v = _U64(k1)
-    if bits == 1:
-        ctx = np.full_like(xs, mix64_np(k0v, k1v, TAG_ROOT))
-        return xs ^ (mix64_np(ctx, k1v, TAG_XOR) & _U64(1))
     ctxs, tops, low = _level_contexts(k0, k1, bits, xs)
     y = low ^ (mix64_np(ctxs[-1], k1v, TAG_XOR) & _U64(1))
     for i in range(bits - 2, -1, -1):
@@ -182,8 +180,6 @@ def prp_inverse_batch(k0: int, k1: int, bits: int, zs: np.ndarray) -> np.ndarray
     k0v = _U64(k0)
     k1v = _U64(k1)
     ctx = np.full_like(zs, mix64_np(k0v, k1v, TAG_ROOT))
-    if bits == 1:
-        return zs ^ (mix64_np(ctx, k1v, TAG_XOR) & _U64(1))
     out = np.zeros_like(zs)
     cur = zs.copy()
     for i in range(bits - 1):

@@ -160,28 +160,6 @@ def is_invertible(m: BitMatrix) -> bool:
     return m.rows == m.ncols and rank(m) == m.rows
 
 
-def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square invertible matrix (row-major Gauss-Jordan)."""
-    if m.rows != m.ncols:
-        raise DimensionError("inverse of non-square matrix")
-    n = m.rows
-    rows = [sum(m.entry(i, j) << j for j in range(n)) for i in range(n)]
-    aug = [1 << i for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if (rows[i] >> col) & 1), None)
-        if piv is None:
-            raise InvariantViolation("matrix is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for i in range(n):
-            if i != col and (rows[i] >> col) & 1:
-                rows[i] ^= rows[col]
-                aug[i] ^= aug[col]
-    # aug is row-major; repack column-major
-    cols = [sum(((aug[i] >> j) & 1) << i for i in range(n)) for j in range(n)]
-    return BitMatrix(n, tuple(cols))
-
-
 def kernel_basis(m: BitMatrix) -> BitMatrix:
     """Basis (columns) of {v in Z2^rows : v^T . m = 0}.
 

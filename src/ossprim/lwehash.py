@@ -70,17 +70,6 @@ class LweParams:
     def range_bits(self) -> int:
         return self.v * self.lq
 
-    def ratio_report(self, c_samples: float = 1.0) -> dict:
-        """The asymptotic ratio checks, reported rather than enforced."""
-        return {
-            "Bbar_over_sigma": self.Bbar / max(self.sigma, 1e-12),
-            "B_over_Bbar": self.B / self.Bbar,
-            "q_over_B": self.q / self.B,
-            "v_min_recommended": int(np.ceil(c_samples * self.u * self.lq)),
-            "v": self.v,
-            "v_ok": self.v >= int(np.ceil(c_samples * self.u * self.lq)),
-        }
-
 
 INSECURE_DEMO = LweParams(u=2, v=24, q=1 << 12, B=1 << 6, Bbar=1 << 3, sigma=2.0)
 # micro preset: a 7-bit slice domain, small enough for exhaustive sweeps;

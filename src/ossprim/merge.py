@@ -36,9 +36,6 @@ from .hypergeom import DEFAULT_KAPPA, HypergeomParams, sample
 from .prng import NodeId, PrfKey, PuncturedPrfKey
 from .wire import Reader
 
-SAMPLER_EXACT = "exact"
-SAMPLER_GAUSS = "gauss"
-
 
 @dataclass(frozen=True)
 class MergeKey:
@@ -46,8 +43,9 @@ class MergeKey:
     n0: int
     n1: int
     kappa: int = DEFAULT_KAPPA
-    sampler: str = SAMPLER_EXACT
-    fast_ctx: Optional[int] = None  # pre-mixed context word for fastmix keys
+    # pre-mixed context word, set iff the PRF backend is fastmix; keys
+    # without one draw exactly, keys with one draw the gaussian stand-in
+    fast_ctx: Optional[int] = None
     # node values and GGM seeds, keyed by the int (1 << depth) | path
     _values: dict = field(default_factory=dict, compare=False, repr=False)
     _seeds: dict = field(default_factory=dict, compare=False, repr=False)
@@ -55,28 +53,23 @@ class MergeKey:
     def __post_init__(self):
         if self.n0 < 0 or self.n1 < 0 or self.n0 + self.n1 < 1:
             raise RangeError("need N = n0 + n1 >= 1")
-        if self.sampler not in (SAMPLER_EXACT, SAMPLER_GAUSS):
-            raise RangeError(f"unknown sampler {self.sampler!r}")
-        if self.sampler == SAMPLER_EXACT and self.prf_key.backend != prng.BACKEND_SHA256:
-            raise UnsupportedBackend("exact sampling expects the sha256 GGM backend")
 
     @property
     def n(self) -> int:
         return self.n0 + self.n1
 
 
-def _root_key(prf_key: PrfKey, n0: int, n1: int, kappa: int, sampler: str) -> MergeKey:
+def _root_key(prf_key: PrfKey, n0: int, n1: int, kappa: int) -> MergeKey:
     """The merge key of piles [n0] and [n1] rooted at ``prf_key``."""
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
-    return MergeKey(prf_key, n0, n1, kappa, sampler, ctx)
+    return MergeKey(prf_key, n0, n1, kappa, ctx)
 
 
 def make_merge_key(seed: bytes, n0: int, n1: int, kappa: int = DEFAULT_KAPPA,
-                   sampler: str = SAMPLER_EXACT,
                    backend: int = prng.BACKEND_SHA256) -> MergeKey:
-    return _root_key(PrfKey(seed, b"merge", backend), n0, n1, kappa, sampler)
+    return _root_key(PrfKey(seed, b"merge", backend), n0, n1, kappa)
 
 
 # -- tree geometry -------------------------------------------------------------
@@ -126,20 +119,17 @@ _GOLD = 0x9E3779B97F4A7C15
 def _gauss_r64(k: MergeKey, parent_key: int) -> int:
     depth = parent_key.bit_length() - 1
     path = parent_key - (1 << depth)
-    if k.fast_ctx is not None:
-        # identical to fastpath._tree_r for paths below 2^64; wider trees
-        # fold the overflow bits into the key word
-        return prng.mix64(k.fast_ctx ^ (depth * _GOLD & _MASK64),
-                          k.prf_key.fast_words()[0] ^ (path >> 64),
-                          path & _MASK64)
-    raw = prng._finalize(_node_seed(k, parent_key), 8)
-    return int.from_bytes(raw, "big")
+    # identical to fastpath._tree_r for paths below 2^64; wider trees fold
+    # the overflow bits into the key word
+    return prng.mix64(k.fast_ctx ^ (depth * _GOLD & _MASK64),
+                      k.prf_key.fast_words()[0] ^ (path >> 64),
+                      path & _MASK64)
 
 
 def _draw_left(k: MergeKey, parent_key: int, s: int, t: int) -> int:
     """Tally of the left child of a node of size s and tally t."""
     sl = left_size(s)
-    if k.sampler == SAMPLER_EXACT:
+    if k.fast_ctx is None:
         return sample(HypergeomParams(s, t, sl), _prf_r_exact(k, parent_key), k.kappa)
     if s & (s - 1) == 0 and s <= (1 << 64):
         arr = fastpath.gauss_draw_even(sl, np.array([t], dtype=np.uint64),
@@ -273,7 +263,7 @@ class PermutedMergeKey:
     n0: int
     n1: int
     kappa: int
-    sampler: str = SAMPLER_EXACT
+    fast_ctx = None  # a class attribute: permuted keys always draw exactly
     # the honest walk's memos, keyed like MergeKey's; the walk never draws
     # at a punctured node, since both its children are hard-coded
     _values: dict = field(default_factory=dict, compare=False, repr=False)
@@ -328,8 +318,8 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
         raise RangeError("need 0 <= z < N-1")
     if c not in (0, 1):
         raise RangeError("c is a bit")
-    if k.sampler != SAMPLER_EXACT:
-        raise UnsupportedBackend("key permutation needs exact-sampler GGM keys")
+    if k.fast_ctx is not None:
+        raise UnsupportedBackend("key permutation needs sha256 GGM keys, which draw exactly")
     path0 = _path_nodes(k.n, z)
     path1 = _path_nodes(k.n, z + 1)
     leaf0, leaf1 = path0[-1], path1[-1]
@@ -355,7 +345,7 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
                 hard[nd] -= 1
     punct_set = (set(path0) | set(path1)) - {leaf0, leaf1}
     punct = prng.puncture_nodes(k.prf_key, punct_set)
-    return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1, k.kappa, k.sampler)
+    return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1, k.kappa)
 
 
 # The c=1 +-1 adjustments keep every hard-coded parent the sum of its
@@ -448,29 +438,32 @@ def merge_decompose(k: MergeKey) -> Iterator[DecompStep]:
 
 # -- serialization ---------------------------------------------------------------
 
-def serialize_key(k: MergeKey) -> bytes:
-    blob = prng.serialize_key(k.prf_key)
-    mode = 1 if k.sampler == SAMPLER_GAUSS else 0
-    return struct.pack("<QQIB", k.n0, k.n1, k.kappa, mode) + blob
+def sampler_key_bytes(prf_key: PrfKey) -> bytes:
+    """The sampler mode byte and the PRF key after it, which end every
+    serialized key: mode 1 (gauss) on fastmix, 0 (exact) on sha256."""
+    return bytes([prf_key.backend == prng.BACKEND_FASTMIX]) + prng.serialize_key(prf_key)
 
 
-def read_sampler_key(r: Reader) -> tuple[str, PrfKey]:
-    """The sampler mode byte (0 exact, 1 gauss) and the PRF key after it,
-    which end every serialized key; exact keys need the sha256 backend."""
+def read_sampler_key(r: Reader) -> PrfKey:
+    """The PRF key that ``sampler_key_bytes`` wrote, whose mode byte must
+    be the one its backend decides."""
     (mode,) = r.unpack("<B")
     if mode not in (0, 1):
         raise ContractError(f"unknown sampler mode {mode}")
     prf_key = prng.deserialize_key(r.rest())
-    if mode == 0 and prf_key.backend != prng.BACKEND_SHA256:
-        raise ContractError(f"exact sampler mode on PRF backend {prf_key.backend}, not sha256")
-    return (SAMPLER_GAUSS if mode else SAMPLER_EXACT), prf_key
+    if mode != (prf_key.backend == prng.BACKEND_FASTMIX):
+        raise ContractError(f"{('exact', 'gauss')[mode]} sampler mode on PRF backend {prf_key.backend}")
+    return prf_key
+
+
+def serialize_key(k: MergeKey) -> bytes:
+    return struct.pack("<QQI", k.n0, k.n1, k.kappa) + sampler_key_bytes(k.prf_key)
 
 
 def deserialize_key(data: bytes) -> MergeKey:
     r = Reader(data, "merge key")
     n0, n1, kappa = r.unpack("<QQI")
-    sampler, prf_key = read_sampler_key(r)
-    return _root_key(prf_key, n0, n1, kappa, sampler)
+    return _root_key(read_sampler_key(r), n0, n1, kappa)
 
 
 def serialize_permuted(pk: PermutedMergeKey) -> bytes:

@@ -30,12 +30,7 @@ import numpy as np
 from . import fastpath, merge as merge_mod, prng
 from .errors import ContractError, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA
-from .merge import (
-    MergeKey,
-    PermutedMergeKey,
-    SAMPLER_EXACT,
-    SAMPLER_GAUSS,
-)
+from .merge import MergeKey, PermutedMergeKey
 from .prng import PrfKey
 from .wire import Reader
 
@@ -57,61 +52,56 @@ class PrpKey(_Piles):
     prf_key: PrfKey
     n: int
     kappa: int = DEFAULT_KAPPA
-    sampler: str = SAMPLER_EXACT
-    fast_ctx: Optional[int] = None
+    fast_ctx: Optional[int] = None  # as on MergeKey: set iff the backend is fastmix
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise RangeError("domain size must be >= 1")
 
-    def is_fast(self) -> bool:
-        return self.fast_ctx is not None
 
-
-def _root_key(prf_key: PrfKey, n: int, kappa: int, sampler: str) -> PrpKey:
-    """The key over [n] rooted at ``prf_key``; fastmix keys need the gauss sampler."""
+def _root_key(prf_key: PrfKey, n: int, kappa: int) -> PrpKey:
+    """The key over [n] rooted at ``prf_key``."""
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
-        if sampler != SAMPLER_GAUSS:
-            raise UnsupportedBackend("fastmix keys require the gauss sampler")
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
-    return PrpKey(prf_key, n, kappa, sampler, ctx)
+    return PrpKey(prf_key, n, kappa, ctx)
 
 
 PRP_TAG = b"prp"  # the PRF domain tag of every make_prp_key key
 
 
 def make_prp_key(seed: bytes, n: int, kappa: int = DEFAULT_KAPPA,
-                 sampler: str = SAMPLER_EXACT,
                  backend: int = prng.BACKEND_SHA256) -> PrpKey:
-    return _root_key(PrfKey(seed, PRP_TAG, backend), n, kappa, sampler)
+    return _root_key(PrfKey(seed, PRP_TAG, backend), n, kappa)
 
 
-# Exact-sampler keys stay feasible up to 2^EXACT_MAX_BITS points; wider
+# Exact keys stay feasible up to 2^EXACT_MAX_BITS points; wider
 # domains take the scale key below.
 EXACT_MAX_BITS = 20
 
 
 def make_scale_prp_key(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> PrpKey:
-    """INSECURE-DEMO key for {0,1}^bits: fastmix PRF + gauss sampler."""
-    return make_prp_key(seed, 1 << bits, kappa, SAMPLER_GAUSS, prng.BACKEND_FASTMIX)
+    """INSECURE-DEMO key for {0,1}^bits: fastmix PRF, so gauss draws."""
+    return make_prp_key(seed, 1 << bits, kappa, prng.BACKEND_FASTMIX)
 
 
 # -- level key derivation --------------------------------------------------------
+
+def _fast_ctx(k: PrpKey, tag, b: int = 0) -> int:
+    """The context word under ``tag`` that a fastmix key derives from its own."""
+    return fastpath.context_word(k.fast_ctx, k.prf_key.fast_words()[1] ^ b, tag)
+
 
 def _child_key(k: PrpKey, b: int) -> PrpKey:
     nb = k.n1 if b else k.n0
     cached = k._cache.get(("child", b))
     if cached is not None:
         return cached
-    if k.is_fast():
-        k1w = k.prf_key.fast_words()[1]
-        ctx = fastpath.context_word(k.fast_ctx, k1w ^ b, fastpath.TAG_CHILD)
-        child = PrpKey(k.prf_key, nb, k.kappa, k.sampler, ctx)
+    if k.fast_ctx is not None:
+        child = PrpKey(k.prf_key, nb, k.kappa, _fast_ctx(k, fastpath.TAG_CHILD, b))
     else:
-        sub = prng.derive_key(k.prf_key, b"half%d" % b)
-        child = PrpKey(sub, nb, k.kappa, k.sampler, None)
+        child = PrpKey(prng.derive_key(k.prf_key, b"half%d" % b), nb, k.kappa)
     k._cache[("child", b)] = child
     return child
 
@@ -120,13 +110,10 @@ def _merge_key(k: PrpKey) -> MergeKey:
     cached = k._cache.get("merge")
     if cached is not None:
         return cached
-    if k.is_fast():
-        k1w = k.prf_key.fast_words()[1]
-        mctx = fastpath.context_word(k.fast_ctx, k1w, fastpath.TAG_MERGE)
-        mk = MergeKey(k.prf_key, k.n0, k.n1, k.kappa, k.sampler, mctx)
+    if k.fast_ctx is not None:
+        mk = MergeKey(k.prf_key, k.n0, k.n1, k.kappa, _fast_ctx(k, fastpath.TAG_MERGE))
     else:
-        sub = prng.derive_key(k.prf_key, b"merge")
-        mk = MergeKey(sub, k.n0, k.n1, k.kappa, k.sampler, None)
+        mk = MergeKey(prng.derive_key(k.prf_key, b"merge"), k.n0, k.n1, k.kappa)
     k._cache["merge"] = mk
     return mk
 
@@ -135,9 +122,8 @@ def _xor_bit(k: PrpKey) -> int:
     bit = k._cache.get("xor")  # set only on permuted keys
     if bit is not None:
         return bit
-    if k.is_fast():
-        k1w = k.prf_key.fast_words()[1]
-        return fastpath.context_word(k.fast_ctx, k1w, fastpath.TAG_XOR) & 1
+    if k.fast_ctx is not None:
+        return _fast_ctx(k, fastpath.TAG_XOR) & 1
     return prng.prf_eval(k.prf_key, b"\x02xorbit", 1)[0] & 1
 
 
@@ -175,14 +161,14 @@ def prp_inverse(k: PrpKey, z: int) -> int:
 
 def prp_forward_batch(k: PrpKey, xs: np.ndarray) -> np.ndarray:
     """Lockstep forward sweep; fastmix power-of-two keys only."""
-    if not (k.is_fast() and k.n & (k.n - 1) == 0):
+    if k.fast_ctx is None or k.n & (k.n - 1):
         raise UnsupportedBackend("batch path needs a fastmix power-of-two key")
     k0w, k1w = k.prf_key.fast_words()
     return fastpath.prp_forward_batch(k0w, k1w, k.n.bit_length() - 1, xs)
 
 
 def prp_inverse_batch(k: PrpKey, zs: np.ndarray) -> np.ndarray:
-    if not (k.is_fast() and k.n & (k.n - 1) == 0):
+    if k.fast_ctx is None or k.n & (k.n - 1):
         raise UnsupportedBackend("batch path needs a fastmix power-of-two key")
     k0w, k1w = k.prf_key.fast_words()
     return fastpath.prp_inverse_batch(k0w, k1w, k.n.bit_length() - 1, zs)
@@ -200,6 +186,7 @@ class PermutedPrpKey(_Piles):
     z: int
     c: int
     _cache: dict = field(default_factory=dict, repr=False)
+    fast_ctx = None  # a class attribute: permuted keys always draw exactly
 
 
 def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
@@ -213,6 +200,8 @@ def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
         raise RangeError("need 0 <= z < N-1")
     if c not in (0, 1):
         raise RangeError("c is a bit")
+    if k.fast_ctx is not None:
+        raise UnsupportedBackend("key permutation needs sha256 GGM keys, which draw exactly")
     pk = PermutedPrpKey(k.n, k.kappa, z, c)
     if k.n == 2:  # z == 0: the swap flips the key bit
         pk._cache["xor"] = _xor_bit(k) ^ c
@@ -308,16 +297,13 @@ def prp_decompose(k: PrpKey) -> Iterator[PermStep]:
 # swap recurses into, the other child key and the honest merge key.
 
 def serialize_key(k: PrpKey) -> bytes:
-    blob = prng.serialize_key(k.prf_key)
-    mode = 1 if k.sampler == SAMPLER_GAUSS else 0
-    return struct.pack("<QIB", k.n - 1, k.kappa, mode) + blob
+    return struct.pack("<QI", k.n - 1, k.kappa) + merge_mod.sampler_key_bytes(k.prf_key)
 
 
 def deserialize_key(data: bytes) -> PrpKey:
     r = Reader(data, "PRP key")
     n_minus_1, kappa = r.unpack("<QI")
-    sampler, prf_key = merge_mod.read_sampler_key(r)
-    return _root_key(prf_key, n_minus_1 + 1, kappa, sampler)
+    return _root_key(merge_mod.read_sampler_key(r), n_minus_1 + 1, kappa)
 
 
 def _spine_records(pk: PermutedPrpKey) -> list[tuple]:

@@ -98,25 +98,22 @@ class TrapdoorOwpKeys:
     bits: int
 
 
-def _owp_key_kind(bits: int) -> tuple[str, int]:
-    """The (sampler, PRF backend) of an ``owp_gen`` key on {0,1}^bits; the
-    key readers reject any other combination with ContractError."""
+def _owp_backend(bits: int) -> int:
+    """The PRF backend of an ``owp_gen`` key on {0,1}^bits; the key readers
+    reject any other with ContractError."""
     if not 1 <= bits <= 64:
         raise ContractError(f"OWP key bits {bits} outside [1, 64]")
-    if bits > nsprp.EXACT_MAX_BITS:
-        return nsprp.SAMPLER_GAUSS, prng.BACKEND_FASTMIX
-    return nsprp.SAMPLER_EXACT, prng.BACKEND_SHA256
+    return prng.BACKEND_FASTMIX if bits > nsprp.EXACT_MAX_BITS else prng.BACKEND_SHA256
 
 
-def _owp_read_key(what: str, prf_key: PrfKey, bits: int, kappa: int, sampler: str) -> PrpKey:
+def _owp_read_key(what: str, prf_key: PrfKey, bits: int, kappa: int) -> PrpKey:
     """The PRP key of an OWP key file, which must be one ``owp_gen`` makes."""
-    want = _owp_key_kind(bits)
-    if (sampler, prf_key.backend) != want:
-        raise ContractError(f"a {bits}-bit {what} has the {want[0]} sampler on PRF "
-                            f"backend {want[1]}, not {sampler} on {prf_key.backend}")
+    want = _owp_backend(bits)
+    if prf_key.backend != want:
+        raise ContractError(f"a {bits}-bit {what} has PRF backend {want}, not {prf_key.backend}")
     if prf_key.domain_tag != nsprp.PRP_TAG:
         raise ContractError(f"{what} PRF tag {prf_key.domain_tag!r} is not {nsprp.PRP_TAG!r}")
-    return nsprp._root_key(prf_key, 1 << bits, kappa, sampler)
+    return nsprp._root_key(prf_key, 1 << bits, kappa)
 
 
 def _owp_public(sk: PrpKey, label: bytes = MOCK_LABEL) -> MockObfuscation:
@@ -130,11 +127,11 @@ def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> TrapdoorOwpKe
     """Key pair for the full-domain permutation on {0,1}^bits.
 
     Above ``nsprp.EXACT_MAX_BITS`` bits, where exact sampling is infeasible,
-    the key is the INSECURE-DEMO fastmix/gauss key.
+    the key is the INSECURE-DEMO fastmix key, which draws gauss.
     """
     if not 1 <= bits <= 64:
         raise RangeError("bits must be in [1, 64]")
-    sk = make_prp_key(seed, 1 << bits, kappa, *_owp_key_kind(bits))
+    sk = make_prp_key(seed, 1 << bits, kappa, _owp_backend(bits))
     return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
 
 
@@ -156,8 +153,7 @@ def serialize_owp_public(keys: TrapdoorOwpKeys) -> bytes:
 
 def serialize_owp_secret(keys: TrapdoorOwpKeys) -> bytes:
     return _OWP_MAGIC + b"S" + struct.pack("<HI", keys.bits, keys.sk.kappa) \
-        + bytes([1 if keys.sk.sampler == nsprp.SAMPLER_GAUSS else 0]) \
-        + prng.serialize_key(keys.sk.prf_key)
+        + merge_mod.sampler_key_bytes(keys.sk.prf_key)
 
 
 def deserialize_owp_public(data: bytes) -> MockObfuscation:
@@ -180,8 +176,7 @@ def deserialize_owp_public(data: bytes) -> MockObfuscation:
         raise ContractError("OWP public key domain sizes disagree")
     if c:
         raise ContractError(f"OWP public key payload flag {c} is not 0")
-    sampler = _owp_key_kind(bits)[0]
-    return _owp_public(_owp_read_key(r.what, prf_key, bits, DEFAULT_KAPPA, sampler), label)
+    return _owp_public(_owp_read_key(r.what, prf_key, bits, DEFAULT_KAPPA), label)
 
 
 def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
@@ -189,8 +184,7 @@ def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
     if r.take(5) != _OWP_MAGIC + b"S":
         raise ContractError("not an OWP secret key file")
     bits, kappa = r.unpack("<HI")
-    sampler, prf_key = merge_mod.read_sampler_key(r)
-    sk = _owp_read_key(r.what, prf_key, bits, kappa, sampler)
+    sk = _owp_read_key(r.what, merge_mod.read_sampler_key(r), bits, kappa)
     return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
 
 

@@ -24,11 +24,6 @@ def test_params_validate_orderings():
         lh.LweParams(u=1, v=2, q=16, B=8, Bbar=16, sigma=1)  # Bbar > B
 
 
-def test_ratio_report_is_informational():
-    rep = P.ratio_report()
-    assert rep["q_over_B"] == 64 and rep["v_ok"]
-
-
 def test_keygen_noise_in_tail_box_and_deterministic():
     pk, td = keys()
     resid = lh.centered_mod((pk.c_vec - pk.b_mat @ td.s) % P.q, P.q)

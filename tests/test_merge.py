@@ -226,8 +226,7 @@ def test_permuted_serialization_round_trip():
 
 
 def test_permute_requires_exact_sampler():
-    k = merge.make_merge_key(b"\x01" * 32, 8, 8, sampler=merge.SAMPLER_GAUSS,
-                             backend=prng.BACKEND_FASTMIX)
+    k = merge.make_merge_key(b"\x01" * 32, 8, 8, backend=prng.BACKEND_FASTMIX)
     with pytest.raises(UnsupportedBackend):
         merge.merge_permute(k, 0, 0)
 
@@ -279,7 +278,7 @@ def test_gauss_scalar_agrees_with_batch_merge():
     from ossprim import fastpath
 
     k = merge.make_merge_key(b"\x23" * 32, 1 << 15, 1 << 15,
-                             sampler=merge.SAMPLER_GAUSS, backend=prng.BACKEND_FASTMIX)
+                             backend=prng.BACKEND_FASTMIX)
     k0w = k.prf_key.fast_words()[0]
     zs = np.array([0, 1, 12345, 65535, 40000], dtype=np.uint64)
     mctx = np.full_like(zs, np.uint64(k.fast_ctx))
@@ -297,7 +296,7 @@ def test_gauss_large_domain_batch_throughput():
     from ossprim import fastpath
 
     k = merge.make_merge_key(b"\x24" * 32, 1 << 63, 1 << 63,
-                             sampler=merge.SAMPLER_GAUSS, backend=prng.BACKEND_FASTMIX)
+                             backend=prng.BACKEND_FASTMIX)
     k0w = np.uint64(k.prf_key.fast_words()[0])
     rng = np.random.default_rng(8)
     zs = rng.integers(0, 1 << 63, size=10_000, dtype=np.uint64)
@@ -316,7 +315,7 @@ def test_gauss_large_domain_batch_throughput():
 
 def test_gauss_round_trip_large_domain():
     k = merge.make_merge_key(b"\x21" * 32, 1 << 39, 1 << 39,
-                             sampler=merge.SAMPLER_GAUSS, backend=prng.BACKEND_FASTMIX)
+                             backend=prng.BACKEND_FASTMIX)
     rng = np.random.default_rng(5)
     for z in rng.integers(0, 1 << 40, size=50):
         b, x = merge.merge_inverse(k, int(z))
@@ -325,7 +324,7 @@ def test_gauss_round_trip_large_domain():
 
 def test_gauss_parent_consistency_at_2_40():
     k = merge.make_merge_key(b"\x22" * 32, 1 << 39, 1 << 39,
-                             sampler=merge.SAMPLER_GAUSS, backend=prng.BACKEND_FASTMIX)
+                             backend=prng.BACKEND_FASTMIX)
     rng = np.random.default_rng(6)
     for _ in range(25):
         depth = int(rng.integers(0, 39))

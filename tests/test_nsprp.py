@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ossprim import merge, nsprp, prng
+from ossprim import merge, nsprp
 from ossprim.errors import RangeError, UnsupportedBackend
 
 
@@ -115,13 +115,15 @@ def test_scale_key_round_trip_2_64():
 
 
 def test_scale_batch_matches_scalar():
-    k = nsprp.make_scale_prp_key(b"\x2d" * 32, 12)
-    xs = np.arange(1 << 12, dtype=np.uint64)
-    ys = nsprp.prp_forward_batch(k, xs)
-    assert sorted(ys.tolist()) == list(range(1 << 12))
-    for x in (0, 1, 77, 4095, 2048):
-        assert nsprp.prp_forward(k, x) == int(ys[x])
-        assert nsprp.prp_inverse(k, int(ys[x])) == x
+    for bits, points in ((1, (0, 1)), (2, range(4)), (12, (0, 1, 77, 4095, 2048))):
+        k = nsprp.make_scale_prp_key(b"\x2d" * 32, bits)
+        xs = np.arange(1 << bits, dtype=np.uint64)
+        ys = nsprp.prp_forward_batch(k, xs)
+        assert sorted(ys.tolist()) == list(range(1 << bits))
+        assert (nsprp.prp_inverse_batch(k, ys) == xs).all()
+        for x in points:
+            assert nsprp.prp_forward(k, x) == int(ys[x])
+            assert nsprp.prp_inverse(k, int(ys[x])) == x
 
 
 def test_batch_requires_fast_power_of_two():
@@ -129,10 +131,14 @@ def test_batch_requires_fast_power_of_two():
         nsprp.prp_forward_batch(key(16), np.arange(4, dtype=np.uint64))
 
 
-def test_fastmix_key_requires_gauss():
-    with pytest.raises(UnsupportedBackend):
-        nsprp.make_prp_key(b"\x2e" * 32, 8, sampler=nsprp.SAMPLER_EXACT,
-                           backend=prng.BACKEND_FASTMIX)
+def test_permute_rejects_fastmix_key():
+    # permuted keys are serialized without fastmix contexts, so every swap
+    # of a fastmix key is rejected, same-pile swaps down to N = 2 included
+    k = nsprp.make_scale_prp_key(b"\x41" * 32, 4)
+    for z in range(k.n - 1):
+        for c in (0, 1):
+            with pytest.raises(UnsupportedBackend):
+                nsprp.prp_permute(k, z, c)
 
 
 def test_key_serialization_round_trip():

@@ -1,6 +1,7 @@
 """Every serialized artifact round-trips byte for byte, and every deserializer
 rejects truncated, overlong or mislabelled input with ContractError only."""
 
+import hashlib
 import re
 import struct
 
@@ -167,7 +168,7 @@ HEADER_CASES = [
     ("owp secret exact sampler at 22 bits", opprp.deserialize_owp_secret,
      lambda: _patched(blob_of("owp_secret"), 5, 6 ^ 0x10), "22-bit OWP secret key"),
     ("owp secret gauss sampler on sha256", opprp.deserialize_owp_secret,
-     lambda: _patched(blob_of("owp_secret"), 11, 1), "6-bit OWP secret key"),
+     lambda: _patched(blob_of("owp_secret"), 11, 1), "gauss sampler mode on PRF backend 1"),
     ("owp public sha256 backend at 22 bits", opprp.deserialize_owp_public,
      _sha256_owp_public_blob_22, "22-bit OWP public key"),
     ("lwe key head", lh.deserialize_key,
@@ -206,8 +207,13 @@ HEADER_CASES = [
      "exact sampler mode on PRF backend"),
     ("merge key exact sampler on fastmix", merge.deserialize_key,
      lambda: _patched(merge.serialize_key(merge.make_merge_key(
-         b"\x72" * 32, 5, 6, sampler=merge.SAMPLER_GAUSS, backend=prng.BACKEND_FASTMIX)), 20, 0),
+         b"\x72" * 32, 5, 6, backend=prng.BACKEND_FASTMIX)), 20, 0),
      "exact sampler mode on PRF backend"),
+    # a sha256 key's sampler mode set to gauss
+    ("prp key gauss sampler on sha256", nsprp.deserialize_key,
+     lambda: _patched(blob_of("prp_key"), 12, 1), "gauss sampler mode on PRF backend 1"),
+    ("merge key gauss sampler on sha256", merge.deserialize_key,
+     lambda: _patched(blob_of("merge_key"), 20, 1), "gauss sampler mode on PRF backend 1"),
     ("owp public prf tag", opprp.deserialize_owp_public,
      lambda: _owp_tag_flipped(_owp8_public_blob(), OWP_PUBLIC_TAG_AT), "PRF tag b'qrp'"),
     ("owp secret prf tag", opprp.deserialize_owp_secret,
@@ -238,6 +244,26 @@ HEADER_CASES = [
 def test_header_fields_are_validated(case, de, make_blob, fragment):
     with pytest.raises(ContractError, match=re.escape(fragment)):
         de(make_blob())
+
+
+# sha256 over the serialized bytes of exact and fastmix PRP and merge keys and
+# of OWP key pairs on both sides of nsprp.EXACT_MAX_BITS, recorded before the
+# PRF backend alone decided the sampler mode byte
+KEY_BYTES_SHA256 = "e8fe7725de776f1cffd6ac3a8e53fa3d5737ccdca8cb4ebe9c67cc2c3b1d697e"
+
+
+def test_key_bytes_pinned_digest():
+    h = hashlib.sha256()
+    h.update(nsprp.serialize_key(nsprp.make_prp_key(b"\x76" * 32, 12)))
+    h.update(nsprp.serialize_key(nsprp.make_scale_prp_key(b"\x76" * 32, 40)))
+    h.update(merge.serialize_key(merge.make_merge_key(b"\x77" * 32, 5, 6)))
+    h.update(merge.serialize_key(merge.make_merge_key(b"\x77" * 32, 5, 6,
+                                                      backend=prng.BACKEND_FASTMIX)))
+    for bits in (1, 8, 20, 21, 22, 64):
+        keys = opprp.owp_gen(b"\x78" * 32, bits)
+        h.update(opprp.serialize_owp_public(keys))
+        h.update(opprp.serialize_owp_secret(keys))
+    assert h.hexdigest() == KEY_BYTES_SHA256
 
 
 def test_parse_params_names_missing_keys():
