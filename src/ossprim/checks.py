@@ -8,6 +8,7 @@ Everything is seeded and deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,32 +159,6 @@ def _tree_value_from_leaves(n: int, leaves: tuple[int, ...], node: prng.NodeId) 
     return sum(leaves[lo : lo + size])
 
 
-def _hardcoded_tables(n: int, z: int, leaves: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """(c=0 table, c=1 table) of hard-coded values for the swap at z."""
-    path0 = merge_mod._path_nodes(n, z)
-    path1 = merge_mod._path_nodes(n, z + 1)
-    hset = set(path0) | set(path1)
-    for nd in list(hset):
-        sib = merge_mod._sibling(nd)
-        if sib is not None:
-            hset.add(sib)
-    values = {nd: _tree_value_from_leaves(n, leaves, nd) for nd in hset}
-    leaf0, leaf1 = path0[-1], path1[-1]
-    zero_leaf, one_leaf = (leaf0, leaf1) if values[leaf0] == 0 else (leaf1, leaf0)
-    anc0 = {prng.NodeId(d, zero_leaf.path >> (zero_leaf.depth - d)) for d in range(zero_leaf.depth + 1)}
-    anc1 = {prng.NodeId(d, one_leaf.path >> (one_leaf.depth - d)) for d in range(one_leaf.depth + 1)}
-    swapped = {}
-    for nd, v in values.items():
-        if nd in anc0 and nd not in anc1:
-            swapped[nd] = v + 1
-        elif nd in anc1 and nd not in anc0:
-            swapped[nd] = v - 1
-        else:
-            swapped[nd] = v
-    freeze = lambda m: tuple(sorted((nd.depth, nd.path, v) for nd, v in m.items()))
-    return freeze(values), freeze(swapped)
-
-
 @_timed("CRIT-04 puncture statistics")
 def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
     """With true randomness (uniform leaf sequences), the joint distributions
@@ -200,7 +175,8 @@ def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
                     if leaves[z] == leaves[z + 1]:
                         continue
                     legal += 1
-                    t0, t1 = _hardcoded_tables(n, z, leaves)
+                    value = lambda nd: _tree_value_from_leaves(n, leaves, nd)
+                    t0, t1 = (tuple(merge_mod.hardcoded_values(n, z, c, value).items()) for c in (0, 1))
                     dist0[t0] = dist0.get(t0, 0) + 1
                     dist1[t1] = dist1.get(t1, 0) + 1
                 if legal == 0:
@@ -538,6 +514,10 @@ def crit11_cpf_embedding() -> tuple[bool, str]:
 
 @_timed("CRIT-12 LWE toy hash", budget=240)
 def crit12_lwe(samples: int = 10_000) -> tuple[bool, str]:
+    """Inversion is complete and sound, claws reveal s, and the sampled
+    2-to-1 fraction is within 4.5 binomial sigma of the trapdoor partner
+    fraction prod_i (1 - |e_i|/(2B)) (lwehash.partner_fraction, checked on
+    INSECURE_DEMO keys only)."""
     p = lwehash.INSECURE_DEMO
     key_stream = prng.bit_stream(prng.PrfKey(_seed(92_000), b"lwe"), b"kg")
     qk, qtd = lwehash.hashq_keygen(p, 2, key_stream)
@@ -571,10 +551,12 @@ def crit12_lwe(samples: int = 10_000) -> tuple[bool, str]:
             return False, f"claw extraction missed s_{i}"
     frac = lwehash.measure_two_to_one_fraction(pk, td, samples,
                                                prng.bit_stream(prng.PrfKey(_seed(92_002), b"lwe"), b"fr"))
-    bound = 1 - p.v * p.Bbar / p.B
-    if frac < bound:
-        return False, f"2-to-1 fraction {frac:.3f} < bound {bound:.3f}"
-    return True, f"inversion complete; claws reveal s_i; fraction {frac:.3f} ≥ {bound:.1f} ({samples} samples)"
+    exact = lwehash.partner_fraction(p, td)
+    tol = 4.5 * math.sqrt(exact * (1 - exact) / samples)
+    if abs(frac - exact) > tol:
+        return False, f"2-to-1 fraction {frac:.3f} is {abs(frac - exact):.4f} from {exact:.4f} (> 4.5σ = {tol:.4f})"
+    return True, (f"inversion complete; claws reveal s_i; fraction {frac:.3f} within 4.5σ of "
+                  f"{exact:.4f} ({samples} samples)")
 
 
 # -- criterion 13 --------------------------------------------------------------------

@@ -10,7 +10,7 @@ concurrent reads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, DimensionError, InvariantViolation
@@ -94,9 +94,6 @@ class BitMatrix:
     def column(self, j: int) -> BitVector:
         return BitVector(self.cols[j], self.rows)
 
-    def to_rows(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.rows)]
-
 
 def identity(n: int) -> BitMatrix:
     return BitMatrix(n, tuple(1 << i for i in range(n)))
@@ -129,27 +126,39 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, cols)
 
 
-def rank(m: BitMatrix) -> int:
-    """Rank by Gaussian elimination on a copy of the columns."""
-    basis: list[int] = []
-    for c in m.cols:
-        c = _reduce(c, basis)
+def _echelon(cols: Iterable[int]) -> list[tuple[int, int]]:
+    """Echelon form of ``cols``: one (reduced column, mask) pair per column
+    independent of the columns before it, leading bits strictly decreasing.
+
+    Bit j of a mask marks input column j as a term of the reduced column.
+    """
+    ech: list[tuple[int, int]] = []
+    for j, c in enumerate(cols):
+        c, mask = _reduce(c, 1 << j, ech)
         if c:
-            _insert(c, basis)
-    return len(basis)
+            ech.append((c, mask))
+            ech.sort(reverse=True)  # leading bits are distinct, so this orders them
+    return ech
 
 
-def _reduce(vec: int, basis: list[int]) -> int:
-    # basis is kept with strictly decreasing leading-bit positions
-    for b in basis:
-        if vec ^ b < vec:
-            vec ^= b
-    return vec
+def _reduce(vec: int, mask: int, ech: list[tuple[int, int]]) -> tuple[int, int]:
+    """Clear ``vec``'s bits at the echelon's leading bits; ``mask`` absorbs
+    the masks of the rows used."""
+    for rc, rm in ech:
+        if vec ^ rc < vec:
+            vec ^= rc
+            mask ^= rm
+    return vec, mask
 
 
-def _insert(vec: int, basis: list[int]) -> None:
-    basis.append(vec)
-    basis.sort(key=int.bit_length, reverse=True)
+def rank(m: BitMatrix) -> int:
+    return len(_echelon(m.cols))
+
+
+def independent_columns(cols: Sequence[int]) -> list[int]:
+    """Indices of the columns independent of the columns before them."""
+    # an independent column's own bit is the highest of its mask
+    return sorted(mask.bit_length() - 1 for _, mask in _echelon(cols))
 
 
 def is_full_column_rank(m: BitMatrix) -> bool:
@@ -167,21 +176,18 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     v^T m = 0, i.e. v is orthogonal to each column of m.
     """
     k = m.rows
-    # Equations: for each column c of m, sum_i v_i c_i = 0.  Eliminate over the
-    # k unknowns; each equation is an int over v-bit positions.
-    eqs: list[int] = []
-    for c in m.cols:
-        c = _reduce(c, eqs)
-        if c:
-            _insert(c, eqs)
-    pivot_pos = [e.bit_length() - 1 for e in eqs]
-    free = [i for i in range(k) if i not in pivot_pos]
+    # Equations: for each column c of m, sum_i v_i c_i = 0; the echelon rows
+    # are independent equations over the k unknowns, ordered by pivot.
+    eqs = [e for e, _ in reversed(_echelon(m.cols))]  # ascending pivots
+    pivots = [e.bit_length() - 1 for e in eqs]
+    pivot_set = set(pivots)
     basis_cols = []
-    for f in free:
+    for f in range(k):
+        if f in pivot_set:
+            continue
         v = 1 << f
-        # back-substitute pivot variables: process equations by ascending pivot
-        for e in sorted(eqs, key=int.bit_length):
-            p = e.bit_length() - 1
+        # back-substitute pivot variables by ascending pivot
+        for e, p in zip(eqs, pivots):
             # parity of e & v over non-pivot part decides bit p
             if (e & v).bit_count() & 1:
                 v |= 1 << p
@@ -194,17 +200,21 @@ class AffineCoset:
     """The coset {basis . z + shift : z in Z2^d} of Z2^k.
 
     ``basis`` must have full column rank, so coordinates are unique and the
-    coset has exactly 2^d points.
+    coset has exactly 2^d points.  The basis's echelon form is kept for
+    solving coordinates.
     """
 
     basis: BitMatrix
     shift: BitVector
+    _ech: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.shift.dim != self.basis.rows:
             raise DimensionError("shift dim != basis rows")
-        if not is_full_column_rank(self.basis):
+        ech = _echelon(self.basis.cols)
+        if len(ech) != self.basis.ncols:
             raise InvariantViolation("coset basis is not full column rank")
+        object.__setattr__(self, "_ech", tuple(ech))
 
     @property
     def dim(self) -> int:
@@ -225,25 +235,8 @@ def solve_coordinates(c: AffineCoset, u: BitVector) -> Optional[BitVector]:
     """The unique z with basis.z + shift = u, or None when u is off the coset."""
     if u.dim != c.basis.rows:
         raise DimensionError("target dim != basis rows")
-    target = u.bits ^ c.shift.bits
-    # Eliminate basis columns, tracking the coordinate combination of each.
-    cols = list(c.basis.cols)
-    combo = [1 << j for j in range(len(cols))]
-    reduced: list[tuple[int, int]] = []  # (reduced column, combo)
-    for j in range(len(cols)):
-        col, cmb = cols[j], combo[j]
-        for rc, rcmb in reduced:
-            if col ^ rc < col:
-                col ^= rc
-                cmb ^= rcmb
-        reduced.append((col, cmb))
-        reduced.sort(key=lambda t: t[0].bit_length(), reverse=True)
-    z = 0
-    for rc, rcmb in reduced:
-        if rc and target ^ rc < target:
-            target ^= rc
-            z ^= rcmb
-    if target:
+    rest, z = _reduce(u.bits ^ c.shift.bits, 0, c._ech)
+    if rest:
         return None
     return BitVector(z, c.basis.ncols)
 
@@ -261,15 +254,17 @@ def random_full_column_rank(rows: int, cols: int, stream) -> BitMatrix:
     """
     if cols > rows:
         raise DimensionError("cols > rows cannot be full column rank")
-    basis: list[int] = []
+    ech: list[tuple[int, int]] = []
     out = []
     for _ in range(cols):
         while True:
             c = stream.bits(rows)
-            if _reduce(c, basis):
+            red, _ = _reduce(c, 0, ech)
+            if red:
                 break
         out.append(c)
-        _insert(_reduce(c, basis), basis)
+        ech.append((red, 0))
+        ech.sort(reverse=True)
     return BitMatrix(rows, tuple(out))
 
 

@@ -11,16 +11,16 @@ proper images pull back to cosets of dimension n-r whose descriptions the
 trapdoor extracts.
 
 All shipped parameter sets are INSECURE-DEMO desk-scale toys.  Trapdoor
-inversion enumerates the box residues of an invertible row subset (the
-published constructions use lattice trapdoor machinery instead); it is exact
-and complete at these sizes, and nothing here claims concrete security.
+inversion enumerates the box residues of a row subset invertible mod q, or
+all of Z_q^u when B has no such subset (the published constructions use
+lattice trapdoor machinery instead); it is exact and complete at these
+sizes, and nothing here claims concrete security.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -130,25 +130,14 @@ def hashl_eval(pk: LweKey, t: np.ndarray, f: np.ndarray, b: int) -> np.ndarray:
     return (pk.b_mat @ t + f + b * pk.c_vec) % p.q
 
 
-def _invertible_rows(p: LweParams, b_mat: np.ndarray) -> Optional[np.ndarray]:
-    """Indices of u rows forming a matrix invertible mod q (odd determinant)."""
-    rows: list[int] = []
-    basis: list[int] = []
-    for i in range(p.v):
-        vec = 0
-        for j in range(p.u):
-            vec |= (int(b_mat[i, j]) & 1) << j
-        red = vec
-        for bvec in basis:
-            if red ^ bvec < red:
-                red ^= bvec
-        if red:
-            rows.append(i)
-            basis.append(red)
-            basis.sort(reverse=True)
-            if len(rows) == p.u:
-                return np.array(rows)
-    return None
+def _invertible_rows(p: LweParams, b_mat: np.ndarray) -> list[int]:
+    """The rows whose parity vectors are independent of the rows before them.
+
+    When there are u of them they form a matrix invertible mod q (odd
+    determinant); fewer means no row subset is invertible mod q.
+    """
+    return gf2.independent_columns(
+        [sum((int(b_mat[i, j]) & 1) << j for j in range(p.u)) for i in range(p.v)])
 
 
 def _inv_mod_q(mat: np.ndarray, q: int) -> np.ndarray:
@@ -171,21 +160,28 @@ def _inv_mod_q(mat: np.ndarray, q: int) -> np.ndarray:
     return aug.astype(np.int64)
 
 
+def _box(u: int, lo: int, hi: int) -> np.ndarray:
+    """Every vector of [lo, hi)^u, one per column."""
+    return np.stack(np.meshgrid(*[np.arange(lo, hi)] * u, indexing="ij")).reshape(u, -1)
+
+
 def _invert_tables(pk: LweKey):
-    """(rows, inverse mod q, box-residue grid, screening rows) for inversion."""
+    """(rows, inverse mod q or None, candidate grid, screening rows) for
+    inversion.  Without u invertible rows the grid is all of Z_q^u."""
     cached = pk._cache.get("invert")
     if cached is not None:
         return cached
     p = pk.params
     rows = _invertible_rows(p, pk.b_mat)
-    if rows is None:
-        tables = None
+    extra = np.array([i for i in range(p.v) if i not in rows][:4], dtype=np.int64)
+    if len(rows) == p.u:
+        binv = _inv_mod_q(pk.b_mat[rows], p.q)
+        grid = _box(p.u, -p.B + 1, p.B + 1)
+    elif p.q ** p.u <= 1 << 16:
+        binv, grid = None, _box(p.u, 0, p.q)
     else:
-        binv = _inv_mod_q(pk.b_mat[rows][:, :], p.q)
-        grid = np.stack(np.meshgrid(*[np.arange(-p.B + 1, p.B + 1)] * p.u,
-                                    indexing="ij")).reshape(p.u, -1)
-        extra = np.array([i for i in range(p.v) if i not in set(rows.tolist())][:4])
-        tables = (rows, binv, grid, extra)
+        raise RangeError("no invertible row subset and q^u > 2^16 candidates")
+    tables = (rows, binv, grid, extra)
     pk._cache["invert"] = tables
     return tables
 
@@ -194,24 +190,22 @@ def hashl_invert(pk: LweKey, td: LweTrapdoor, y: np.ndarray) -> list[tuple[np.nd
     """The full preimage set of y (size 0, 1, or 2 for honest keys).
 
     Solves z = B.t + f by enumerating the (2B)^u box residues on an
-    invertible row subset; every candidate t is then screened against the
-    remaining rows.  Complete because a true preimage's residues appear in
-    the grid; sound because every hit is re-verified.
+    invertible row subset, or every t in Z_q^u when B has no such subset;
+    every candidate t is then screened against the remaining rows.  Complete
+    because a true preimage's t is among the candidates; sound because every
+    hit is re-verified.
     """
     p = pk.params
     y = np.asarray(y, dtype=np.int64) % p.q
     if p.u > 3:
         raise RangeError("toy inversion supports u <= 3")
-    tables = _invert_tables(pk)
-    if tables is None:
-        return []
-    rows, binv, grid, extra = tables
+    rows, binv, grid, extra = _invert_tables(pk)
     out = []
     seen = set()
     half = p.q // 2
     for b in (0, 1):
         z = (y - b * pk.c_vec) % p.q
-        t_cands = (binv @ ((z[rows][:, None] - grid) % p.q)) % p.q
+        t_cands = grid if binv is None else (binv @ ((z[rows][:, None] - grid) % p.q)) % p.q
         resid = (z[extra][:, None] - pk.b_mat[extra] @ t_cands + half - 1) % p.q - half + 1
         alive = ((resid > -p.B) & (resid <= p.B)).all(axis=0)
         for idx in np.nonzero(alive)[0]:
@@ -427,6 +421,18 @@ def measure_two_to_one_fraction(qk_or_pk, td, samples: int, stream: BitStream) -
         if len(hashl_invert(pk, td, y)) == 2:
             hits += 1
     return hits / samples
+
+
+def partner_fraction(p: LweParams, td: LweTrapdoor) -> float:
+    """prod_i (1 - |e_i|/(2B)): the chance that a uniform domain point's
+    trapdoor partner, (t - s, f - e, 1) for b = 0, lies in the box.
+
+    It counts only that partner, so it is the 2-to-1 fraction where no other
+    collision exists.  It is checked against the measured fraction on
+    INSECURE_DEMO keys only: at MICRO it differs from the enumerated fraction
+    for some seeds.
+    """
+    return float(np.prod(1 - np.abs(td.e) / (2 * p.B)))
 
 
 # -- serialization ------------------------------------------------------------------

@@ -323,29 +323,37 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
     path0 = _path_nodes(k.n, z)
     path1 = _path_nodes(k.n, z + 1)
     leaf0, leaf1 = path0[-1], path1[-1]
-    v0 = tally(k, leaf0)
-    v1 = tally(k, leaf1)
-    if v0 == v1:
+    if tally(k, leaf0) == tally(k, leaf1):
         return None  # both preimages share a pile: the paper's bottom
-    # H: both paths plus all siblings of path nodes.
+    hard = hardcoded_values(k.n, z, c, lambda nd: tally(k, nd))
+    punct_set = (set(path0) | set(path1)) - {leaf0, leaf1}
+    punct = prng.puncture_nodes(k.prf_key, punct_set)
+    return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1, k.kappa)
+
+
+def hardcoded_values(n: int, z: int, c: int, value: Callable[[NodeId], int]) -> dict:
+    """The hard-coded tally table of a legal swap at outputs (z, z+1).
+
+    It holds both root-to-leaf paths plus all their siblings, valued by
+    ``value``.  With c = 1 the pile-1 element moves to the other leaf: the
+    nodes above only the pile-0 leaf gain 1 and those above only the pile-1
+    leaf lose 1.
+    """
+    path0 = _path_nodes(n, z)
+    path1 = _path_nodes(n, z + 1)
     hset: set[NodeId] = set(path0) | set(path1)
     for nd in list(hset):
         sib = _sibling(nd)
         if sib is not None:
             hset.add(sib)
-    hard = {nd: tally(k, nd) for nd in sorted(hset, key=NodeId.sort_key)}
+    hard = {nd: value(nd) for nd in sorted(hset, key=NodeId.sort_key)}
     if c == 1:
-        zero_leaf, one_leaf = (leaf0, leaf1) if v0 == 0 else (leaf1, leaf0)
-        anc0 = {NodeId(d, zero_leaf.path >> (zero_leaf.depth - d)) for d in range(zero_leaf.depth + 1)}
-        anc1 = {NodeId(d, one_leaf.path >> (one_leaf.depth - d)) for d in range(one_leaf.depth + 1)}
-        for nd in hard:
-            if nd in anc0 and nd not in anc1:
-                hard[nd] += 1
-            elif nd in anc1 and nd not in anc0:
-                hard[nd] -= 1
-    punct_set = (set(path0) | set(path1)) - {leaf0, leaf1}
-    punct = prng.puncture_nodes(k.prf_key, punct_set)
-    return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1, k.kappa)
+        zero_path, one_path = (path0, path1) if hard[path0[-1]] == 0 else (path1, path0)
+        for nd in set(zero_path) - set(one_path):
+            hard[nd] += 1
+        for nd in set(one_path) - set(zero_path):
+            hard[nd] -= 1
+    return hard
 
 
 # The c=1 +-1 adjustments keep every hard-coded parent the sum of its

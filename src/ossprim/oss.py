@@ -344,11 +344,15 @@ def oss_p_inv(inst: OssInstance, y: int, u: BitVector) -> Optional[int]:
 
 def oss_d(inst: OssInstance, y: int, v: BitVector) -> int:
     """1 iff v^T A(y) = 0, i.e. v is orthogonal to the coset's direction."""
-    p = inst.params
-    if v.dim != p.k:
+    return _orthogonal(inst, y, v, 0)
+
+
+def _orthogonal(inst: OssInstance, y: int, v: BitVector, first: int) -> int:
+    """1 iff v^T a = 0 for every column a of A(y) from index ``first`` on."""
+    if v.dim != inst.params.k:
         raise DimensionError("v must live in Z2^k")
     a, _ = inst.coset_source(y)
-    for col in a.cols:
+    for col in a.cols[first:]:
         if (col & v.bits).bit_count() & 1:
             return 0
     return 1
@@ -418,13 +422,7 @@ def bloat_dual(inst: OssInstance, s: int) -> Callable[[int, BitVector], int]:
         raise RangeError("need 0 <= s <= n-r")
 
     def d_prime(y: int, v: BitVector) -> int:
-        if v.dim != p.k:
-            raise DimensionError("v must live in Z2^k")
-        a, _ = inst.coset_source(y)
-        for col in a.cols[s:]:
-            if (col & v.bits).bit_count() & 1:
-                return 0
-        return 1
+        return _orthogonal(inst, y, v, s)
 
     return d_prime
 
@@ -591,15 +589,10 @@ def cpf_from_two_to_one(h: Callable[[int], int], n_bits: int, ell: int) -> Coset
                 cols.append((pre[0] ^ pre[1]) << off)
             else:
                 return None  # not a full 2^ell coset
-        basis = BitMatrix(n_total, tuple(vec_to_int_col(c, n_total) for c in cols))
+        basis = BitMatrix(n_total, tuple(gf2.reverse_bits(c, n_total) for c in cols))
         return AffineCoset(basis, int_to_vec(shift, n_total))
 
     return CosetPartitionFunction(n_total, out_bits * ell, ell, evaluate, preimage_coset)
-
-
-def vec_to_int_col(int_bits: int, dim: int) -> int:
-    """Column packing of an MSB-first integer into component bit order."""
-    return int_to_vec(int_bits, dim).bits
 
 
 def validate_cpf(q: CosetPartitionFunction) -> bool:
@@ -613,7 +606,7 @@ def validate_cpf(q: CosetPartitionFunction) -> bool:
         if len(members) != 1 << q.ell:
             return False
         x0 = members[0]
-        diffs = BitMatrix(q.n_bits, tuple(vec_to_int_col(x ^ x0, q.n_bits) for x in members[1:]))
+        diffs = BitMatrix(q.n_bits, tuple(gf2.reverse_bits(x ^ x0, q.n_bits) for x in members[1:]))
         if gf2.rank(diffs) != q.ell:
             return False
     return True

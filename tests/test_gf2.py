@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ossprim import gf2
+from ossprim import gf2, lwehash, oss
 from ossprim.errors import DimensionError, EntropyError, InvariantViolation
 from ossprim.prng import FiniteBitStream, PrfKey, bit_stream
 
@@ -155,3 +157,47 @@ def test_serialization_round_trip_and_frozen_bytes():
     assert blob[4:12] == (0b011).to_bytes(8, "little")
     assert blob[12:20] == (0b110).to_bytes(8, "little")
     assert gf2.deserialize_matrix(blob) == m
+
+
+# sha256 of _pinned_outputs(), recorded before the eliminations were merged
+# into one echelon form; any change to a GF(2) result changes it
+PINNED_SHA256 = "7eeefcc4a331f30fbc469ba49ffee140181c3dbf606fba25663b05a98f4e9cc0"
+
+
+def _pinned_outputs() -> bytes:
+    """GF(2) results across every elimination user: sampled full-column-rank
+    matrices (rows 1-12, every cols <= rows, plus 80 x 48) with coset
+    solves, ranks and kernels; LWE row picks and inversions; and the
+    P, P^-1 and D tables of an (8, 4, 8) instance."""
+    out = []
+    mats = [(rows, cols) for rows in range(1, 13) for cols in range(rows + 1)] + [(80, 48)]
+    for rows, cols in mats:
+        s = stream(b"pinned" + bytes([rows, cols]))
+        m = gf2.random_full_column_rank(rows, cols, s)
+        c = gf2.AffineCoset(m, gf2.random_vector(rows, s))
+        solves = [(gf2.solve_coordinates(c, c.point(gf2.random_vector(cols, s))),
+                   gf2.solve_coordinates(c, gf2.random_vector(rows, s))) for _ in range(8)]
+        # rank-deficient companions: neighbour sums appended, and raw draws
+        sums = gf2.BitMatrix(rows, m.cols + tuple(a ^ b for a, b in zip(m.cols, m.cols[1:])))
+        raw = gf2.BitMatrix(rows, tuple(s.bits(rows) for _ in range(cols + 2)))
+        out.append((m.cols, solves, [(gf2.rank(x), gf2.kernel_basis(x).cols)
+                                     for x in (m, sums, raw)]))
+    seeds = [(lwehash.MICRO, bytes([i]) * 32) for i in range(12) if i not in (5, 6)]
+    seeds += [(lwehash.INSECURE_DEMO, bytes([i]) * 32) for i in (0, 1)]
+    for p, seed in seeds:
+        pk, td = lwehash.hashl_keygen(p, bit_stream(PrfKey(seed, b"enum"), b"lwe"))
+        xs = range(1 << p.domain_bits) if p.domain_bits <= 7 else \
+            [bit_stream(PrfKey(seed, b"pts"), b"x").bits(p.domain_bits) for _ in range(12)]
+        pres = [[lwehash.pack_domain(p, *pre) for pre in
+                 lwehash.hashl_invert(pk, td, lwehash.unpack_range(p, lwehash.hashl_eval_packed(pk, x)))]
+                for x in xs]
+        out.append(([int(i) for i in lwehash._invertible_rows(p, pk.b_mat)], pres))
+    inst = oss.oss_gen(oss.OssParams.tiny(8, 4, 8), b"\x77" * 32)
+    vecs = [gf2.BitVector(v, 8) for v in range(256)]
+    out.append([oss.oss_p(inst, x) for x in range(256)])
+    out.append([[(oss.oss_p_inv(inst, y, u), oss.oss_d(inst, y, u)) for u in vecs] for y in range(16)])
+    return repr(out).encode()
+
+
+def test_pinned_outputs_digest():
+    assert hashlib.sha256(_pinned_outputs()).hexdigest() == PINNED_SHA256

@@ -114,9 +114,39 @@ def test_lattice_coset_disjointness_sampled():
 
 def test_two_to_one_fraction_sampled():
     pk, td = keys(b"k10")
-    frac = lh.measure_two_to_one_fraction(pk, td, 300, stream(b"t10"))
-    assert frac >= 1 - P.v * P.Bbar / P.B
+    samples = 300
+    frac = lh.measure_two_to_one_fraction(pk, td, samples, stream(b"t10"))
+    exact = lh.partner_fraction(P, td)
+    assert abs(frac - exact) <= 4.5 * (exact * (1 - exact) / samples) ** 0.5
     assert 0.5 < frac <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_micro_inversion_is_complete(seed):
+    # seeds 5 and 6 draw an all-even B, which has no row invertible mod q
+    p = lh.MICRO
+    pk, td = lh.hashl_keygen(p, bit_stream(PrfKey(bytes([seed]) * 32, b"enum"), b"lwe"))
+    for x in range(1 << p.domain_bits):
+        y = lh.unpack_range(p, lh.hashl_eval_packed(pk, x))
+        assert x in [lh.pack_domain(p, *pre) for pre in lh.hashl_invert(pk, td, y)]
+    assert pk._cache["invert"] is lh._invert_tables(pk)
+
+
+def test_inversion_without_spare_rows_is_complete():
+    # v = u leaves no rows to screen candidates against
+    p = lh.LweParams(u=1, v=1, q=8, B=1, Bbar=1, sigma=0.5)
+    pk = lh.LweKey(p, np.array([[3]]), np.array([4]))  # c = B.s + e, s = 1, e = 1
+    td = lh.LweTrapdoor(np.array([1]), np.array([1]))
+    for x in range(1 << p.domain_bits):
+        y = lh.unpack_range(p, lh.hashl_eval_packed(pk, x))
+        assert x in [lh.pack_domain(p, *pre) for pre in lh.hashl_invert(pk, td, y)]
+
+
+def test_inversion_without_invertible_rows_refuses_large_q():
+    pk, td = keys(b"k11")
+    even = lh.LweKey(P, 2 * pk.b_mat % P.q, pk.c_vec)
+    with pytest.raises(RangeError):
+        lh.hashl_invert(even, td, pk.c_vec)
 
 
 def test_domain_packing_bijective():
