@@ -86,6 +86,12 @@ def test_exit_codes():
     assert run_cli("definitely-not-a-command", check=False).returncode == 2
 
 
+def test_hypergeom_negative_kappa_is_a_range_error():
+    proc = run_cli("hypergeom sample --N 12 --t 5 --s 7 --r 1 --kappa -3", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: kappa must be >= 0") and b"Traceback" not in proc.stderr
+
+
 def test_perm_statement_arity_is_a_contract_error():
     proc = run_cli("perm apply --desc 'swap 8' --x 1", check=False)
     assert proc.returncode == 1

@@ -68,6 +68,11 @@ def test_sample_rejects_out_of_range_r():
         hg.sample(hg.HypergeomParams(4, 2, 2), 256, 8)
 
 
+def test_sample_rejects_negative_kappa():
+    with pytest.raises(RangeError, match="kappa must be >= 0"):
+        hg.sample(hg.HypergeomParams(12, 5, 7), 1, -3)
+
+
 def test_sampler_monotone_and_partitions():
     p = hg.HypergeomParams(4, 2, 2)
     kappa = 16
@@ -217,6 +222,18 @@ def test_undecided_draw_falls_back(monkeypatch):
     assert starts == [a, ROOT.support_min]
 
 
+def test_wide_pinned_shapes_walk_once_from_the_window(monkeypatch):
+    # the _pinned_draws shapes with random r: the window decides every draw
+    starts = _record_walks(monkeypatch)
+    rng = random.Random("window-shapes")
+    for n, t, s, _ in _pinned_draws():
+        p = hg.HypergeomParams(n, t, s)
+        assert p.support_max - p.support_min >= hg._WINDOW_MIN_SUPPORT
+        starts.clear()
+        hg.sample(p, rng.getrandbits(128), 128)
+        assert len(starts) == 1 and starts[0] > p.support_min, (n, t, s)
+
+
 def test_small_support_walks_from_support_min(monkeypatch):
     def no_isqrt(_):
         raise AssertionError("small supports skip the window")
@@ -270,13 +287,40 @@ def _pinned_draws():
                 yield n, t, s, r
 
 
-def test_large_draws_match_pinned_digest():
-    # recorded before large binomials were built from primes
+def _pinned_digest():
     h = hashlib.sha256()
     for n, t, s, r in _pinned_draws():
         x = hg.sample(hg.HypergeomParams(n, t, s), r, 128)
         h.update(f"{n} {t} {s} {r} {x}\n".encode())
-    assert h.hexdigest() == "a6184dd1accbacaa52495185751cc56cb6ed50c50eadfa074760de7a890ffac3"
+    return h.hexdigest()
+
+
+# recorded before large binomials were built from primes
+PINNED_DIGEST = "a6184dd1accbacaa52495185751cc56cb6ed50c50eadfa074760de7a890ffac3"
+
+
+def test_large_draws_match_pinned_digest():
+    assert _pinned_digest() == PINNED_DIGEST
+
+
+def test_total_weight_memo_cold_and_warm_give_the_same_draws():
+    hg._total_weight.cache_clear()
+    assert _pinned_digest() == PINNED_DIGEST
+    assert hg._total_weight.cache_info().hits > 0
+    assert _pinned_digest() == PINNED_DIGEST
+
+
+def test_total_weight_memo_is_bounded():
+    hg._total_weight.cache_clear()
+    size = hg._total_weight.cache_info().maxsize
+    pairs = [(n, s) for n in range(80) for s in range(n + 1)][: size + 100]
+    assert len(pairs) > size
+    for n, s in pairs:
+        p = hg.HypergeomParams(n, n // 2, s)
+        assert hg.pmf_weight(p, p.support_min)[1] == comb(n, s)
+        hg.sample(p, 0, 8)
+    info = hg._total_weight.cache_info()
+    assert info.misses == len(pairs) and info.currsize <= size
 
 
 def test_cold_exact_prp_at_2_16():
