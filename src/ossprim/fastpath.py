@@ -15,6 +15,15 @@ the same vector formula.  Uneven splits and sizes above 2^64 (such as the top
 two into one is ROADMAP open item 4.  Tree sizes are uniform per depth for a
 power-of-two domain and are carried as per-step scalars; 2^64 itself never
 has to fit in a u64 lane.
+
+A merge walk step is a short run of in-place ufuncs on per-walk scratch
+arrays: the tree word (``_tree_r``), the gaussian draw, and the branch as
+``np.where`` selects and 0/1 products (masked ``where=`` ufuncs run several
+times slower at these widths).  The inverse walk keeps no path or pile-0
+accumulator: the path after d steps is z >> (nbits - d), and as the
+right-going halves sum to z, the pile-0 count left of z is z - ones.  No
+step enters ``np.errstate``: unsigned array ops wrap without a warning, and
+``gauss_draw_even`` floors ndtri(0) so that no float op raises a flag.
 """
 
 from __future__ import annotations
@@ -27,19 +36,21 @@ from .errors import RangeError
 _ndtri = None
 
 
-def ndtri(u):
+def ndtri(u, out=None):
     """scipy.special.ndtri, bound on first use (import cost)."""
     global _ndtri
     if _ndtri is None:
         from scipy.special import ndtri as fn
         _ndtri = fn
-    return _ndtri(u)
+    return _ndtri(u, out=out)
 
 _U64 = np.uint64
-_MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_MASK = (1 << 64) - 1
+_GOLD = 0x9E3779B97F4A7C15
+_GOLDEN = _U64(_GOLD)
 _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 
 TAG_ROOT = _U64(0x524F4F54)
 TAG_CHILD = _U64(0x4348494C44)
@@ -47,15 +58,27 @@ TAG_MERGE = _U64(0x4D45524745)
 TAG_XOR = _U64(0x584F52)
 
 
-def mix64_np(a, b, c):
-    """Vector twin of prng.mix64; identical output word for word."""
-    with np.errstate(over="ignore"):
-        x = (a ^ (b * _GOLDEN) ^ c) & _MASK64
-        for _ in range(3):
-            x = (x ^ (x >> _U64(30))) * _M1
-            x = (x ^ (x >> _U64(27))) * _M2
-            x = x ^ (x >> _U64(31))
+def _mix_rounds(x, tmp):
+    """mix64's three rounds, in place on the u64 array x (tmp: scratch)."""
+    for _ in range(3):
+        np.right_shift(x, _S30, out=tmp)
+        x ^= tmp
+        x *= _M1
+        np.right_shift(x, _S27, out=tmp)
+        x ^= tmp
+        x *= _M2
+        np.right_shift(x, _S31, out=tmp)
+        x ^= tmp
     return x
+
+
+def mix64_np(a, b, c):
+    """Vector twin of prng.mix64; identical output word for word (0-d for scalars)."""
+    x = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)), dtype=np.uint64)
+    np.multiply(b, _GOLDEN, out=x)
+    x ^= a
+    x ^= c
+    return _mix_rounds(x, np.empty_like(x))
 
 
 def context_word(a: int, b: int, tag) -> int:
@@ -68,50 +91,75 @@ def gauss_draw_even(half: int, t, r64):
 
     Left-child tally for a parent of size m = 2*half and tally t (u64 array),
     from the top 53 bits of r64 through the normal quantile, clamped into the
-    exact feasible window [max(0, t-half), min(half, t)].
+    exact feasible window [max(0, t-half), min(half, t)].  The float ops run
+    in the order mu + sqrt(t*(m-t)/(4*max(m-1, 1)))*ndtri(u), in place.
+
+    ndtri(0) = -inf is floored at -1e30.  Where var = 0 this makes
+    sqrt(var)*q = -0 instead of NaN, so val = mu; elsewhere it changes
+    nothing: a positive var is about 1/4 or more, so sqrt(var)*-1e30 still
+    sends val below 0, and |sqrt(var)*q| <= 2^30 * 1e30 cannot overflow.
+    So no float op raises a flag for 0 <= t <= 2*half, and callers need no
+    errstate.  val < mu + 8.3*2^30 <= 2^63 + 2^34, so the u64 cast is exact.
     """
-    half_u = _U64(half)
-    lo = np.where(t > half_u, t - half_u, _U64(0))
-    hi = np.minimum(half_u, t)
-    u = (r64 >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    hi = np.minimum(t, half)
+    lo = np.subtract(t, hi)  # max(0, t - half), since lo + hi = t
+    q = np.right_shift(r64, _S11).astype(np.float64)
+    q *= 2.0 ** -53
+    q = ndtri(q, out=q)
+    np.maximum(q, -1e30, out=q)
     tf = t.astype(np.float64)
     mf = 2.0 * float(half)
-    mu = tf * 0.5
-    var = tf * (mf - tf) / (4.0 * max(mf - 1.0, 1.0))
-    with np.errstate(invalid="ignore"):
-        val = mu + np.sqrt(var) * ndtri(u)
-    val = np.where(np.isnan(val), mu, val)
-    val = np.rint(np.maximum(val, 0.0))
-    val = np.minimum(val, 1.8e19)  # keep the float finite before the cast
+    val = np.subtract(mf, tf)
+    val *= tf
+    val /= 4.0 * max(mf - 1.0, 1.0)
+    np.sqrt(val, out=val)
+    val *= q
+    tf *= 0.5  # mu
+    val += tf
+    np.maximum(val, 0.0, out=val)
+    np.rint(val, out=val)
     v = val.astype(np.uint64)
-    return np.maximum(lo, np.minimum(hi, v))
+    np.minimum(v, hi, out=v)
+    return np.maximum(v, lo, out=v)
 
 
-def _tree_r(mctx, k0, depth: int, path):
-    with np.errstate(over="ignore"):
-        return mix64_np(mctx ^ (_U64(depth) * _GOLDEN), k0, path)
+def _tree_r(mctx, kg: int, depth: int, path, out, tmp):
+    """mix64(mctx ^ depth*golden, k0, path) per lane, into out.
+
+    kg is k0*golden: mix64 xors its inputs first, so the per-step words fold
+    into one Python int.
+    """
+    np.bitwise_xor(mctx, path, out=out)
+    out ^= _U64((depth * _GOLD ^ kg) & _MASK)
+    return _mix_rounds(out, tmp)
 
 
 def merge_inverse_batch(mctx, k0, nbits: int, z):
     """Inverse of the balanced merge of two 2^(nbits-1) piles at outputs z.
 
-    Returns (b, x) arrays.  mctx is the per-lane merge context word.
+    Returns (b, x) arrays.  mctx is the per-lane merge context word, k0 the
+    key word.
     """
     t = np.full_like(z, _U64(1) << _U64(nbits - 1))  # root tally = N1 = N/2
-    path = np.zeros_like(z)
     ones = np.zeros_like(z)
-    zeros = np.zeros_like(z)
+    path = np.zeros_like(z)
+    kg = int(k0) * _GOLD
+    r = np.empty_like(z)
+    tmp = np.empty_like(z)
+    go = np.empty(z.shape, dtype=bool)
     for d in range(nbits):
-        half = 1 << (nbits - 1 - d)
-        vl = gauss_draw_even(half, t, _tree_r(mctx, k0, d, path))
-        bit = (z >> _U64(nbits - 1 - d)) & _U64(1)
-        go_right = bit.astype(bool)
-        ones = np.where(go_right, ones + vl, ones)
-        zeros = np.where(go_right, zeros + (_U64(half) - vl), zeros)
-        t = np.where(go_right, t - vl, vl)
-        path = (path << _U64(1)) | bit
+        shift = nbits - 1 - d
+        half = 1 << shift
+        vl = gauss_draw_even(half, t, _tree_r(mctx, kg, d, path, r, tmp))
+        np.right_shift(z, _U64(shift), out=path)
+        np.bitwise_and(path, _U64(1), out=tmp)  # z's bit here: 1 goes right
+        np.not_equal(tmp, 0, out=go)
+        tmp *= vl
+        ones += tmp
+        np.subtract(t, vl, out=tmp)
+        t = np.where(go, tmp, vl)
     b = t  # leaf tally is 0 or 1
-    x = np.where(b.astype(bool), ones, zeros)
+    x = np.where(b.astype(bool), ones, z - ones)
     return b, x
 
 
@@ -121,14 +169,22 @@ def merge_forward_batch(mctx, k0, nbits: int, b, x):
     path = np.zeros_like(x)
     x = x.copy()
     is_one = b.astype(bool)
+    kg = int(k0) * _GOLD
+    r = np.empty_like(x)
+    tmp = np.empty_like(x)
+    go = np.empty(x.shape, dtype=bool)
     for d in range(nbits):
         half = 1 << (nbits - 1 - d)
-        vl = gauss_draw_even(half, t, _tree_r(mctx, k0, d, path))
-        cnt_left = np.where(is_one, vl, _U64(half) - vl)
-        go_right = x >= cnt_left
-        x = np.where(go_right, x - cnt_left, x)
-        t = np.where(go_right, t - vl, vl)
-        path = (path << _U64(1)) | go_right.astype(_U64)
+        vl = gauss_draw_even(half, t, _tree_r(mctx, kg, d, path, r, tmp))
+        np.subtract(_U64(half), vl, out=tmp)
+        cnt_left = np.where(is_one, vl, tmp)
+        np.greater_equal(x, cnt_left, out=go)
+        cnt_left *= go  # x -= cnt_left where going right
+        x -= cnt_left
+        np.subtract(t, vl, out=tmp)
+        t = np.where(go, tmp, vl)
+        path <<= _U64(1)
+        path |= go
     return path
 
 

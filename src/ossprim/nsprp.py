@@ -159,19 +159,31 @@ def prp_inverse(k: PrpKey, z: int) -> int:
     return x + (k.n0 if b else 0)
 
 
-def prp_forward_batch(k: PrpKey, xs: np.ndarray) -> np.ndarray:
-    """Lockstep forward sweep; fastmix power-of-two keys only."""
+def _batch(k: PrpKey, xs, walk) -> np.ndarray:
+    """A fastpath lockstep walk over xs, each point checked as prp_forward checks one."""
     if k.fast_ctx is None or k.n & (k.n - 1):
         raise UnsupportedBackend("batch path needs a fastmix power-of-two key")
-    k0w, k1w = k.prf_key.fast_words()
-    return fastpath.prp_forward_batch(k0w, k1w, k.n.bit_length() - 1, xs)
+    if k.n > 1 << 64:
+        raise UnsupportedBackend(f"batch path covers domains up to 2^64, not {k.n}")
+    arr = np.asarray(xs)
+    if arr.dtype.kind not in "iu":
+        raise RangeError(f"batch points must be integers, not {arr.dtype}")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= k.n):
+        raise RangeError(f"batch point outside [0, {k.n})")
+    lanes = arr.astype(np.uint64).reshape(-1)  # the walks need one lane axis
+    if k.n > 1:
+        k0w, k1w = k.prf_key.fast_words()
+        lanes = walk(k0w, k1w, k.n.bit_length() - 1, lanes)
+    return lanes.reshape(arr.shape)
+
+
+def prp_forward_batch(k: PrpKey, xs: np.ndarray) -> np.ndarray:
+    """Lockstep forward sweep; fastmix power-of-two keys only."""
+    return _batch(k, xs, fastpath.prp_forward_batch)
 
 
 def prp_inverse_batch(k: PrpKey, zs: np.ndarray) -> np.ndarray:
-    if k.fast_ctx is None or k.n & (k.n - 1):
-        raise UnsupportedBackend("batch path needs a fastmix power-of-two key")
-    k0w, k1w = k.prf_key.fast_words()
-    return fastpath.prp_inverse_batch(k0w, k1w, k.n.bit_length() - 1, zs)
+    return _batch(k, zs, fastpath.prp_inverse_batch)
 
 
 # -- key permutation -------------------------------------------------------------

@@ -287,6 +287,77 @@ def test_gauss_scalar_agrees_with_batch_merge():
         assert merge.merge_inverse(k, int(z)) == (int(bs[i]), int(xs[i]))
 
 
+_GOLD = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _zero_r_ctx(k0, depth, path):
+    # mix64 of an all-zero input is 0, so this context word gives r64 = 0 at
+    # tree node (depth, path): ndtri(0) = -inf there
+    return (depth * _GOLD ^ k0 * _GOLD ^ path) & _MASK
+
+
+def _count_nan_prone(monkeypatch):
+    """Count draws with var = 0 and u = 0 (t in {0, 2*half}, r64 < 2^11)."""
+    from ossprim import fastpath
+
+    seen = [0]
+    draw = fastpath.gauss_draw_even
+
+    def spy(half, t, r64):
+        seen[0] += int((((t == 0) | (t == 2 * half)) & (r64 < 2048)).sum())
+        return draw(half, t, r64)
+
+    monkeypatch.setattr(fastpath, "gauss_draw_even", spy)
+    return seen
+
+
+def test_gauss_draws_raise_no_float_flags(monkeypatch):
+    import warnings
+
+    from ossprim import fastpath, nsprp
+
+    nbits, k0 = 8, 0x0123456789ABCDEF
+    zs = np.arange(1 << nbits, dtype=np.uint64)
+    # each lane's last draw (depth nbits-1, path z >> 1) reads r64 = 0
+    mctx = np.array([_zero_r_ctx(k0, nbits - 1, z >> 1) for z in range(1 << nbits)],
+                    dtype=np.uint64)
+    mk = key(1 << (nbits - 1), 1 << (nbits - 1), tag=40, backend=prng.BACKEND_FASTMIX)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        seen = _count_nan_prone(monkeypatch)
+        b, x = fastpath.merge_inverse_batch(mctx, np.uint64(k0), nbits, zs)
+        assert seen[0] > 0
+        seen[0] = 0
+        assert (fastpath.merge_forward_batch(mctx, np.uint64(k0), nbits, b, x) == zs).all()
+        assert seen[0] > 0
+        seen[0] = 0
+        # the scalar route: a key whose context zeroes r64 at one leaf pair
+        kw = mk.prf_key.fast_words()[0]
+        for p in range(1 << (nbits - 1)):
+            pk = merge.MergeKey(mk.prf_key, mk.n0, mk.n1, mk.kappa,
+                                _zero_r_ctx(kw, nbits - 1, p))
+            for z in (2 * p, 2 * p + 1):
+                assert merge.merge_forward(pk, *merge.merge_inverse(pk, z)) == z
+        assert seen[0] > 0
+        # PRP contexts are hashes of the key, so these walks run on ordinary lanes
+        for bits in (1, 2, 8, 64):
+            k = nsprp.make_scale_prp_key(b"\x44" * 32, bits)
+            xs = np.arange(min(1 << bits, 256), dtype=np.uint64)
+            assert (nsprp.prp_inverse_batch(k, nsprp.prp_forward_batch(k, xs)) == xs).all()
+        # var = 0 and u = 0: t = 0 or t = 2*half leave one feasible point, lo
+        for half in (1, 2, 3, 7, 1 << 10, 1 << 40):
+            ts = np.array([0, 2 * half] * 3, dtype=np.uint64)
+            rs = np.array([0, 0, 1, 1, 2047, 2047], dtype=np.uint64)
+            lo = np.array([0, half] * 3, dtype=np.uint64)
+            assert (fastpath.gauss_draw_even(half, ts, rs) == lo).all()
+        # 2^64 - 1 rounds to m = 2^64 as a float, so var = 0 there too; the
+        # draw is mu = 2^63, the window's top
+        ts = np.array([0, _MASK], dtype=np.uint64)
+        got = fastpath.gauss_draw_even(1 << 63, ts, np.zeros(2, dtype=np.uint64))
+        assert got.tolist() == [0, 1 << 63]
+
+
 def test_gauss_large_domain_batch_throughput():
     # 10^4 merge round trips at N = 2^64 against the 1s-per-10^3 budget
     import time

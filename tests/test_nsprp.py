@@ -131,6 +131,66 @@ def test_batch_requires_fast_power_of_two():
         nsprp.prp_forward_batch(key(16), np.arange(4, dtype=np.uint64))
 
 
+def scale_key16():
+    return nsprp.make_scale_prp_key(b"\x41" * 32, 4)
+
+
+def test_batch_rejects_point_above_domain():
+    for batch in (nsprp.prp_forward_batch, nsprp.prp_inverse_batch):
+        with pytest.raises(RangeError):
+            batch(scale_key16(), np.array([3, 17], dtype=np.uint64))
+        with pytest.raises(RangeError):
+            batch(scale_key16(), [16])
+
+
+def test_batch_rejects_negative_point():
+    k = scale_key16()
+    for batch in (nsprp.prp_forward_batch, nsprp.prp_inverse_batch):
+        with pytest.raises(RangeError):
+            batch(k, np.array([0, -1], dtype=np.int64))
+    # signed lanes inside the domain are the same points as unsigned ones
+    xs = np.arange(16, dtype=np.uint64)
+    ys = nsprp.prp_forward_batch(k, xs)
+    assert (nsprp.prp_forward_batch(k, xs.astype(np.int64)) == ys).all()
+    assert (nsprp.prp_inverse_batch(k, ys.astype(np.int32)) == xs).all()
+
+
+def test_batch_rejects_non_integer_points():
+    for batch in (nsprp.prp_forward_batch, nsprp.prp_inverse_batch):
+        with pytest.raises(RangeError):
+            batch(scale_key16(), np.array([1.7]))
+        with pytest.raises(RangeError):
+            batch(scale_key16(), np.array([True]))
+
+
+@pytest.mark.parametrize("bits", [65, 80])
+def test_batch_rejects_domain_above_2_64(bits):
+    k = nsprp.make_scale_prp_key(b"\x42" * 32, bits)
+    for batch in (nsprp.prp_forward_batch, nsprp.prp_inverse_batch):
+        with pytest.raises(UnsupportedBackend):
+            batch(k, np.arange(4, dtype=np.uint64))
+
+
+def test_batch_singleton_domain_is_identity():
+    k = nsprp.make_scale_prp_key(b"\x43" * 32, 0)
+    for batch in (nsprp.prp_forward_batch, nsprp.prp_inverse_batch):
+        out = batch(k, np.zeros(3, dtype=np.int64))
+        assert out.dtype == np.uint64 and out.tolist() == [0, 0, 0]
+        with pytest.raises(RangeError):
+            batch(k, [1])
+    assert nsprp.prp_forward(k, 0) == nsprp.prp_inverse(k, 0) == 0
+
+
+def test_batch_keeps_input_shape():
+    k = scale_key16()
+    ys = nsprp.prp_forward_batch(k, np.arange(16, dtype=np.uint64))
+    block = nsprp.prp_forward_batch(k, np.arange(16).reshape(4, 4))
+    assert block.shape == (4, 4) and (block.ravel() == ys).all()
+    one = nsprp.prp_forward_batch(k, 5)
+    assert one.shape == () and int(one) == int(ys[5])
+    assert int(nsprp.prp_inverse_batch(k, one)) == 5
+
+
 def test_permute_rejects_fastmix_key():
     # permuted keys are serialized without fastmix contexts, so every swap
     # of a fastmix key is rejected, same-pile swaps down to N = 2 included
@@ -177,3 +237,43 @@ def test_permuted_keys_pinned_digest():
                 h.update(bytes(nsprp.permuted_prp_forward(pk, x) for x in range(n)))
                 h.update(bytes(nsprp.permuted_prp_inverse(pk, x) for x in range(n)))
     assert h.hexdigest() == PERMUTED_SHA256
+
+
+# sha256 over forward and inverse batches at eight widths, direct merge walks
+# at nbits 16 and 64, and gaussian draws on edge (half, t, r64) triples,
+# recorded before the lockstep step was rewritten in place
+BATCH_SHA256 = "63cbe4771d8aa2de5a2e5ba853e8461c993e1673b411af0d19bc105018b9ea69"
+
+
+def test_batch_outputs_pinned_digest():
+    from ossprim import fastpath
+
+    h = hashlib.sha256()
+    rng = np.random.default_rng(1414)
+    for bits in (1, 2, 3, 5, 12, 33, 63, 64):
+        k = nsprp.make_scale_prp_key(bytes([0x60 + bits]) * 32, bits)
+        top = (1 << bits) - 1
+        xs = rng.integers(0, top, size=1024, dtype=np.uint64, endpoint=True)
+        xs = np.concatenate([xs, np.array([0, top], dtype=np.uint64)])
+        h.update(nsprp.prp_forward_batch(k, xs).tobytes())
+        h.update(nsprp.prp_inverse_batch(k, xs).tobytes())
+    for nbits in (16, 64):
+        mctx = rng.integers(0, 1 << 64, size=512, dtype=np.uint64, endpoint=False)
+        k0 = np.uint64(0x0123456789ABCDEF)
+        top = (1 << nbits) - 1
+        zs = rng.integers(0, top, size=512, dtype=np.uint64, endpoint=True)
+        zs[:2] = (0, top)
+        b, x = fastpath.merge_inverse_batch(mctx, k0, nbits, zs)
+        h.update(b.tobytes() + x.tobytes())
+        bs = rng.integers(0, 2, size=512, dtype=np.uint64)
+        xs = rng.integers(0, 1 << (nbits - 1), size=512, dtype=np.uint64)
+        h.update(fastpath.merge_forward_batch(mctx, k0, nbits, bs, xs).tobytes())
+    for half in (1, 2, 3, 7, 1 << 10, 1 << 40, 1 << 63):
+        m = min(2 * half, (1 << 64) - 1)
+        ts = [0, 1, half - 1, half, half + 1, m - 1, m]
+        ts += rng.integers(0, m, size=64, dtype=np.uint64, endpoint=True).tolist()
+        rs = [0, 2047, 2048, (1 << 64) - 1]
+        rs += rng.integers(0, 1 << 64, size=12, dtype=np.uint64).tolist()
+        t, r = np.meshgrid(np.array(ts, dtype=np.uint64), np.array(rs, dtype=np.uint64))
+        h.update(fastpath.gauss_draw_even(half, t.ravel(), r.ravel()).tobytes())
+    assert h.hexdigest() == BATCH_SHA256
