@@ -11,10 +11,10 @@ numpy lockstep so 10^4-point sweeps at N = 2^64 take seconds.
 Scalar draws on even splits up to 2^64 route through length-1 batches of
 the same vector formula.  Uneven splits and sizes above 2^64 (such as the top
 16 levels of the paper preset's 2^80 merges) use a second definition,
-``merge._gauss_draw_general``, with a different float-op order; folding the
-two into one is ROADMAP open item 4.  Tree sizes are uniform per depth for a
-power-of-two domain and are carried as per-step scalars; 2^64 itself never
-has to fit in a u64 lane.
+``gauss_draw_general``, a scalar formula with a different float-op order;
+folding the two into one is ROADMAP open item 4.  Tree sizes are uniform per
+depth for a power-of-two domain and are carried as per-step scalars; 2^64
+itself never has to fit in a u64 lane.
 
 A merge walk step is a short run of in-place ufuncs on per-walk scratch
 arrays: the tree word (``_tree_r``), the gaussian draw, and the branch as
@@ -121,6 +121,25 @@ def gauss_draw_even(half: int, t, r64):
     v = val.astype(np.uint64)
     np.minimum(v, hi, out=v)
     return np.maximum(v, lo, out=v)
+
+
+def gauss_draw_general(s: int, sl: int, t: int, r64: int) -> int:
+    """Gaussian stand-in draw for any split, on Python ints.
+
+    Left-child tally of size sl under a parent of size s and tally t: the
+    normal quantile of the top 53 bits of r64 scaled by the hypergeometric
+    mean and variance, clamped into [max(0, t-(s-sl)), min(sl, t)].
+    """
+    lo = max(0, t - (s - sl))
+    hi = min(sl, t)
+    u = (r64 >> 11) * (2.0 ** -53)
+    mu = sl * t / s
+    var = sl * t * (s - t) * (s - sl) / (s * s * max(s - 1, 1))
+    val = mu + (var ** 0.5) * float(ndtri(u))
+    if val != val:  # nan from 0 * inf
+        val = mu
+    v = int(np.rint(max(val, 0.0)))
+    return max(lo, min(hi, v))
 
 
 def _tree_r(mctx, kg: int, depth: int, path, out, tmp):

@@ -17,9 +17,12 @@ Permuted keys share the honest walk: each carries its own node-value and seed
 memos, seeded from the hard-coded table and the punctured key's copath, and
 never the honest key or its memos.
 
-Keys are immutable and evaluation is pure; the per-key node-value and seed
-memo dicts are written under the GIL with idempotent deterministic values,
-so concurrent readers at worst recompute a node.
+Keys are immutable and evaluation is pure.  Exact keys memoize every node
+value and seed they reach, at most the 2N - 1 nodes of their tree.  A
+fastmix key's node-value memo is bounded: once it holds ``_MEMO_MAX``
+tallies, the next draw drops all of them but the top of the tree and the
+walk in progress.  The memo dicts are written under the GIL with idempotent
+deterministic values, so concurrent readers at worst recompute a node.
 """
 
 from __future__ import annotations
@@ -126,34 +129,38 @@ def _gauss_r64(k: MergeKey, parent_key: int) -> int:
                       path & _MASK64)
 
 
+# A fastmix key's tally memo holds at most _MEMO_MAX tallies.  Once it is
+# full, the next draw keeps only the top of the tree (node keys below
+# _MEMO_TOP: at most 2^10 tallies, which later walks share) and the walk in
+# progress, so a round trip's way back still draws nothing.
+_MEMO_MAX = 1 << 12
+_MEMO_TOP = 1 << 11
+
+
+def _trim(values: dict, parent_key: int) -> None:
+    """Drop the memoized tallies below the top that are off the walk to parent_key."""
+    path = {(parent_key >> j) << 1 for j in range(1, parent_key.bit_length())}
+    kept = [(ck, v) for ck, v in values.items() if ck < _MEMO_TOP or ck in path]
+    values.clear()
+    values.update(kept)
+
+
 def _draw_left(k: MergeKey, parent_key: int, s: int, t: int) -> int:
     """Tally of the left child of a node of size s and tally t."""
     sl = left_size(s)
     if k.fast_ctx is None:
         return sample(HypergeomParams(s, t, sl), _prf_r_exact(k, parent_key), k.kappa)
+    if len(k._values) >= _MEMO_MAX:
+        _trim(k._values, parent_key)
+    lo, hi = max(0, t - (s - sl)), min(sl, t)
+    if lo == hi:
+        return lo  # what the clamp gives; t = 2^64 fits no u64 lane
+    r64 = _gauss_r64(k, parent_key)
     if s & (s - 1) == 0 and s <= (1 << 64):
         arr = fastpath.gauss_draw_even(sl, np.array([t], dtype=np.uint64),
-                                       np.array([_gauss_r64(k, parent_key)], dtype=np.uint64))
+                                       np.array([r64], dtype=np.uint64))
         return int(arr[0])
-    return _gauss_draw_general(s, sl, t, _gauss_r64(k, parent_key))
-
-
-def _gauss_draw_general(s: int, sl: int, t: int, r64: int) -> int:
-    """Gaussian stand-in draw for an uneven split (non-power-of-two sizes)."""
-    from scipy.special import ndtri
-
-    lo = max(0, t - (s - sl))
-    hi = min(sl, t)
-    if lo == hi:
-        return lo
-    u = (r64 >> 11) * (2.0 ** -53)
-    mu = sl * t / s
-    var = sl * t * (s - t) * (s - sl) / (s * s * max(s - 1, 1))
-    val = mu + (var ** 0.5) * float(ndtri(u))
-    if val != val:  # nan from 0 * inf
-        val = mu
-    v = int(np.rint(max(val, 0.0)))
-    return max(lo, min(hi, v))
+    return fastpath.gauss_draw_general(s, sl, t, r64)
 
 
 def tally(k: MergeKey, node: NodeId) -> int:

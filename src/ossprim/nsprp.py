@@ -100,6 +100,7 @@ def _child_key(k: PrpKey, b: int) -> PrpKey:
         return cached
     if k.fast_ctx is not None:
         child = PrpKey(k.prf_key, nb, k.kappa, _fast_ctx(k, fastpath.TAG_CHILD, b))
+        k._cache.pop(("child", 1 - b), None)  # a scale key keeps the path it walked last
     else:
         child = PrpKey(prng.derive_key(k.prf_key, b"half%d" % b), nb, k.kappa)
     k._cache[("child", b)] = child

@@ -167,6 +167,18 @@ def random_table_perm(n_bits: int, stream: BitStream) -> TablePerm:
 
 # -- coset sources ----------------------------------------------------------------
 
+# The per-y coset memos hold at most _COSET_MEMO_MAX entries, where a paper
+# preset allows 2^32 values of y.  A full memo starts over at the next new y,
+# so the latest y always stays: P^-1 and D after P find its coset.
+_COSET_MEMO_MAX = 1 << 8
+
+
+def _remember(memo: dict, y: int, got) -> None:
+    if len(memo) >= _COSET_MEMO_MAX:
+        memo.clear()
+    memo[y] = got
+
+
 class CosetSource(Protocol):
     def __call__(self, y: int) -> tuple[BitMatrix, BitVector]: ...
 
@@ -195,7 +207,7 @@ class PrfCosetSource:
             stream = prng.bit_stream(self.prf_key, b"%s:%d" % (self.label, y))
             got = (gf2.random_full_column_rank(self.k, self.cols, stream),
                    gf2.random_vector(self.k, stream))
-            self._cache[y] = got
+            _remember(self._cache, y, got)
         return got
 
 
@@ -254,7 +266,7 @@ class OssInstance:
         if got is None:
             a, b = self.coset_source(y)
             got = AffineCoset(a, b)
-            self._solve_cache[y] = got
+            _remember(self._solve_cache, y, got)
         return got
 
 

@@ -16,6 +16,18 @@ def run_cli(argv_str, check=True, timeout=None):
     return proc
 
 
+def test_exact_path_never_imports_scipy():
+    # scipy serves only the gaussian stand-in: the CLI and exact keys load without it
+    code = ("import sys, ossprim.cli\n"
+            "from ossprim import nsprp\n"
+            "k = nsprp.make_prp_key(bytes(32), 100)\n"
+            "assert all(nsprp.prp_inverse(k, nsprp.prp_forward(k, x)) == x for x in range(100))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_parse_kv_round_trips():
     text = "a=1\nb=hello world\nprob=0.25\n"
     assert cli.parse_kv(text) == {"a": "1", "b": "hello world", "prob": "0.25"}

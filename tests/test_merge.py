@@ -332,14 +332,16 @@ def test_gauss_draws_raise_no_float_flags(monkeypatch):
         assert (fastpath.merge_forward_batch(mctx, np.uint64(k0), nbits, b, x) == zs).all()
         assert seen[0] > 0
         seen[0] = 0
-        # the scalar route: a key whose context zeroes r64 at one leaf pair
+        # the scalar route: a key whose context zeroes r64 at one leaf pair;
+        # there t in {0, 2*half} leaves one feasible point, which _draw_left
+        # returns before any float op
         kw = mk.prf_key.fast_words()[0]
         for p in range(1 << (nbits - 1)):
             pk = merge.MergeKey(mk.prf_key, mk.n0, mk.n1, mk.kappa,
                                 _zero_r_ctx(kw, nbits - 1, p))
             for z in (2 * p, 2 * p + 1):
                 assert merge.merge_forward(pk, *merge.merge_inverse(pk, z)) == z
-        assert seen[0] > 0
+        assert seen[0] == 0
         # PRP contexts are hashes of the key, so these walks run on ordinary lanes
         for bits in (1, 2, 8, 64):
             k = nsprp.make_scale_prp_key(b"\x44" * 32, bits)
@@ -356,6 +358,50 @@ def test_gauss_draws_raise_no_float_flags(monkeypatch):
         ts = np.array([0, _MASK], dtype=np.uint64)
         got = fastpath.gauss_draw_even(1 << 63, ts, np.zeros(2, dtype=np.uint64))
         assert got.tolist() == [0, 1 << 63]
+
+
+def test_gauss_single_point_window_at_2_64():
+    # n0 = 0: every tally is the whole node, and the root's t = 2^64 fits no u64
+    k = key(0, 1 << 64, tag=43, backend=prng.BACKEND_FASTMIX)
+    assert merge.merge_inverse(k, 5) == (1, 5)
+    assert merge.merge_forward(k, 1, 5) == 5
+
+
+def _old_gauss_draw_general(s, sl, t, r64):
+    """The general stand-in as merge defined it, scipy imported per call."""
+    from scipy.special import ndtri
+
+    lo = max(0, t - (s - sl))
+    hi = min(sl, t)
+    if lo == hi:
+        return lo
+    u = (r64 >> 11) * (2.0 ** -53)
+    mu = sl * t / s
+    var = sl * t * (s - t) * (s - sl) / (s * s * max(s - 1, 1))
+    val = mu + (var ** 0.5) * float(ndtri(u))
+    if val != val:
+        val = mu
+    v = int(np.rint(max(val, 0.0)))
+    return max(lo, min(hi, v))
+
+
+def test_gauss_draw_general_matches_old_formula():
+    from ossprim import fastpath
+
+    rng = np.random.default_rng(13)
+    sizes = [2, 3, 5, 7, 1001, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 80) + 12345, 1 << 80]
+    sizes += [int(v) for v in rng.integers(2, 1 << 62, size=20)]
+    sizes += [(int(v) << 20) | 1 for v in rng.integers(1 << 40, 1 << 62, size=20)]
+    cases = 0
+    for s in sizes:
+        sl = merge.left_size(s)
+        ts = {0, s, 1, s - 1, s // 2, int(rng.integers(0, 1 << 62)) % (s + 1)}
+        for t in ts:
+            randoms = [int(v) for v in rng.integers(0, 1 << 63, size=24, dtype=np.uint64) * 2 + 1]
+            for r64 in [0, 1, 2047, 2048, _MASK] + randoms:
+                assert fastpath.gauss_draw_general(s, sl, t, r64) == _old_gauss_draw_general(s, sl, t, r64)
+                cases += 1
+    assert cases > 5000
 
 
 def test_gauss_large_domain_batch_throughput():

@@ -114,6 +114,66 @@ def test_scale_key_round_trip_2_64():
     assert (nsprp.prp_inverse_batch(k, ys) == xs).all()
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Patch owner.name with a call counter; returns the one-item count list."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _cached_keys(k):
+    """Every key reachable through the child caches, k first."""
+    out = [k]
+    for b in (0, 1):
+        child = k._cache.get(("child", b))
+        if child is not None:
+            out += _cached_keys(child)
+    return out
+
+
+def test_scale_key_memos_stay_bounded(monkeypatch):
+    # a small bound, so that 120 round trips fill the top merges many times
+    monkeypatch.setattr(merge, "_MEMO_MAX", 1 << 8)
+    monkeypatch.setattr(merge, "_MEMO_TOP", 1 << 6)
+    k = nsprp.make_scale_prp_key(b"\x2e" * 32, 40)
+    draws = _count_calls(monkeypatch, merge, "_draw_left")
+    trims = _count_calls(monkeypatch, merge, "_trim")
+    rng = np.random.default_rng(12)
+    xs = [int(x) for x in rng.integers(0, 1 << 40, size=120, dtype=np.uint64)]
+    ys = []
+    for x in xs:
+        ys.append(nsprp.prp_forward(k, x))
+        before = draws[0]
+        assert nsprp.prp_inverse(k, ys[-1]) == x
+        assert draws[0] == before  # the way back reuses the forward walk's tallies
+    assert trims[0] > 10
+    for pk in _cached_keys(k):
+        assert sum(("child", b) in pk._cache for b in (0, 1)) <= 1
+        mk = pk._cache.get("merge")
+        assert mk is None or len(mk._values) <= merge._MEMO_MAX
+    fresh = nsprp.make_scale_prp_key(b"\x2e" * 32, 40)
+    for x, y in list(zip(xs, ys))[:6]:
+        assert nsprp.prp_forward(fresh, x) == nsprp.prp_forward(k, x) == y
+        assert nsprp.prp_inverse(k, y) == x
+
+
+def test_paper_width_round_trip_draws_once(monkeypatch):
+    k = nsprp.make_scale_prp_key(b"\x2f" * 32, 80)
+    draws = _count_calls(monkeypatch, merge, "_draw_left")
+    x = 0x5DEECE66D_0123456789
+    y = nsprp.prp_forward(k, x)
+    assert draws[0] > 0
+    draws[0] = 0
+    assert nsprp.prp_inverse(k, y) == x
+    assert draws[0] == 0
+
+
 def test_scale_batch_matches_scalar():
     for bits, points in ((1, (0, 1)), (2, range(4)), (12, (0, 1, 77, 4095, 2048))):
         k = nsprp.make_scale_prp_key(b"\x2d" * 32, bits)

@@ -251,3 +251,26 @@ def test_prp_backed_instance_round_trips():
     for x in (0, 1, 12345, 65535):
         y, u = oss.oss_p(inst, x)
         assert oss.oss_p_inv(inst, y, u) == x
+
+
+def test_coset_memos_stay_bounded_and_keep_the_latest_y(monkeypatch):
+    monkeypatch.setattr(oss, "_COSET_MEMO_MAX", 3)
+    inst = oss.oss_gen(OssParams.tiny(16, 8, 16), b"\x6a" * 32, backend="prp")
+    builds = [0]
+    real = gf2.random_full_column_rank
+
+    def counted(*args):
+        builds[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gf2, "random_full_column_rank", counted)
+    for x in range(0, 1 << 16, 997):
+        before = set(inst.coset_source._cache)
+        y, u = oss.oss_p(inst, x)
+        assert builds[0] == (y not in before)
+        builds[0] = 0
+        assert oss.oss_p_inv(inst, y, u) == x
+        assert oss.oss_d(inst, y, gf2.BitVector(0, inst.k)) == 1
+        assert builds[0] == 0  # P^-1 and D of the latest y reuse its coset
+        for memo in (inst._solve_cache, inst.coset_source._cache):
+            assert y in memo and len(memo) <= 3
