@@ -210,6 +210,13 @@ def _oss_instance(args) -> oss_mod.OssInstance:
     return oss_mod.oss_gen(_oss_params(args), _seed_bytes(args.seed))
 
 
+def _k_vec(val: int, flag: str, k: int):
+    """A --u or --v integer as a vector of Z2^k, refused outside [0, 2^k)."""
+    if not 0 <= val < (1 << k):
+        raise ContractError(f"{flag} outside [0, 2^{k})")
+    return oss_mod.int_to_vec(val, k)
+
+
 def cmd_oss(args, out: _Out) -> int:
     if args.oss_cmd == "gen":
         inst = oss_mod.oss_gen(_oss_params(args), _seed_bytes(args.seed))
@@ -229,7 +236,7 @@ def cmd_oss(args, out: _Out) -> int:
         out.emit("y", y)
         out.emit("u", oss_mod.vec_to_int(u))
     elif args.oss_cmd == "pinv":
-        x = oss_mod.oss_p_inv(inst, args.y, oss_mod.int_to_vec(args.u, inst.params.k))
+        x = oss_mod.oss_p_inv(inst, args.y, _k_vec(args.u, "--u", inst.params.k))
         out.emit("x", "bottom" if x is None else x)
     elif args.oss_cmd == "selfreduce":
         sr = oss_mod.self_reduce(inst, _seed_bytes(args.seed2))
@@ -240,8 +247,10 @@ def cmd_oss(args, out: _Out) -> int:
         out.emit("gamma_of_0", sr.back_map(0))
     elif args.oss_cmd == "bloat":
         dp = oss_mod.bloat_dual(inst, args.s)
-        out.emit("accept", dp(args.y, oss_mod.int_to_vec(args.v, inst.params.k)))
+        out.emit("accept", dp(args.y, _k_vec(args.v, "--v", inst.params.k)))
     elif args.oss_cmd == "embed-cpf":
+        if not 1 <= args.l <= args.n:
+            raise ContractError(f"--l must lie in [1, --n = {args.n}], got {args.l}")
         stream = prng.bit_stream(prng.PrfKey(_seed_bytes(args.seed), b"2to1"), b"h")
         h = oss_mod.random_two_to_one(args.n // args.l, stream)
         q = oss_mod.cpf_from_two_to_one(h, args.n // args.l, args.l)

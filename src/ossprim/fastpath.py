@@ -12,9 +12,9 @@ Scalar draws on even splits up to 2^64 route through length-1 batches of
 the same vector formula.  Uneven splits and sizes above 2^64 (such as the top
 16 levels of the paper preset's 2^80 merges) use a second definition,
 ``gauss_draw_general``, a scalar formula with a different float-op order;
-folding the two into one is ROADMAP open item 4.  Tree sizes are uniform per
-depth for a power-of-two domain and are carried as per-step scalars; 2^64
-itself never has to fit in a u64 lane.
+folding the two changes bits above 2^64 (ROADMAP item 3's caveat, item 7).
+Tree sizes are uniform per depth for a power-of-two domain and are carried
+as per-step scalars; 2^64 itself never has to fit in a u64 lane.
 
 A merge walk step is a short run of in-place ufuncs on per-walk scratch
 arrays: the tree word (``_tree_r``), the gaussian draw, and the branch as

@@ -57,6 +57,27 @@ def reverse_bits(val: int, dim: int) -> int:
     return int(f"{val & ((1 << dim) - 1):0{dim}b}"[::-1], 2)
 
 
+def join_fields(values: Iterable[int], widths: Iterable[int]) -> int:
+    """Concatenate fields MSB-first: the first value lands in the highest bits.
+    Each value must fit its width."""
+    acc = 0
+    for v, w in zip(values, widths, strict=True):
+        if v < 0 or v >> w:
+            raise DimensionError(f"field value {v} does not fit in {w} bits")
+        acc = (acc << w) | v
+    return acc
+
+
+def split_fields(val: int, widths: Sequence[int]) -> list[int]:
+    """The fields of ``val`` under ``widths``, first field highest; bits above
+    the total width are ignored.  Inverts join_fields."""
+    out = []
+    for w in reversed(widths):
+        out.append(val & ((1 << w) - 1))
+        val >>= w
+    return out[::-1]
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     """A k x m matrix over Z2, column-major.

@@ -223,43 +223,29 @@ def hashl_invert(pk: LweKey, td: LweTrapdoor, y: np.ndarray) -> list[tuple[np.nd
 
 # -- bit packing ----------------------------------------------------------------
 
+def _domain_widths(p: LweParams) -> list[int]:
+    return [p.lq] * p.u + [p.l2b] * p.v + [1]
+
+
 def pack_domain(p: LweParams, t: np.ndarray, f: np.ndarray, b: int) -> int:
     """(t, f, b) to a domain_bits-wide integer; b is the last (lowest) bit."""
-    acc = 0
-    for j in range(p.u):
-        acc = (acc << p.lq) | (int(t[j]) % p.q)
-    for i in range(p.v):
-        acc = (acc << p.l2b) | (int(f[i]) + p.B - 1)
-    return (acc << 1) | (b & 1)
+    return gf2.join_fields([int(x) % p.q for x in t] + [int(x) + p.B - 1 for x in f] + [b & 1],
+                           _domain_widths(p))
 
 
 def unpack_domain(p: LweParams, val: int) -> tuple[np.ndarray, np.ndarray, int]:
-    b = val & 1
-    val >>= 1
-    f = np.zeros(p.v, dtype=np.int64)
-    for i in reversed(range(p.v)):
-        f[i] = (val & ((1 << p.l2b) - 1)) - p.B + 1
-        val >>= p.l2b
-    t = np.zeros(p.u, dtype=np.int64)
-    for j in reversed(range(p.u)):
-        t[j] = val & ((1 << p.lq) - 1)
-        val >>= p.lq
-    return t, f, b
+    fields = gf2.split_fields(val, _domain_widths(p))
+    t = np.array(fields[: p.u], dtype=np.int64)
+    f = np.array(fields[p.u : -1], dtype=np.int64) - p.B + 1
+    return t, f, fields[-1]
 
 
 def pack_range(p: LweParams, y: np.ndarray) -> int:
-    acc = 0
-    for i in range(p.v):
-        acc = (acc << p.lq) | (int(y[i]) % p.q)
-    return acc
+    return gf2.join_fields([int(x) % p.q for x in y], [p.lq] * p.v)
 
 
 def unpack_range(p: LweParams, val: int) -> np.ndarray:
-    y = np.zeros(p.v, dtype=np.int64)
-    for i in reversed(range(p.v)):
-        y[i] = val & ((1 << p.lq) - 1)
-        val >>= p.lq
-    return y
+    return np.array(gf2.split_fields(val, [p.lq] * p.v), dtype=np.int64)
 
 
 def hashl_eval_packed(pk: LweKey, x: int) -> int:
@@ -301,47 +287,29 @@ def hashq_keygen(p: LweParams, slices: int, stream: BitStream) -> tuple[QKey, QT
     return QKey(p, tuple(k for k, _ in pairs)), QTrapdoor(tuple(t for _, t in pairs))
 
 
-def _split_input(qk: QKey, w: int) -> list[int]:
-    """Per-slice (t||f||b) inputs from the n-bit w.
+def _input_widths(qk: QKey) -> list[int]:
+    """Layout of an n-bit input: one packet per slice carrying its t||f part,
+    then one coordinate bit b_i per slice."""
+    return [qk.params.domain_bits - 1] * qk.slices + [1] * qk.slices
 
-    Layout: packets of the first r bits carry each slice's t||f part; the
-    last (slices) bits are the per-slice coordinate bits b_i.
-    """
-    slices = qk.slices
-    pb = qk.params.domain_bits - 1  # packet width
+
+def _split_input(qk: QKey, w: int) -> list[int]:
+    """Per-slice (t||f||b) inputs from the n-bit w."""
     if w < 0 or w >> qk.n_bits:
         raise RangeError("input outside {0,1}^n")
-    coords = w & ((1 << slices) - 1)
-    vec = w >> slices
-    out = []
-    for i in range(slices):
-        packet = (vec >> ((slices - 1 - i) * pb)) & ((1 << pb) - 1)
-        b_i = (coords >> (slices - 1 - i)) & 1
-        out.append((packet << 1) | b_i)
-    return out
+    fields = gf2.split_fields(w, _input_widths(qk))
+    return [(packet << 1) | b for packet, b in zip(fields[: qk.slices], fields[qk.slices :])]
 
 
 def _join_input(qk: QKey, slice_inputs: list[int]) -> int:
-    pb = qk.params.domain_bits - 1
-    vec = 0
-    coords = 0
-    for i, si in enumerate(slice_inputs):
-        vec = (vec << pb) | (si >> 1)
-        coords = (coords << 1) | (si & 1)
-    return (vec << qk.slices) | coords
+    return gf2.join_fields([si >> 1 for si in slice_inputs] + [si & 1 for si in slice_inputs],
+                           _input_widths(qk))
 
 
 def hashq_eval(qk: QKey, w: int) -> int:
     """Parallel application; slice outputs concatenate, first slice highest."""
-    acc = 0
-    for pk, si in zip(qk.pks, _split_input(qk, w)):
-        acc = (acc << qk.params.range_bits) | hashl_eval_packed(pk, si)
-    return acc
-
-
-def _split_output(qk: QKey, a: int) -> list[int]:
-    rb = qk.params.range_bits
-    return [(a >> ((qk.slices - 1 - i) * rb)) & ((1 << rb) - 1) for i in range(qk.slices)]
+    return gf2.join_fields([hashl_eval_packed(pk, si) for pk, si in zip(qk.pks, _split_input(qk, w))],
+                           [qk.params.range_bits] * qk.slices)
 
 
 def hashq_coords(qk: QKey, w: int) -> gf2.BitVector:
@@ -350,20 +318,9 @@ def hashq_coords(qk: QKey, w: int) -> gf2.BitVector:
     return gf2.BitVector(gf2.reverse_bits(w, qk.slices), qk.slices)
 
 
-def _lift_slice_preimage(qk: QKey, i: int, slice_input: int) -> int:
-    """Embed slice i's (t||f||b) string into Z2^n: the t||f part lands in
-    packet i, the final bit in coordinate bit i, everything else zero."""
-    pb = qk.params.domain_bits - 1
-    packet = slice_input >> 1
-    b = slice_input & 1
-    vec = packet << ((qk.slices - 1 - i) * pb)
-    coords = b << (qk.slices - 1 - i)
-    return (vec << qk.slices) | coords
-
-
 def hashq_preimage_sets(qk: QKey, td: QTrapdoor, a: int) -> list[list[int]]:
     """Per-slice preimage lists (as packed slice inputs) of output a."""
-    outs = _split_output(qk, a)
+    outs = gf2.split_fields(a, [qk.params.range_bits] * qk.slices)
     result = []
     for pk, tdi, yi in zip(qk.pks, td.tds, outs):
         pre = hashl_invert(pk, tdi, unpack_range(qk.params, yi))
@@ -381,6 +338,7 @@ def hashq_coset(qk: QKey, td: QTrapdoor, a: int) -> gf2.AffineCoset:
     """
     per_slice = hashq_preimage_sets(qk, td, a)
     n = qk.n_bits
+    zeros = [0] * qk.slices
     shift_bits = 0
     cols = []
     deficient = []
@@ -389,9 +347,10 @@ def hashq_coset(qk: QKey, td: QTrapdoor, a: int) -> gf2.AffineCoset:
             raise ContractError(f"slice {i}: output not in the image")
         zero_side = [p for p in pres if (p & 1) == 0]
         one_side = [p for p in pres if (p & 1) == 1]
-        # component j of a lifted preimage is its bit j counting from the MSB
-        w0 = gf2.reverse_bits(_lift_slice_preimage(qk, i, zero_side[0]), n) if zero_side else 0
-        w1 = gf2.reverse_bits(_lift_slice_preimage(qk, i, one_side[0]), n) if one_side else 0
+        # lift each side's first preimage into Z2^n with the other slices
+        # zero; component j of a lifted preimage is its bit j from the MSB
+        w0, w1 = (gf2.reverse_bits(_join_input(qk, zeros[:i] + [side[0]] + zeros[i + 1 :]), n)
+                  if side else 0 for side in (zero_side, one_side))
         shift_bits ^= w0
         col = w0 ^ w1
         if not (zero_side and one_side):
@@ -408,10 +367,9 @@ def reconstruct_from_coset(qk: QKey, coset: gf2.AffineCoset, z: gf2.BitVector) -
     return gf2.reverse_bits(coset.point(z).bits, qk.n_bits)
 
 
-def measure_two_to_one_fraction(qk_or_pk, td, samples: int, stream: BitStream) -> float:
+def measure_two_to_one_fraction(pk: LweKey, td: LweTrapdoor, samples: int, stream: BitStream) -> float:
     """Fraction of random domain points whose image has two preimages,
     measured honestly through trapdoor inversion."""
-    pk = qk_or_pk
     p = pk.params
     hits = 0
     for _ in range(samples):

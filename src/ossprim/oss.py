@@ -33,7 +33,6 @@ from typing import Callable, Optional, Protocol
 from . import gf2, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .gf2 import AffineCoset, BitMatrix, BitVector
-from .hypergeom import DEFAULT_KAPPA
 from .opprp import MOCK_LABEL, MockObfuscation
 from .prng import BitStream, PrfKey
 from .wire import Reader
@@ -67,6 +66,11 @@ class OssParams:
         if self.mode == MODE_STANDARD:
             if self.d is None or self.d < max(self.n, self.r):
                 raise ContractError("standard mode needs d >= n")
+
+    @property
+    def y_bits(self) -> int:
+        """Width of a hash value: d in standard mode, r otherwise."""
+        return self.d if self.mode == MODE_STANDARD else self.r
 
     @classmethod
     def paper_preset(cls, lam: int, mode: str = MODE_ORACLE, d: Optional[int] = None) -> "OssParams":
@@ -270,36 +274,25 @@ class OssInstance:
         return got
 
 
-def oss_gen(params: OssParams, seed: bytes, backend: str = "auto",
-            kappa: int = DEFAULT_KAPPA) -> OssInstance:
-    """Deterministic instance from a seed.
+def _seeded_perm(root: PrfKey, tag: bytes, bits: int, table: bool) -> PermBackend:
+    """The permutation of {0,1}^bits seeded under ``tag``: an explicit table,
+    or a lazy PRP key, which above EXACT_MAX_BITS rides the INSECURE-DEMO
+    gauss path."""
+    if table:
+        return random_table_perm(bits, prng.bit_stream(root, tag))
+    if bits > nsprp.EXACT_MAX_BITS:
+        return PrpPerm(nsprp.make_scale_prp_key(prng.derive_key(root, tag).seed, bits), bits)
+    return PrpPerm(nsprp.PrpKey(prng.derive_key(root, tag), 1 << bits), bits)
 
-    backend "table" materializes the permutation(s) (tiny n only); "prp" uses
-    lazy keys (n must make 2^n a power-of-two domain, which it is).
-    """
+
+def oss_gen(params: OssParams, seed: bytes) -> OssInstance:
+    """Deterministic instance from a seed: explicit permutation tables when
+    n <= 12, lazy PRP keys otherwise."""
     root = PrfKey(seed, b"oss")
-    if backend == "auto":
-        backend = "table" if params.n <= 12 else "prp"
-    if backend == "table":
-        if params.n > 16:
-            raise RangeError("table backend above 2^16 refused")
-        pi = random_table_perm(params.n, prng.bit_stream(root, b"pi"))
-        out = None
-        if params.mode == MODE_STANDARD:
-            out = random_table_perm(params.d, prng.bit_stream(root, b"pi-out"))
-    else:
-        # paper-scale widths ride the INSECURE-DEMO gauss path
-        def prp_key(tag: bytes, bits: int) -> nsprp.PrpKey:
-            if bits > nsprp.EXACT_MAX_BITS:
-                return nsprp.make_scale_prp_key(prng.derive_key(root, tag).seed, bits, kappa)
-            return nsprp.PrpKey(prng.derive_key(root, tag), 1 << bits, kappa)
-
-        pi = PrpPerm(prp_key(b"pi", params.n), params.n)
-        out = None
-        if params.mode == MODE_STANDARD:
-            out = PrpPerm(prp_key(b"pi-out", params.d), params.d)
-    cols = params.n - params.r
-    src = PrfCosetSource(prng.derive_key(root, b"cosets"), params.k, cols)
+    table = params.n <= 12
+    pi = _seeded_perm(root, b"pi", params.n, table)
+    out = _seeded_perm(root, b"pi-out", params.d, table) if params.mode == MODE_STANDARD else None
+    src = PrfCosetSource(prng.derive_key(root, b"cosets"), params.k, params.n - params.r)
     return OssInstance(params, pi, src, out)
 
 
@@ -332,12 +325,15 @@ def oss_hash(inst: OssInstance, x: int) -> int:
     return oss_p(inst, x)[0]
 
 
+def _check_y(p: OssParams, y: int) -> None:
+    if not 0 <= y < (1 << p.y_bits):
+        raise RangeError("y outside its range")
+
+
 def oss_p_inv(inst: OssInstance, y: int, u: BitVector) -> Optional[int]:
     """The unique x with P(x) = (y, u), or None off the image."""
     p = inst.params
-    y_bits = p.d if p.mode == MODE_STANDARD else p.r
-    if not 0 <= y < (1 << y_bits):
-        raise RangeError("y outside its range")
+    _check_y(p, y)
     if u.dim != p.k:
         raise DimensionError("u must live in Z2^k")
     if p.mode == MODE_STANDARD:
@@ -361,6 +357,7 @@ def oss_d(inst: OssInstance, y: int, v: BitVector) -> int:
 
 def _orthogonal(inst: OssInstance, y: int, v: BitVector, first: int) -> int:
     """1 iff v^T a = 0 for every column a of A(y) from index ``first`` on."""
+    _check_y(inst.params, y)
     if v.dim != inst.params.k:
         raise DimensionError("v must live in Z2^k")
     a, _ = inst.coset_source(y)
@@ -377,7 +374,6 @@ def seal_instance(inst: OssInstance) -> tuple[MockObfuscation, Callable, bytes]:
     to (y << k) | u; P^-1 of a packed pair returns x or None.
     """
     p = inst.params
-    y_bits = p.d if p.mode == MODE_STANDARD else p.r
 
     def fwd(x: int) -> int:
         y, u = oss_p(inst, x)
@@ -404,16 +400,13 @@ class SelfReduction:
 def self_reduce(inst: OssInstance, seed: bytes) -> SelfReduction:
     """Fresh-looking instance: Pi' = Pi o Gamma, A' = C_y A, b' = C_y b + d_y.
 
-    Gamma is a seeded random permutation of the inputs (explicit table at
-    tiny n, a PRP key otherwise); any collision (x0, x1) of the new hash maps
-    through Gamma to a collision of the source instance.
+    Gamma is a seeded random permutation of the inputs, chosen as in oss_gen;
+    any collision (x0, x1) of the new hash maps through Gamma to a collision
+    of the source instance.
     """
     p = inst.params
     root = PrfKey(seed, b"selfreduce")
-    if p.n <= 12:
-        gamma: PermBackend = random_table_perm(p.n, prng.bit_stream(root, b"gamma"))
-    else:
-        gamma = PrpPerm(nsprp.PrpKey(prng.derive_key(root, b"gamma"), 1 << p.n), p.n)
+    gamma = _seeded_perm(root, b"gamma", p.n, p.n <= 12)
     cd = PrfCosetSource(prng.derive_key(root, b"cd"), p.k, p.k, b"cd")
     new_pi = ComposedPerm(inner=gamma, outer=inst.pi, n_bits=p.n)
     new_src = TransformedCosetSource(inst.coset_source, cd)
@@ -567,13 +560,10 @@ def cpf_from_two_to_one(h: Callable[[int], int], n_bits: int, ell: int) -> Coset
         raise RangeError("ell >= 1")
     out_bits = n_bits - 1
     n_total = n_bits * ell
+    in_widths = [n_bits] * ell
 
     def evaluate(x: int) -> int:
-        acc = 0
-        for i in range(ell):
-            xi = (x >> ((ell - 1 - i) * n_bits)) & ((1 << n_bits) - 1)
-            acc = (acc << out_bits) | h(xi)
-        return acc
+        return gf2.join_fields(map(h, gf2.split_fields(x, in_widths)), [out_bits] * ell)
 
     # exhaustive preimage index, built on demand (test oracle only)
     cache: dict = {}
@@ -584,25 +574,14 @@ def cpf_from_two_to_one(h: Callable[[int], int], n_bits: int, ell: int) -> Coset
             for xi in range(1 << n_bits):
                 idx.setdefault(h(xi), []).append(xi)
             cache["idx"] = idx
-        idx = cache["idx"]
-        slices = []
-        for i in range(ell):
-            yi = (y >> ((ell - 1 - i) * out_bits)) & ((1 << out_bits) - 1)
-            pre = idx.get(yi)
-            if not pre:
-                return None
-            slices.append((i, pre))
-        shift = 0
-        cols = []
-        for i, pre in slices:
-            off = (ell - 1 - i) * n_bits
-            shift |= pre[0] << off
-            if len(pre) == 2:
-                cols.append((pre[0] ^ pre[1]) << off)
-            else:
-                return None  # not a full 2^ell coset
+        pres = [cache["idx"].get(yi, ()) for yi in gf2.split_fields(y, [out_bits] * ell)]
+        if any(len(pre) != 2 for pre in pres):
+            return None  # off the image, or not a full 2^ell coset
+        # column i: slice i's preimage difference, zero in the other slices
+        cols = [gf2.join_fields([pre[0] ^ pre[1] if j == i else 0 for j, pre in enumerate(pres)], in_widths)
+                for i in range(ell)]
         basis = BitMatrix(n_total, tuple(gf2.reverse_bits(c, n_total) for c in cols))
-        return AffineCoset(basis, int_to_vec(shift, n_total))
+        return AffineCoset(basis, int_to_vec(gf2.join_fields([pre[0] for pre in pres], in_widths), n_total))
 
     return CosetPartitionFunction(n_total, out_bits * ell, ell, evaluate, preimage_coset)
 
@@ -698,8 +677,7 @@ def materialize(inst: OssInstance) -> OssInstance:
     out = None
     if p.mode == MODE_STANDARD:
         out = TablePerm(tuple(inst.out_perm.forward(y) for y in range(1 << p.d)), p.d)
-    y_bits = p.d if p.mode == MODE_STANDARD else p.r
-    entries = {y: inst.coset_source(y) for y in range(1 << y_bits)}
+    entries = {y: inst.coset_source(y) for y in range(1 << p.y_bits)}
     return OssInstance(p, pi, DictCosetSource(entries), out)
 
 

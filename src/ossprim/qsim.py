@@ -22,10 +22,9 @@ import numpy as np
 
 from . import oss as oss_mod
 from .errors import ContractError, DimensionError, RangeError
-from .oss import OssInstance, int_to_vec
+from .oss import OssInstance
 
 QUBIT_CAP = 14
-NORM_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -156,33 +155,16 @@ def accept_probability(sv: StateVector, predicate: Callable[[int], bool]) -> flo
 # -- the non-collapsing experiment ----------------------------------------------------
 
 def _distinguisher_accept(inst: OssInstance, sv_x: StateVector) -> float:
-    """Run the distinguisher on an input-register state: compute the oracle
-    pair in superposition (uncomputing x), Hadamard the coset register, and
-    return the dual oracle's acceptance probability."""
+    """Run the distinguisher on an input-register state: compute the packed
+    oracle pair (y << k) | u in superposition (uncomputing x), Hadamard the
+    coset register, and return the dual oracle's acceptance probability."""
     p = inst.params
     if p.mode != oss_mod.MODE_ORACLE:
         raise ContractError("the experiment drives an oracle-mode instance")
-    r, k = p.r, p.k
-
-    def pf(x: int) -> int:
-        y, u = oss_mod.oss_p(inst, x)
-        return (y << k) | oss_mod.vec_to_int(u)
-
-    def pf_inv(packed: int) -> int:
-        x = oss_mod.oss_p_inv(inst, packed >> k, int_to_vec(packed & ((1 << k) - 1), k))
-        if x is None:
-            raise ContractError("uncompute hit a non-image point")
-        return x
-
-    sv = apply_classical(sv_x, pf, out_bits=r + k, inverse=pf_inv)
-    sv = hadamard_all(sv, range(r, r + k))
-
-    def accepted(packed: int) -> bool:
-        y = packed >> k
-        v = int_to_vec(packed & ((1 << k) - 1), k)
-        return oss_mod.oss_d(inst, y, v) == 1
-
-    return accept_probability(sv, accepted)
+    sealed, dual, _ = oss_mod.seal_instance(inst)
+    sv = apply_classical(sv_x, sealed.forward, out_bits=p.r + p.k, inverse=sealed.inverse)
+    sv = hadamard_all(sv, range(p.r, p.r + p.k))
+    return accept_probability(sv, lambda packed: dual(packed) == 1)
 
 
 def noncollapsing_experiment(inst: OssInstance, branch: str) -> float:

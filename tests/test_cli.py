@@ -140,6 +140,28 @@ def test_instance_table_not_a_permutation_is_a_contract_error(tmp_path, corrupt)
     assert proc.stderr.startswith(b"error: table is not a permutation") and b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("oss embed-cpf --n 8 --l 0", b"error: --l must lie in [1, --n = 8], got 0"),
+    ("oss embed-cpf --n 8 --l 9", b"error: --l must lie in [1, --n = 8], got 9"),
+])
+def test_embed_cpf_slice_count_outside_its_range_is_a_contract_error(argv, message):
+    proc = run_cli(argv, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("oss pinv --tiny 8,4,8 --seed 07 --y 3 --u 272", b"error: --u outside [0, 2^8)"),
+    ("oss pinv --tiny 8,4,8 --seed 07 --y 3 --u -1", b"error: --u outside [0, 2^8)"),
+    ("oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 3 --v 256", b"error: --v outside [0, 2^8)"),
+    ("oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 99 --v 129", b"error: y outside its range"),
+])
+def test_oracle_inputs_outside_their_range_are_errors(argv, message):
+    proc = run_cli(argv, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr
+
+
 def test_params_file_missing_keys_is_a_contract_error(tmp_path):
     params = tmp_path / "params.txt"
     params.write_text("u=4\nv=8\n")

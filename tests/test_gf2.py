@@ -12,6 +12,28 @@ def stream(tag=b"t"):
     return bit_stream(PrfKey(b"\x01" * 32, b"gf2-tests"), tag)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 70), max_size=8).flatmap(
+    lambda ws: st.tuples(st.just(ws), st.tuples(*(st.integers(0, (1 << w) - 1) for w in ws)))))
+def test_join_split_fields_round_trip(case):
+    widths, values = case
+    packed = gf2.join_fields(values, widths)
+    # MSB-first: the fields' binary digits read left to right
+    assert packed == int("0" + "".join(f"{v:0{w}b}" for v, w in zip(values, widths) if w), 2)
+    assert gf2.split_fields(packed, widths) == list(values)
+    # bits above the total width do not reach any field
+    assert gf2.split_fields(packed | (5 << sum(widths)), widths) == list(values)
+
+
+def test_join_fields_refuses_overwide_values():
+    assert gf2.join_fields([1, 0, 2], [1, 0, 2]) == 0b110
+    for values in ([2], [-1]):
+        with pytest.raises(DimensionError):
+            gf2.join_fields(values, [1])
+    with pytest.raises(DimensionError):
+        gf2.join_fields([1], [0])
+
+
 def test_matvec_identity():
     v = gf2.BitVector.from_bits([1, 0, 1])
     assert gf2.mat_mul_vec(gf2.identity(3), v).to_list() == [1, 0, 1]

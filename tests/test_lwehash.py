@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from ossprim import lwehash as lh
+from ossprim import lwehash as lh, oss, qsim
 from ossprim.errors import ContractError, RangeError
 from ossprim.prng import PrfKey, bit_stream
 
@@ -245,3 +247,64 @@ def test_key_serialization_round_trip_and_magic():
     assert (back.b_mat == pk.b_mat).all() and (back.c_vec == pk.c_vec).all()
     td2 = lh.deserialize_trapdoor(lh.serialize_trapdoor(P, td))
     assert (td2.s == td.s).all() and (td2.e == td.e).all()
+
+
+# sha256 of _pinned_outputs(), recorded before the MSB-first field layouts
+# moved into gf2.join_fields/split_fields; any change to these bits changes it
+PINNED_SHA256 = "5ff8082816b7ab5bdc20c9ef00c1be8ba64b8bb55a2d30a73642d6b879b05b8e"
+
+
+def _pinned_outputs() -> bytes:
+    """Outputs of every MSB-first field layout and packed oracle: both
+    presets' domain and range packers, hashQ images, preimage sets and
+    cosets, three coset partition functions with their preimage cosets and
+    one embedding, both non-collapsing branches at (6, 3, 6) and (4, 2, 5),
+    P at n = 16 and its self-reduction, and a standard-mode (8, 4, 8)
+    instance with d = 14."""
+    out = []
+    for p in (lh.MICRO, P):
+        st = stream(b"pin" + bytes([p.v]))
+        xs = range(1 << p.domain_bits) if p.domain_bits <= 7 else [st.bits(p.domain_bits) for _ in range(64)]
+        for x in xs:
+            t, f, b = lh.unpack_domain(p, x)
+            wrapped = lh.pack_domain(p, t + p.q, f, b)  # t is read mod q
+            y = lh.unpack_range(p, st.bits(p.range_bits))
+            out.append((t.tolist(), f.tolist(), b, lh.pack_domain(p, t, f, b), wrapped,
+                        y.tolist(), lh.pack_range(p, y - p.q)))
+    for p, slices in ((lh.MICRO, 3), (P, 2)):
+        qk, qtd = qkeys(slices, p, b"pin")
+        st = stream(b"pinq" + bytes([slices]))
+        for _ in range(24):
+            w = st.bits(qk.n_bits)
+            a = lh.hashq_eval(qk, w)
+            entry = [w, a, lh.hashq_preimage_sets(qk, qtd, a)]
+            try:
+                c = lh.hashq_coset(qk, qtd, a)
+                entry += [c.basis.cols, c.shift.bits, lh.reconstruct_from_coset(qk, c, lh.hashq_coords(qk, w))]
+            except ContractError as e:
+                entry.append(str(e))
+            out.append(entry)
+    for n_bits, ell in ((3, 1), (3, 2), (2, 3)):
+        q = oss.cpf_from_two_to_one(oss.random_two_to_one(n_bits, stream(bytes([n_bits, ell]))), n_bits, ell)
+        cosets = [q.preimage_coset(y) for y in range(1 << q.m_bits)]
+        out.append(([q.evaluate(x) for x in range(1 << q.n_bits)],
+                    [None if c is None else (c.basis.cols, c.shift.bits) for c in cosets]))
+    emb = oss.embed_cpf(q, 8, b"\x55" * 32)
+    out.append([(y, u.bits) for y, u in map(emb.p, range(1 << emb.n))])
+    for (n, r, k), seed in (((6, 3, 6), b"\x0e"), ((4, 2, 5), b"\x56")):
+        inst = oss.oss_gen(oss.OssParams.tiny(n, r, k), seed * 32)
+        sealed, dual, _ = oss.seal_instance(inst)
+        out.append([(sealed.forward(x), dual(sealed.forward(x))) for x in range(1 << n)])
+        out.append([repr(qsim.noncollapsing_experiment(inst, br)) for br in ("full", "partial")])
+    inst = oss.oss_gen(oss.OssParams.tiny(16, 8, 16), b"\x69" * 32)
+    sr = oss.self_reduce(inst, b"\x57" * 32)
+    for i in (inst, sr.instance):
+        out.append([(y, u.bits) for y, u in (oss.oss_p(i, x) for x in (0, 1, 12345, 65535))])
+    out.append(sr.back_map(7))
+    std = oss.oss_gen(oss.OssParams.tiny(8, 4, 8, mode=oss.MODE_STANDARD, d=14), b"\x58" * 32)
+    out.append([(y, u.bits) for y, u in (oss.oss_p(std, x) for x in range(256))])
+    return repr(out).encode()
+
+
+def test_pinned_outputs_digest():
+    assert hashlib.sha256(_pinned_outputs()).hexdigest() == PINNED_SHA256

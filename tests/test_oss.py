@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import chi2
 
 from ossprim import gf2, lwehash, oss, prng
-from ossprim.errors import ContractError
+from ossprim.errors import ContractError, RangeError
 from ossprim.oss import OssParams, int_to_vec, vec_to_int
 
 
@@ -130,6 +130,18 @@ def test_bloat_edges():
             assert d_all(y, v) == 1
 
 
+def test_oracles_refuse_y_outside_its_range():
+    zero = gf2.BitVector(0, 6)
+    for inst in (gen(6, 3, 6, tag=7), gen(6, 3, 6, tag=11, mode=oss.MODE_STANDARD, d=8)):
+        y_bits = inst.params.y_bits
+        for oracle in (lambda y: oss.oss_p_inv(inst, y, zero), lambda y: oss.oss_d(inst, y, zero),
+                       lambda y: oss.bloat_dual(inst, 1)(y, zero)):
+            assert oracle((1 << y_bits) - 1) in (None, 0, 1)
+            for y in (-1, 1 << y_bits):
+                with pytest.raises(RangeError):
+                    oracle(y)
+
+
 def test_simulated_triple_support_membership():
     small = gen(6, 3, 6, tag=8)
     sim = oss.simulate_from_smaller(small, 8, 8)
@@ -247,15 +259,24 @@ def test_seal_instance_has_label_and_matches():
 
 
 def test_prp_backed_instance_round_trips():
-    inst = oss.oss_gen(OssParams.tiny(16, 8, 16), b"\x69" * 32, backend="prp")
+    inst = oss.oss_gen(OssParams.tiny(16, 8, 16), b"\x69" * 32)
     for x in (0, 1, 12345, 65535):
         y, u = oss.oss_p(inst, x)
         assert oss.oss_p_inv(inst, y, u) == x
 
 
+def test_permutation_rule_keys_on_n_and_scales_past_exact_keys():
+    std = gen(8, 4, 8, tag=13, mode=oss.MODE_STANDARD, d=14)
+    assert isinstance(std.pi, oss.TablePerm) and isinstance(std.out_perm, oss.TablePerm)
+    # Gamma on 2^80 is a scale key like Pi; an exact key there never finishes a draw
+    sr = oss.self_reduce(oss.oss_gen(OssParams.paper_preset(2), b"\x42" * 32), b"\x43" * 32)
+    y, u = oss.oss_p(sr.instance, 12345)
+    assert oss.oss_p_inv(sr.instance, y, u) == 12345
+
+
 def test_coset_memos_stay_bounded_and_keep_the_latest_y(monkeypatch):
     monkeypatch.setattr(oss, "_COSET_MEMO_MAX", 3)
-    inst = oss.oss_gen(OssParams.tiny(16, 8, 16), b"\x6a" * 32, backend="prp")
+    inst = oss.oss_gen(OssParams.tiny(16, 8, 16), b"\x6a" * 32)
     builds = [0]
     real = gf2.random_full_column_rank
 

@@ -26,16 +26,8 @@ def test_apply_classical_identity_and_norm():
 
 
 def test_apply_classical_uncompute_uniform_over_images():
-    inst = oss.oss_gen(OssParams.tiny(6, 3, 6), b"\x71" * 32)
-
-    def pf(x):
-        y, u = oss.oss_p(inst, x)
-        return (y << 6) | oss.vec_to_int(u)
-
-    def pf_inv(packed):
-        return oss.oss_p_inv(inst, packed >> 6, oss.int_to_vec(packed & 63, 6))
-
-    sv = qsim.apply_classical(qsim.uniform_state(6), pf, out_bits=9, inverse=pf_inv)
+    sealed, _, _ = oss.seal_instance(oss.oss_gen(OssParams.tiny(6, 3, 6), b"\x71" * 32))
+    sv = qsim.apply_classical(qsim.uniform_state(6), sealed.forward, out_bits=9, inverse=sealed.inverse)
     nz = np.abs(sv.amps) > 0
     assert nz.sum() == 64
     assert np.allclose(np.abs(sv.amps[nz]) ** 2, 1 / 64)
