@@ -134,7 +134,7 @@ def crit03_merge_neighbor_swap(n_max: int = 64) -> tuple[bool, str]:
                     continue
                 got = [merge_mod.permuted_merge_eval(pmk, 1 if e >= n0 else 0, e - n0 if e >= n0 else e)
                        for e in range(n)]
-                want = [merge_mod._tau_swap(z, w) for w in base] if c else base
+                want = [pd._tau(n, z, w) for w in base] if c else base
                 if got != want:
                     return False, f"permuted eval wrong at N={n} z={z} c={c}"
                 for zz in range(n):
@@ -146,18 +146,6 @@ def crit03_merge_neighbor_swap(n_max: int = 64) -> tuple[bool, str]:
 
 
 # -- criterion 4 --------------------------------------------------------------------
-
-def _tree_value_from_leaves(n: int, leaves: tuple[int, ...], node: prng.NodeId) -> int:
-    lo, size = 0, n
-    for lvl in range(node.depth):
-        sl = merge_mod.left_size(size)
-        if node.bit(lvl) == 0:
-            size = sl
-        else:
-            lo += sl
-            size -= sl
-    return sum(leaves[lo : lo + size])
-
 
 @_timed("CRIT-04 puncture statistics")
 def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
@@ -175,7 +163,11 @@ def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
                     if leaves[z] == leaves[z + 1]:
                         continue
                     legal += 1
-                    value = lambda nd: _tree_value_from_leaves(n, leaves, nd)
+
+                    def value(nd):
+                        lo, size = merge_mod.span(n, nd)
+                        return sum(leaves[lo : lo + size])
+
                     t0, t1 = (tuple(merge_mod.hardcoded_values(n, z, c, value).items()) for c in (0, 1))
                     dist0[t0] = dist0.get(t0, 0) + 1
                     dist1[t1] = dist1.get(t1, 0) + 1
@@ -221,7 +213,7 @@ def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 
             for c in (0, 1):
                 pk = nsprp.prp_permute(k, z, c)  # totality: must never fail
                 got = [nsprp.permuted_prp_forward(pk, x) for x in range(n)]
-                want = [merge_mod._tau_swap(z, w) for w in base] if c else base
+                want = [pd._tau(n, z, w) for w in base] if c else base
                 if got != want:
                     return False, f"permuted eval wrong at N={n} z={z} c={c}"
                 for zz in range(n):

@@ -140,6 +140,8 @@ def cmd_merge(args, out: _Out) -> int:
 def cmd_perm(args, out: _Out) -> int:
     g = pd.parse_perm(args.desc)
     if args.perm_cmd == "apply":
+        if not 0 <= args.x < g.n:
+            raise ContractError(f"--x outside [0, {g.n})")
         out.emit("y", g.forward(args.x))
     elif args.perm_cmd == "verify":
         rep = pd.verify_decomposition(g, budget=args.budget)
@@ -251,6 +253,8 @@ def cmd_oss(args, out: _Out) -> int:
     elif args.oss_cmd == "embed-cpf":
         if not 1 <= args.l <= args.n:
             raise ContractError(f"--l must lie in [1, --n = {args.n}], got {args.l}")
+        if args.n % args.l:
+            raise ContractError(f"--n = {args.n} is not a multiple of --l = {args.l}")
         stream = prng.bit_stream(prng.PrfKey(_seed_bytes(args.seed), b"2to1"), b"h")
         h = oss_mod.random_two_to_one(args.n // args.l, stream)
         q = oss_mod.cpf_from_two_to_one(h, args.n // args.l, args.l)

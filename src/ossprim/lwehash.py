@@ -234,6 +234,8 @@ def pack_domain(p: LweParams, t: np.ndarray, f: np.ndarray, b: int) -> int:
 
 
 def unpack_domain(p: LweParams, val: int) -> tuple[np.ndarray, np.ndarray, int]:
+    if not 0 <= val < 1 << p.domain_bits:
+        raise RangeError(f"domain point {val} outside [0, 2^{p.domain_bits})")
     fields = gf2.split_fields(val, _domain_widths(p))
     t = np.array(fields[: p.u], dtype=np.int64)
     f = np.array(fields[p.u : -1], dtype=np.int64) - p.B + 1
@@ -245,6 +247,8 @@ def pack_range(p: LweParams, y: np.ndarray) -> int:
 
 
 def unpack_range(p: LweParams, val: int) -> np.ndarray:
+    if not 0 <= val < 1 << p.range_bits:
+        raise RangeError(f"range point {val} outside [0, 2^{p.range_bits})")
     return np.array(gf2.split_fields(val, [p.lq] * p.v), dtype=np.int64)
 
 

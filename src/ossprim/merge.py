@@ -81,14 +81,18 @@ def left_size(s: int) -> int:
     return (s + 1) // 2
 
 
-def node_size(k: MergeKey, node: NodeId) -> int:
-    s = k.n
+def span(n: int, node: NodeId) -> tuple[int, int]:
+    """(first leaf, leaf count) of ``node`` in the tree over n leaves."""
+    lo, s = 0, n
     for lvl in range(node.depth):
         sl = left_size(s)
-        s = sl if node.bit(lvl) == 0 else s - sl
+        if node.bit(lvl):
+            lo, s = lo + sl, s - sl
+        else:
+            s = sl
     if s < 1:
         raise RangeError("node outside the tree")
-    return s
+    return lo, s
 
 
 # -- node values ---------------------------------------------------------------
@@ -235,30 +239,6 @@ def merge_forward(k: MergeKey, b: int, x: int) -> int:
     return pos
 
 
-def merge_forward_bsearch(k: MergeKey, b: int, x: int) -> int:
-    """Forward evaluation by binary search over the inverse (cross-check)."""
-    nb = k.n1 if b else k.n0
-    if not 0 <= x < nb:
-        raise RangeError("index outside pile")
-    lo, hi = 0, k.n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        bm, xm = merge_inverse(k, mid)
-        # count of pile-b elements at outputs <= mid
-        cnt = xm + 1 if bm == b else mid - xm
-        if cnt > x:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def ones_before(k: MergeKey, z: int) -> int:
-    """Count of pile-1 leaves strictly left of output z."""
-    b, x = merge_inverse(k, z)
-    return x if b else z - x  # the ones and zeros left of z sum to z
-
-
 # -- key permutation -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -285,15 +265,6 @@ class PermutedMergeKey:
         return self.n0 + self.n1
 
 
-def _tau_swap(z: int, w: int) -> int:
-    """The neighbor swap (z z+1) applied to w."""
-    if w == z:
-        return z + 1
-    if w == z + 1:
-        return z
-    return w
-
-
 def _path_nodes(n: int, z: int) -> list[NodeId]:
     """Root-to-leaf path of output z in the size-n tree, root first."""
     node = prng.ROOT
@@ -309,12 +280,6 @@ def _path_nodes(n: int, z: int) -> list[NodeId]:
     return out
 
 
-def _sibling(node: NodeId) -> Optional[NodeId]:
-    if node.depth == 0:
-        return None
-    return NodeId(node.depth, node.path ^ 1)
-
-
 def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
     """Swapped key for outputs (z, z+1), or None when the swap is illegal.
 
@@ -327,14 +292,12 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
         raise RangeError("c is a bit")
     if k.fast_ctx is not None:
         raise UnsupportedBackend("key permutation needs sha256 GGM keys, which draw exactly")
-    path0 = _path_nodes(k.n, z)
-    path1 = _path_nodes(k.n, z + 1)
-    leaf0, leaf1 = path0[-1], path1[-1]
-    if tally(k, leaf0) == tally(k, leaf1):
+    if merge_inverse(k, z)[0] == merge_inverse(k, z + 1)[0]:
         return None  # both preimages share a pile: the paper's bottom
     hard = hardcoded_values(k.n, z, c, lambda nd: tally(k, nd))
-    punct_set = (set(path0) | set(path1)) - {leaf0, leaf1}
-    punct = prng.puncture_nodes(k.prf_key, punct_set)
+    # the punctured nodes are the two paths above their leaves: exactly the
+    # hard-coded nodes whose children are hard-coded
+    punct = prng.puncture_nodes(k.prf_key, [nd for nd in hard if nd.child(0) in hard])
     return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1, k.kappa)
 
 
@@ -348,11 +311,7 @@ def hardcoded_values(n: int, z: int, c: int, value: Callable[[NodeId], int]) -> 
     """
     path0 = _path_nodes(n, z)
     path1 = _path_nodes(n, z + 1)
-    hset: set[NodeId] = set(path0) | set(path1)
-    for nd in list(hset):
-        sib = _sibling(nd)
-        if sib is not None:
-            hset.add(sib)
+    hset = {prng.ROOT} | {nd.child(b) for nd in path0[:-1] + path1[:-1] for b in (0, 1)}
     hard = {nd: value(nd) for nd in sorted(hset, key=NodeId.sort_key)}
     if c == 1:
         zero_path, one_path = (path0, path1) if hard[path0[-1]] == 0 else (path1, path0)
@@ -372,60 +331,46 @@ permuted_merge_eval = merge_forward
 # -- decomposition into neighbor swaps ------------------------------------------
 
 @dataclass(frozen=True)
-class DecompStep:
-    """One neighbor swap in application order, plus evaluators for the
-    intermediate permutation reached after applying it."""
+class SwapStep:
+    """One neighbor swap (z z+1) in application order, with flat evaluators
+    of the permutation reached after applying it: inputs [0, n0) are pile 0
+    and the rest pile 1."""
 
     z: int
-    n0: int
-    forward_pile: Callable[[int, int], int]  # (b, x) -> output position
-    inverse: Callable[[int], tuple[int, int]]  # output -> (b, x)
-
-    def forward(self, e: int) -> int:
-        """Flat-encoded forward: inputs [0, n0) are pile 0, the rest pile 1."""
-        return self.forward_pile(1, e - self.n0) if e >= self.n0 else self.forward_pile(0, e)
+    forward: Callable[[int], int]
+    inverse: Callable[[int], int]
 
 
 def _intermediate_evals(k: MergeKey, r: int, mover: int):
-    """Evaluators for the stage-(r, mover) intermediate merge.
+    """Flat evaluators for the stage-(r, mover) intermediate merge.
 
     Ones sit at the final positions of the first r-1 pile-1 elements, at
     ``mover``, and in the packed block [N - (n1 - r), N).
     """
-    n, n1 = k.n, k.n1
+    n, n0, n1 = k.n, k.n0, k.n1
     block = n - (n1 - r)
 
-    def leaf(z: int) -> int:
-        if z == mover:
-            return 1
-        if z >= block:
-            return 1
-        b, x = merge_inverse(k, z)  # for a one, x is the ones before z
-        return 1 if (b == 1 and x < r - 1) else 0
+    def placed(z: int) -> tuple[int, int]:
+        """(the bit at z, the ones strictly before z) in the intermediate."""
+        b, x = merge_inverse(k, z)  # x counts the final ones before z iff b
+        ones = min(x if b else z - x, r - 1) + (mover < z) + max(0, z - block)
+        return int(z == mover or z >= block or (b == 1 and x < r - 1)), ones
 
-    def cnt1(z: int) -> int:
-        # ones strictly before z in the intermediate arrangement
-        c = min(ones_before(k, z), r - 1)
-        if mover < z:
-            c += 1
-        c += max(0, z - block)
-        return c
+    def inverse(z: int) -> int:
+        bit, ones = placed(z)
+        return n0 + ones if bit else z - ones
 
-    def inverse(z: int) -> tuple[int, int]:
-        b = leaf(z)
-        return (b, cnt1(z)) if b else (0, z - cnt1(z))
-
-    def forward(b: int, x: int) -> int:
-        if b == 1:
+    def forward(e: int) -> int:
+        x = e - n0
+        if x >= 0:
             if x < r - 1:
                 return merge_forward(k, 1, x)
-            if x == r - 1:
-                return mover
-            return block + (x - r)
-        lo, hi = 0, n - 1  # x-th zero by bisection over the monotone zero-count
+            return mover if x == r - 1 else block + (x - r)
+        lo, hi = 0, n - 1  # the e-th zero by bisection over the monotone zero count
         while lo < hi:
             mid = (lo + hi) // 2
-            if mid - cnt1(mid) + (1 - leaf(mid)) > x:
+            bit, ones = placed(mid)
+            if mid - ones + (1 - bit) > e:
                 hi = mid
             else:
                 lo = mid + 1
@@ -434,7 +379,7 @@ def _intermediate_evals(k: MergeKey, r: int, mover: int):
     return forward, inverse
 
 
-def merge_decompose(k: MergeKey) -> Iterator[DecompStep]:
+def merge_decompose(k: MergeKey) -> Iterator[SwapStep]:
     """Neighbor swaps transforming the identity merge into M(k, .).
 
     Streamed lazily in application order: folding ``swap z`` onto the current
@@ -445,10 +390,8 @@ def merge_decompose(k: MergeKey) -> Iterator[DecompStep]:
     n, n1 = k.n, k.n1
     for r in range(1, n1 + 1):
         target = merge_forward(k, 1, r - 1)
-        start = n - n1 + r - 1
-        for q in range(start, target, -1):
-            fwd, inv = _intermediate_evals(k, r, q - 1)
-            yield DecompStep(z=q - 1, n0=k.n0, forward_pile=fwd, inverse=inv)
+        for q in range(n - n1 + r - 1, target, -1):
+            yield SwapStep(q - 1, *_intermediate_evals(k, r, q - 1))
 
 
 # -- serialization ---------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from . import fastpath, merge as merge_mod, prng
 from .errors import ContractError, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA
-from .merge import MergeKey, PermutedMergeKey
+from .merge import MergeKey, PermutedMergeKey, SwapStep
 from .prng import PrfKey
 from .wire import Reader
 
@@ -241,17 +241,22 @@ permuted_prp_inverse = prp_inverse
 
 # -- decomposition ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PermStep:
-    """One neighbor swap in application order with evaluators for the
-    permutation of [N] reached after applying it."""
+def _lift(n0: int, pile0: tuple, pile1: tuple, outer: tuple) -> tuple:
+    """The flat (forward, inverse) pair over [N] that permutes each pile with
+    its pair, pile 1 acting on the block [n0, N), then applies ``outer``."""
+    (f0, g0), (f1, g1), (fm, gm) = pile0, pile1, outer
 
-    z: int
-    forward: "callable"
-    inverse: "callable"
+    def forward(e: int) -> int:
+        return fm(f1(e - n0) + n0 if e >= n0 else f0(e))
+
+    def inverse(z: int) -> int:
+        e = gm(z)
+        return g1(e - n0) + n0 if e >= n0 else g0(e)
+
+    return forward, inverse
 
 
-def prp_decompose(k: PrpKey) -> Iterator[PermStep]:
+def prp_decompose(k: PrpKey) -> Iterator[SwapStep]:
     """Neighbor swaps building the permutation, streamed in application order.
 
     The two pile permutations are decomposed first (their swaps act inside
@@ -264,43 +269,18 @@ def prp_decompose(k: PrpKey) -> Iterator[PermStep]:
     if k.n == 2:
         if _xor_bit(k):
             swap01 = lambda e: 1 - e
-            yield PermStep(z=0, forward=swap01, inverse=swap01)
+            yield SwapStep(0, swap01, swap01)
         return
-    n0 = k.n0
-    k0, k1 = _child_key(k, 0), _child_key(k, 1)
-    mk = _merge_key(k)
-
-    # stage 1: left pile swaps act on [0, n0)
+    n0, k0, k1 = k.n0, _child_key(k, 0), _child_key(k, 1)
+    identity = (lambda e: e, lambda e: e)
+    built0 = (lambda e: prp_forward(k0, e), lambda z: prp_inverse(k0, z))
+    built1 = (lambda e: prp_forward(k1, e), lambda z: prp_inverse(k1, z))
     for st in prp_decompose(k0):
-        yield PermStep(
-            z=st.z,
-            forward=lambda e, f=st.forward: f(e) if e < n0 else e,
-            inverse=lambda z, g=st.inverse: g(z) if z < n0 else z,
-        )
-
-    # stage 2: right pile swaps act on [n0, N) with the left pile finished
-    left_fwd = lambda e: prp_forward(k0, e)
-    left_inv = lambda z: prp_inverse(k0, z)
+        yield SwapStep(st.z, *_lift(n0, (st.forward, st.inverse), identity, identity))
     for st in prp_decompose(k1):
-        yield PermStep(
-            z=st.z + n0,
-            forward=lambda e, f=st.forward: left_fwd(e) if e < n0 else f(e - n0) + n0,
-            inverse=lambda z, g=st.inverse: left_inv(z) if z < n0 else g(z - n0) + n0,
-        )
-
-    # stage 3: the merge layer over the finished piles
-    right_fwd = lambda e: prp_forward(k1, e)
-    for st in merge_mod.merge_decompose(mk):
-        def fwd(e, f=st.forward_pile):
-            b = 1 if e >= n0 else 0
-            y = right_fwd(e - n0) if b else left_fwd(e)
-            return f(b, y)
-
-        def inv(z, g=st.inverse):
-            b, y = g(z)
-            return prp_inverse(k1 if b else k0, y) + (n0 if b else 0)
-
-        yield PermStep(z=st.z, forward=fwd, inverse=inv)
+        yield SwapStep(st.z + n0, *_lift(n0, built0, (st.forward, st.inverse), identity))
+    for st in merge_mod.merge_decompose(_merge_key(k)):
+        yield SwapStep(st.z, *_lift(n0, built0, built1, (st.forward, st.inverse)))
 
 
 # -- serialization ------------------------------------------------------------------

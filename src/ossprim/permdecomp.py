@@ -161,6 +161,8 @@ def scalar_add(n: int, s: int) -> DecomposablePermutation:
     exactly "rotate the window [0, m+s] up by s": the bottom elements move s
     forward and the top s wrap to the bottom in an order-preserving way.
     """
+    if n < 1:
+        raise RangeError(f"domain size {n} must be >= 1")
     s %= n
     if s == 0:
         return identity_perm(n)

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ossprim import cli, permdecomp as pd
 
@@ -110,6 +113,18 @@ def test_perm_statement_arity_is_a_contract_error():
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("perm verify --desc 'add 0 1'", b"error: domain size 0 must be >= 1"),
+    ("perm apply --desc 'add -3 1' --x 1", b"error: domain size -3 must be >= 1"),
+    ("perm apply --desc 'swap 8 3' --x 99", b"error: --x outside [0, 8)"),
+    ("perm apply --desc 'swap 8 3' --x -1", b"error: --x outside [0, 8)"),
+])
+def test_perm_domain_and_point_outside_their_range_are_errors(argv, message):
+    proc = run_cli(argv, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr
+
+
 def test_truncated_instance_file_is_a_contract_error(tmp_path):
     inst = tmp_path / "inst.bin"
     run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv")
@@ -143,6 +158,7 @@ def test_instance_table_not_a_permutation_is_a_contract_error(tmp_path, corrupt)
 @pytest.mark.parametrize("argv, message", [
     ("oss embed-cpf --n 8 --l 0", b"error: --l must lie in [1, --n = 8], got 0"),
     ("oss embed-cpf --n 8 --l 9", b"error: --l must lie in [1, --n = 8], got 9"),
+    ("oss embed-cpf --n 8 --l 3", b"error: --n = 8 is not a multiple of --l = 3"),
 ])
 def test_embed_cpf_slice_count_outside_its_range_is_a_contract_error(argv, message):
     proc = run_cli(argv, check=False)
@@ -155,6 +171,9 @@ def test_embed_cpf_slice_count_outside_its_range_is_a_contract_error(argv, messa
     ("oss pinv --tiny 8,4,8 --seed 07 --y 3 --u -1", b"error: --u outside [0, 2^8)"),
     ("oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 3 --v 256", b"error: --v outside [0, 2^8)"),
     ("oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 99 --v 129", b"error: y outside its range"),
+    ("lwe eval --preset micro --seed 0d --x 145", b"error: domain point 145 outside [0, 2^7)"),
+    ("lwe eval --preset micro --seed 0d --x -111", b"error: domain point -111 outside [0, 2^7)"),
+    ("lwe invert --preset micro --seed 0d --y 9999", b"error: range point 9999 outside [0, 2^9)"),
 ])
 def test_oracle_inputs_outside_their_range_are_errors(argv, message):
     proc = run_cli(argv, check=False)
@@ -168,6 +187,32 @@ def test_params_file_missing_keys_is_a_contract_error(tmp_path):
     proc = run_cli(f"lwe keygen --params-file {params} --seed 01", check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, steps", [
+    ("prp decompose --bits 4 --seed 01 --limit 8 --format kv", [1, 4, 6, 5, 3, 2, 1, 0]),
+    ("prp decompose --bits 24 --seed 01 --limit 4 --format kv", [0, 1, 0, 4]),
+])
+def test_prp_decompose_steps_are_pinned(argv, steps):
+    kv = cli.parse_kv(run_cli(argv).stdout.decode())
+    assert kv == {f"step{i}": str(z) for i, z in enumerate(steps)}
+
+
+# one statement of each op with 0 to 4 small arguments; affine's first
+# argument is a bit count, so its arguments stay small to keep N <= 16
+_perm_statements = st.sampled_from(sorted(pd._PERM_ARITY)).flatmap(
+    lambda op: st.lists(st.integers(-2, 4) if op == "affine" else st.integers(-3, 16), max_size=4)
+    .map(lambda nums: " ".join([op] + [str(v) for v in nums])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_perm_statements, min_size=1, max_size=2), st.sampled_from(["apply", "verify"]),
+       st.integers(-3, 20))
+def test_perm_commands_never_raise(statements, cmd, x):
+    # any statement, well formed or not, exits 0 or 1 through main's handler
+    argv = ["perm", cmd, "--desc=" + "; ".join(statements)] + ([f"--x={x}"] if cmd == "apply" else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1)
 
 
 def test_perm_verify_failure_exit_code():

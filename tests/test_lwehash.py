@@ -162,6 +162,15 @@ def test_domain_packing_bijective():
     assert (lh.unpack_range(P, lh.pack_range(P, y)) == y).all()
 
 
+def test_unpacking_refuses_points_outside_their_width():
+    for val in (-1, 1 << P.domain_bits, (1 << P.domain_bits) + 17):
+        with pytest.raises(RangeError):
+            lh.unpack_domain(P, val)
+    for val in (-1, 1 << P.range_bits):
+        with pytest.raises(RangeError):
+            lh.unpack_range(P, val)
+
+
 def test_centered_mod_named_helper():
     assert lh.centered_mod(7, 8) == -1
     assert lh.centered_mod(4, 8) == 4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ossprim import merge, prng
+from ossprim import merge, permdecomp as pd, prng
 from ossprim.errors import InvariantViolation, RangeError, UnsupportedBackend
 from ossprim.prng import NodeId
 
@@ -78,11 +78,26 @@ def test_round_trip_and_order_sweep():
             assert merge.merge_forward(k, b, x) == z
 
 
+def merge_forward_bsearch(k, b, x):
+    """Forward evaluation by binary search over the inverse (cross-check)."""
+    lo, hi = 0, k.n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        bm, xm = merge.merge_inverse(k, mid)
+        # count of pile-b elements at outputs <= mid
+        cnt = xm + 1 if bm == b else mid - xm
+        if cnt > x:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def test_forward_matches_binary_search():
     k = key(9, 7, tag=3)
     for b in (0, 1):
         for x in range(k.n1 if b else k.n0):
-            assert merge.merge_forward(k, b, x) == merge.merge_forward_bsearch(k, b, x)
+            assert merge.merge_forward(k, b, x) == merge_forward_bsearch(k, b, x)
 
 
 def test_range_errors():
@@ -99,7 +114,7 @@ def test_parent_consistency_exact():
         for path in range(1 << (depth - 1)):
             parent = NodeId(depth - 1, path)
             try:
-                merge.node_size(k, parent.child(0))
+                merge.span(k.n, parent.child(0))
             except RangeError:
                 continue
             assert merge.tally(k, parent) == (
@@ -130,7 +145,7 @@ def test_permuted_eval_c0_and_c1_exhaustive():
                     for e in range(k.n):
                         b = 1 if e >= n0 else 0
                         got.append(merge.permuted_merge_eval(pmk, b, e - n0 if b else e))
-                    want = [merge._tau_swap(z, w) for w in base] if c else base
+                    want = [pd._tau(k.n, z, w) for w in base] if c else base
                     assert got == want
                     for zz in range(k.n):
                         b, x = merge.permuted_merge_inverse(pmk, zz)
@@ -145,9 +160,8 @@ def test_hardcoded_set_is_paths_plus_siblings():
     path_nodes = set(merge._path_nodes(16, z)) | set(merge._path_nodes(16, z + 1))
     expected = set(path_nodes)
     for nd in path_nodes:
-        sib = merge._sibling(nd)
-        if sib is not None:
-            expected.add(sib)
+        if nd.depth:
+            expected.add(NodeId(nd.depth, nd.path ^ 1))
     assert set(pmk.hardcoded) == expected
     punctured = set(pmk.punctured.punctured)
     leaves = {merge._path_nodes(16, z)[-1], merge._path_nodes(16, z + 1)[-1]}
@@ -213,7 +227,7 @@ def test_permuted_serialization_round_trip():
                 if pmk is None:
                     continue
                 back = merge.deserialize_permuted(merge.serialize_permuted(pmk))
-                want = [merge._tau_swap(z, w) for w in base] if c else base
+                want = [pd._tau(k.n, z, w) for w in base] if c else base
                 for e in range(k.n):
                     b = 1 if e >= n0 else 0
                     x = e - n0 if b else e
@@ -244,13 +258,12 @@ def test_decompose_composes_and_intermediates_order_preserving():
         cur = list(range(n))
         steps = 0
         for st in merge.merge_decompose(k):
-            cur = [merge._tau_swap(st.z, v) for v in cur]
+            cur = [pd._tau(n, st.z, v) for v in cur]
             steps += 1
             got = [st.forward(e) for e in range(n)]
             assert got == cur
             for zz in range(n):
-                b, x = st.inverse(zz)
-                assert cur[x + (n0 if b else 0)] == zz
+                assert cur[st.inverse(zz)] == zz
             # order preservation of the intermediate within each pile
             assert got[:n0] == sorted(got[:n0])
             assert got[n0:] == sorted(got[n0:])
@@ -449,4 +462,4 @@ def test_gauss_parent_consistency_at_2_40():
         parent = NodeId(depth, path)
         v = merge.tally(k, parent)
         assert v == merge.tally(k, parent.child(0)) + merge.tally(k, parent.child(1))
-        assert 0 <= v <= merge.node_size(k, parent)
+        assert 0 <= v <= merge.span(k.n, parent)[1]

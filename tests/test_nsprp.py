@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ossprim import merge, nsprp
+from ossprim import merge, nsprp, permdecomp as pd
 from ossprim.errors import RangeError, UnsupportedBackend
 
 
@@ -59,7 +59,7 @@ def test_permute_totality_and_correctness():
             for c in (0, 1):
                 pk = nsprp.prp_permute(k, z, c)  # never illegal
                 got = [nsprp.permuted_prp_forward(pk, x) for x in range(n)]
-                want = [merge._tau_swap(z, w) for w in base] if c else base
+                want = [pd._tau(n, z, w) for w in base] if c else base
                 assert got == want
                 for zz in range(n):
                     assert got[nsprp.permuted_prp_inverse(pk, zz)] == zz
@@ -77,7 +77,7 @@ def test_decompose_composes_exhaustively():
         k = key(n, n + 80)
         cur = list(range(n))
         for st in nsprp.prp_decompose(k):
-            cur = [merge._tau_swap(st.z, v) for v in cur]
+            cur = [pd._tau(n, st.z, v) for v in cur]
             got = [st.forward(e) for e in range(n)]
             assert got == cur
             assert sorted(got) == list(range(n))  # every prefix is a bijection
@@ -337,3 +337,30 @@ def test_batch_outputs_pinned_digest():
         t, r = np.meshgrid(np.array(ts, dtype=np.uint64), np.array(rs, dtype=np.uint64))
         h.update(fastpath.gauss_draw_even(half, t.ravel(), r.ravel()).tobytes())
     assert h.hexdigest() == BATCH_SHA256
+
+
+# sha256 over both decompositions (each swap's z and its intermediate's
+# forward and flat inverse tables) and over every merge swap's permuted blob,
+# recorded before the merge and PRP steps became one step type
+DECOMP_SHA256 = "b42566d63da721385d97e016f1abbe4d47e4601e1ac51f5019e9ae99781dd938"
+DECOMP_MERGE_SHAPES = [(5, 0), (0, 4), (2, 2), (4, 4), (3, 5), (5, 3), (6, 7)]
+
+
+def _step_digest(h, st, n):
+    h.update(repr((st.z, [st.forward(e) for e in range(n)], [st.inverse(z) for z in range(n)])).encode())
+
+
+def test_decompositions_pinned_digest():
+    h = hashlib.sha256()
+    for i, (n0, n1) in enumerate(DECOMP_MERGE_SHAPES):
+        k = merge.make_merge_key(bytes([0x70 + i]) * 32, n0, n1)
+        for st in merge.merge_decompose(k):
+            _step_digest(h, st, k.n)
+        for z in range(k.n - 1):
+            for c in (0, 1):
+                pmk = merge.merge_permute(k, z, c)
+                h.update(b"illegal" if pmk is None else merge.serialize_permuted(pmk))
+    for n in (1, 2, 3, 4, 5, 8, 13):
+        for st in nsprp.prp_decompose(key(n, 0x90 + n)):
+            _step_digest(h, st, n)
+    assert h.hexdigest() == DECOMP_SHA256

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ossprim import checks, gf2, permdecomp as pd
-from ossprim.errors import ContractError, DimensionError
+from ossprim.errors import ContractError, DimensionError, RangeError
 
 
 def assert_verified(g, expect_table=None):
@@ -70,6 +70,12 @@ def test_scalar_add_zero_is_identity():
     g = pd.scalar_add(9, 0)
     assert g.length == 0
     assert_verified(g, list(range(9)))
+
+
+def test_scalar_add_needs_a_nonempty_domain():
+    for n in (0, -3):
+        with pytest.raises(RangeError):
+            pd.scalar_add(n, 1)
 
 
 def test_scalar_add_sweep():
