@@ -98,8 +98,16 @@ def crit01_merge_correctness(n_max: int = 256, keys_per_n: int = 50) -> tuple[bo
 
 # -- criterion 2 --------------------------------------------------------------------
 
+def _chi2_uniform(counts: np.ndarray) -> tuple[float, float]:
+    """Pearson's statistic of ``counts`` against the uniform law, and the
+    0.999 quantile of its chi-square law (a 0.001 false-alarm rate)."""
+    expected = counts.sum() / len(counts)
+    stat = float(np.sum((counts - expected) ** 2 / expected))
+    return stat, float(chi2.ppf(0.999, len(counts) - 1))
+
+
 @_timed("CRIT-02 merge uniformity", budget=120)
-def crit02_merge_uniformity(keys: int = 70_000, alpha: float = 0.001) -> tuple[bool, str]:
+def crit02_merge_uniformity(keys: int = 70_000) -> tuple[bool, str]:
     """Chi-square over the 70 possible (4,4)-merges."""
     combos = {c: i for i, c in enumerate(itertools.combinations(range(8), 4))}
     counts = np.zeros(len(combos), dtype=np.int64)
@@ -107,9 +115,7 @@ def crit02_merge_uniformity(keys: int = 70_000, alpha: float = 0.001) -> tuple[b
         k = merge_mod.make_merge_key(_seed(i), 4, 4)
         ones = tuple(merge_mod.merge_forward(k, 1, x) for x in range(4))
         counts[combos[ones]] += 1
-    expected = keys / len(combos)
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    threshold = float(chi2.ppf(1 - alpha, len(combos) - 1))
+    stat, threshold = _chi2_uniform(counts)
     ok = stat < threshold
     return ok, f"chi2={stat:.1f} < {threshold:.1f} over {len(combos)} merges, {keys} keys"
 
@@ -185,8 +191,7 @@ def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
 # -- criterion 5 --------------------------------------------------------------------
 
 @_timed("CRIT-05 neighbor-swap PRP", budget=180)
-def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 64,
-               alpha: float = 0.001) -> tuple[bool, str]:
+def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 64) -> tuple[bool, str]:
     for n in range(1, round_max + 1):
         k = nsprp.make_prp_key(_seed(40_000 + n), n)
         img = [nsprp.prp_forward(k, x) for x in range(n)]
@@ -200,9 +205,7 @@ def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 
     for i in range(chi_keys):
         k = nsprp.make_prp_key(_seed(50_000 + i), 4)
         counts[perms[tuple(nsprp.prp_forward(k, x) for x in range(4))]] += 1
-    expected = chi_keys / 24
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    threshold = float(chi2.ppf(1 - alpha, 23))
+    stat, threshold = _chi2_uniform(counts)
     if stat >= threshold:
         return False, f"chi2={stat:.1f} >= {threshold:.1f}"
     pairs = 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -74,18 +75,38 @@ class _Out:
     def flush(self, out_path: Optional[str]) -> None:
         payload = "\n".join(self.lines) + "\n"
         if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(payload)
+            Path(out_path).write_text(payload)
         else:
             sys.stdout.write(payload)
 
 
-def _seed_bytes(seed_hex: str) -> bytes:
-    return prng.key_from_hex(seed_hex).seed
+# argparse turns these types' errors into usage errors (exit 2) naming the flag
+
+def _hex_seed(text: str) -> bytes:
+    try:
+        return prng.key_from_hex(text).seed
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a hex string: {text!r}") from None
+
+
+def _tiny_triple(text: str) -> tuple[int, int, int]:
+    try:
+        n, r, k = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not three integers n,r,k: {text!r}") from None
+    return n, r, k
+
+
+def _bit_count(text: str) -> int:
+    bits = int(text)
+    if bits < 0:
+        raise argparse.ArgumentTypeError(f"negative bit count: {bits}")
+    return bits
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", default="00", help="hex seed; all randomness derives from it")
+    sp.add_argument("--seed", type=_hex_seed, default="00",
+                    help="hex seed; all randomness derives from it")
     sp.add_argument("--format", choices=("text", "kv"), default="text")
     sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
@@ -94,8 +115,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 def _prp_key(args) -> nsprp.PrpKey:
     if args.bits > nsprp.EXACT_MAX_BITS:
-        return nsprp.make_scale_prp_key(_seed_bytes(args.seed), args.bits)
-    return nsprp.make_prp_key(_seed_bytes(args.seed), 1 << args.bits)
+        return nsprp.make_scale_prp_key(args.seed, args.bits)
+    return nsprp.make_prp_key(args.seed, 1 << args.bits)
 
 
 def cmd_prp(args, out: _Out) -> int:
@@ -118,7 +139,7 @@ def cmd_prp(args, out: _Out) -> int:
 # -- merge --------------------------------------------------------------------------
 
 def cmd_merge(args, out: _Out) -> int:
-    k = merge_mod.make_merge_key(_seed_bytes(args.seed), args.n0, args.n1)
+    k = merge_mod.make_merge_key(args.seed, args.n0, args.n1)
     if args.merge_cmd == "eval":
         out.emit("z", merge_mod.merge_forward(k, args.b, args.x))
     elif args.merge_cmd == "inv":
@@ -166,22 +187,22 @@ def cmd_hypergeom(args, out: _Out) -> int:
 
 def _owp_keys(args) -> opprp.TrapdoorOwpKeys:
     if getattr(args, "pk", None):
-        pk = opprp.deserialize_owp_public(open(args.pk, "rb").read())
+        pk = opprp.deserialize_owp_public(Path(args.pk).read_bytes())
         return opprp.TrapdoorOwpKeys(pk, None, pk.n.bit_length() - 1)
     if getattr(args, "sk", None):
-        return opprp.deserialize_owp_secret(open(args.sk, "rb").read())
-    return opprp.owp_gen(_seed_bytes(args.seed), args.bits)
+        return opprp.deserialize_owp_secret(Path(args.sk).read_bytes())
+    return opprp.owp_gen(args.seed, args.bits)
 
 
 def cmd_owp(args, out: _Out) -> int:
     if args.owp_cmd == "gen":
-        keys = opprp.owp_gen(_seed_bytes(args.seed), args.bits)
+        keys = opprp.owp_gen(args.seed, args.bits)
         pk_blob = opprp.serialize_owp_public(keys)
         sk_blob = opprp.serialize_owp_secret(keys)
         if args.out_pk:
-            open(args.out_pk, "wb").write(pk_blob)
+            Path(args.out_pk).write_bytes(pk_blob)
         if args.out_sk:
-            open(args.out_sk, "wb").write(sk_blob)
+            Path(args.out_sk).write_bytes(sk_blob)
         out.emit("bits", args.bits)
         out.emit("pk_fingerprint", prng.prf_eval(prng.PrfKey(b"\x00" * 32, b"fp"), pk_blob, 8).hex())
         out.emit("label_present", 1 if opprp.MOCK_LABEL in pk_blob else 0)
@@ -189,27 +210,23 @@ def cmd_owp(args, out: _Out) -> int:
         keys = _owp_keys(args)
         out.emit("y", opprp.owp_forward(keys.pk, args.x))
     elif args.owp_cmd == "invert":
-        keys = _owp_keys(args)
-        if keys.sk is None:
-            raise ContractError("inversion needs the secret key")
-        out.emit("x", opprp.owp_invert(keys.sk, args.y))
+        out.emit("x", opprp.owp_invert(_owp_keys(args).sk, args.y))
     return 0
 
 
 # -- oss --------------------------------------------------------------------------------
 
 def _oss_params(args) -> OssParams:
+    d = args.d if args.mode == "standard" else None
     if args.preset == "paper":
-        return OssParams.paper_preset(args.lam, mode=args.mode,
-                                      d=args.d if args.mode == "standard" else None)
-    n, r, k = (int(v) for v in args.tiny.split(","))
-    return OssParams.tiny(n, r, k, mode=args.mode, d=args.d)
+        return OssParams.paper_preset(args.lam, mode=args.mode, d=d)
+    return OssParams.tiny(*args.tiny, mode=args.mode, d=d)
 
 
 def _oss_instance(args) -> oss_mod.OssInstance:
     if getattr(args, "inst", None):
-        return oss_mod.deserialize_instance(open(args.inst, "rb").read())
-    return oss_mod.oss_gen(_oss_params(args), _seed_bytes(args.seed))
+        return oss_mod.deserialize_instance(Path(args.inst).read_bytes())
+    return oss_mod.oss_gen(_oss_params(args), args.seed)
 
 
 def _k_vec(val: int, flag: str, k: int):
@@ -221,10 +238,10 @@ def _k_vec(val: int, flag: str, k: int):
 
 def cmd_oss(args, out: _Out) -> int:
     if args.oss_cmd == "gen":
-        inst = oss_mod.oss_gen(_oss_params(args), _seed_bytes(args.seed))
+        inst = oss_mod.oss_gen(_oss_params(args), args.seed)
         blob = oss_mod.serialize_instance(inst)
         if args.out_inst:
-            open(args.out_inst, "wb").write(blob)
+            Path(args.out_inst).write_bytes(blob)
         out.emit("n", inst.params.n)
         out.emit("r", inst.params.r)
         out.emit("k", inst.params.k)
@@ -241,10 +258,10 @@ def cmd_oss(args, out: _Out) -> int:
         x = oss_mod.oss_p_inv(inst, args.y, _k_vec(args.u, "--u", inst.params.k))
         out.emit("x", "bottom" if x is None else x)
     elif args.oss_cmd == "selfreduce":
-        sr = oss_mod.self_reduce(inst, _seed_bytes(args.seed2))
+        sr = oss_mod.self_reduce(inst, args.seed2)
         blob = oss_mod.serialize_instance(sr.instance)
         if args.out_inst:
-            open(args.out_inst, "wb").write(blob)
+            Path(args.out_inst).write_bytes(blob)
         out.emit("bytes", len(blob))
         out.emit("gamma_of_0", sr.back_map(0))
     elif args.oss_cmd == "bloat":
@@ -255,10 +272,10 @@ def cmd_oss(args, out: _Out) -> int:
             raise ContractError(f"--l must lie in [1, --n = {args.n}], got {args.l}")
         if args.n % args.l:
             raise ContractError(f"--n = {args.n} is not a multiple of --l = {args.l}")
-        stream = prng.bit_stream(prng.PrfKey(_seed_bytes(args.seed), b"2to1"), b"h")
+        stream = prng.bit_stream(prng.PrfKey(args.seed, b"2to1"), b"h")
         h = oss_mod.random_two_to_one(args.n // args.l, stream)
         q = oss_mod.cpf_from_two_to_one(h, args.n // args.l, args.l)
-        emb = oss_mod.embed_cpf(q, args.k or args.n, _seed_bytes(args.seed), validate=True)
+        emb = oss_mod.embed_cpf(q, args.k or args.n, args.seed, validate=True)
         y, u = emb.p(args.x)
         out.emit("y", y)
         out.emit("u", oss_mod.vec_to_int(u))
@@ -269,13 +286,13 @@ def cmd_oss(args, out: _Out) -> int:
 
 def _lwe_params(args) -> lwehash.LweParams:
     if getattr(args, "params_file", None):
-        return lwehash.parse_params(open(args.params_file).read())
+        return lwehash.parse_params(Path(args.params_file).read_text())
     return lwehash.MICRO if args.preset == "micro" else lwehash.INSECURE_DEMO
 
 
 def _lwe_keys(args):
     p = _lwe_params(args)
-    stream = prng.bit_stream(prng.PrfKey(_seed_bytes(args.seed), b"lwe"), b"keygen")
+    stream = prng.bit_stream(prng.PrfKey(args.seed, b"lwe"), b"keygen")
     return p, *lwehash.hashl_keygen(p, stream)
 
 
@@ -285,9 +302,9 @@ def cmd_lwe(args, out: _Out) -> int:
         pk_blob = lwehash.serialize_key(pk)
         td_blob = lwehash.serialize_trapdoor(p, td)
         if args.out_pk:
-            open(args.out_pk, "wb").write(pk_blob)
+            Path(args.out_pk).write_bytes(pk_blob)
         if args.out_td:
-            open(args.out_td, "wb").write(td_blob)
+            Path(args.out_td).write_bytes(td_blob)
         out.emit("domain_bits", p.domain_bits)
         out.emit("insecure_demo", 1 if lwehash.INSECURE_DEMO_MAGIC in pk_blob else 0)
     elif args.lwe_cmd == "eval":
@@ -306,15 +323,15 @@ def cmd_lwe(args, out: _Out) -> int:
 
 def cmd_qsim(args, out: _Out) -> int:
     if args.qsim_cmd == "noncollapse":
-        inst = oss_mod.oss_gen(OssParams.tiny(args.n, args.r, args.k), _seed_bytes(args.seed))
+        inst = oss_mod.oss_gen(OssParams.tiny(args.n, args.r, args.k), args.seed)
         prob = qsim.noncollapsing_experiment(inst, args.branch)
         out.emit("branch", args.branch)
         out.emit("accept_probability", repr(prob))
     elif args.qsim_cmd == "sign":
         # multi-bit messages loop over independent one-bit instances
-        rng = np.random.default_rng(int.from_bytes(_seed_bytes(args.seed), "big") & 0xFFFFFFFF)
+        rng = np.random.default_rng(int.from_bytes(args.seed, "big") & 0xFFFFFFFF)
         bits = args.message if args.message is not None else str(args.m)
-        root = prng.PrfKey(_seed_bytes(args.seed), b"sign-demo")
+        root = prng.PrfKey(args.seed, b"sign-demo")
         for i, ch in enumerate(bits):
             inst = oss_mod.oss_gen(OssParams.tiny(args.n, args.n // 2, args.n),
                                    prng.derive_key(root, b"bit%d" % i).seed)
@@ -360,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     prp_sub = prp.add_subparsers(dest="prp_cmd", required=True)
     for name in ("eval", "inv", "permute-eval", "decompose"):
         s = prp_sub.add_parser(name)
-        s.add_argument("--bits", type=int, required=True)
+        s.add_argument("--bits", type=_bit_count, required=True)
         _add_common(s)
         if name == "eval":
             s.add_argument("--x", type=int, required=True)
@@ -434,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         s = os_sub.add_parser(name)
         s.add_argument("--preset", choices=("paper", "tiny"), default="tiny")
         s.add_argument("--lambda", dest="lam", type=int, default=2)
-        s.add_argument("--tiny", default="8,4,8", help="n,r,k")
+        s.add_argument("--tiny", type=_tiny_triple, default="8,4,8", help="n,r,k")
         s.add_argument("--mode", choices=("oracle", "standard"), default="oracle")
         s.add_argument("--d", type=int, default=None)
         s.add_argument("--inst", default=None, help="instance file (overrides preset)")
@@ -447,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--y", type=int, required=True)
             s.add_argument("--u", type=int, required=True)
         elif name == "selfreduce":
-            s.add_argument("--seed2", default="01")
+            s.add_argument("--seed2", type=_hex_seed, default="01")
             s.add_argument("--out-inst", default=None)
         elif name == "bloat":
             s.add_argument("--s", type=int, required=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterable, Optional
 
 from . import gf2, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
@@ -64,7 +64,7 @@ class OssParams:
         if not (0 <= self.r < self.n <= self.k):
             raise ContractError("need r < n <= k")
         if self.mode == MODE_STANDARD:
-            if self.d is None or self.d < max(self.n, self.r):
+            if self.d is None or self.d < self.n:
                 raise ContractError("standard mode needs d >= n")
 
     @property
@@ -79,94 +79,47 @@ class OssParams:
         n = r + (3 * s) // 2
         k = n
         if mode == MODE_STANDARD and d is None:
-            d = standard_d(n, r, 0)
+            d = n
         return cls(lam, s, r, n, k, d, mode)
 
     @classmethod
     def tiny(cls, n: int, r: int, k: int, mode: str = MODE_ORACLE, d: Optional[int] = None) -> "OssParams":
         if mode == MODE_STANDARD and d is None:
-            d = standard_d(n, r, 0)
+            d = n
         return cls(0, n - r, r, n, k, d, mode)
 
 
-def standard_d(n: int, r: int, slice_out_bits: int) -> int:
-    """Smallest d covering the input plus (n-r) output slices of the
-    configured coset-partition stage."""
-    return n + (n - r) * slice_out_bits
-
-
-# -- permutation backends ---------------------------------------------------------
-
-class PermBackend(Protocol):
-    n_bits: int
-
-    def forward(self, x: int) -> int: ...
-
-    def inverse(self, z: int) -> int: ...
-
+# -- permutations ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TablePerm:
+class Perm:
+    """A permutation of {0,1}^n_bits as a forward/inverse oracle pair."""
+
+    n_bits: int
+    forward: Callable[[int], int]
+    inverse: Callable[[int], int]
+
+
+def table_perm(table: Iterable[int], n_bits: int) -> Perm:
     """Explicit permutation table (tiny domains, ground-truth randomness)."""
-
-    table: tuple[int, ...]
-    n_bits: int
-    inverse_table: tuple[int, ...] = field(default=None)
-
-    def __post_init__(self):
-        if len(self.table) != 1 << self.n_bits:
-            raise DimensionError("table length != 2^n")
-        if sorted(self.table) != list(range(len(self.table))):
-            raise ContractError("table is not a permutation of [0, 2^n)")
-        if self.inverse_table is None:
-            inv = [0] * len(self.table)
-            for i, v in enumerate(self.table):
-                inv[v] = i
-            object.__setattr__(self, "inverse_table", tuple(inv))
-
-    def forward(self, x: int) -> int:
-        return self.table[x]
-
-    def inverse(self, z: int) -> int:
-        return self.inverse_table[z]
+    table = tuple(table)
+    if len(table) != 1 << n_bits:
+        raise DimensionError("table length != 2^n")
+    if sorted(table) != list(range(len(table))):
+        raise ContractError("table is not a permutation of [0, 2^n)")
+    inv = [0] * len(table)
+    for i, v in enumerate(table):
+        inv[v] = i
+    return Perm(n_bits, table.__getitem__, tuple(inv).__getitem__)
 
 
-@dataclass(frozen=True)
-class PrpPerm:
-    """Lazy permutation backed by the recursive merge PRP."""
-
-    key: nsprp.PrpKey
-    n_bits: int
-
-    def forward(self, x: int) -> int:
-        return nsprp.prp_forward(self.key, x)
-
-    def inverse(self, z: int) -> int:
-        return nsprp.prp_inverse(self.key, z)
-
-
-@dataclass(frozen=True)
-class ComposedPerm:
-    """outer o inner (inner applied first)."""
-
-    inner: "PermBackend"
-    outer: "PermBackend"
-    n_bits: int
-
-    def forward(self, x: int) -> int:
-        return self.outer.forward(self.inner.forward(x))
-
-    def inverse(self, z: int) -> int:
-        return self.inner.inverse(self.outer.inverse(z))
-
-
-def random_table_perm(n_bits: int, stream: BitStream) -> TablePerm:
+def random_table_perm(n_bits: int, stream: BitStream) -> Perm:
     n = 1 << n_bits
     table = list(range(n))
     for i in range(n - 1, 0, -1):  # Fisher-Yates on the stream
         j = stream.randbelow(i + 1)
         table[i], table[j] = table[j], table[i]
-    return TablePerm(tuple(table), n_bits)
+    return table_perm(table, n_bits)
 
 
 # -- coset sources ----------------------------------------------------------------
@@ -183,8 +136,8 @@ def _remember(memo: dict, y: int, got) -> None:
     memo[y] = got
 
 
-class CosetSource(Protocol):
-    def __call__(self, y: int) -> tuple[BitMatrix, BitVector]: ...
+# y -> (basis, shift) of a coset of Z2^k
+CosetSource = Callable[[int], tuple[BitMatrix, BitVector]]
 
 
 @dataclass(frozen=True)
@@ -216,20 +169,12 @@ class PrfCosetSource:
 
 
 @dataclass(frozen=True)
-class DictCosetSource:
-    entries: dict
-
-    def __call__(self, y: int) -> tuple[BitMatrix, BitVector]:
-        return self.entries[y]
-
-
-@dataclass(frozen=True)
 class TransformedCosetSource:
-    """A'(y) = C(y).A(y), b'(y) = C(y).b(y) + d(y): the self-reduction's
-    per-y affine output rerandomization."""
+    """A'(y) = C(y).A(y), b'(y) = C(y).b(y) + d(y): the per-y affine output
+    rerandomization of the self-reduction and the CPF embedding."""
 
     base: CosetSource
-    cd_source: Callable[[int], tuple[BitMatrix, BitVector]]
+    cd_source: CosetSource
 
     def __call__(self, y: int) -> tuple[BitMatrix, BitVector]:
         a, b = self.base(y)
@@ -242,9 +187,9 @@ class TransformedCosetSource:
 @dataclass(frozen=True)
 class OssInstance:
     params: OssParams
-    pi: PermBackend
+    pi: Perm
     coset_source: CosetSource
-    out_perm: Optional[PermBackend] = None  # standard mode only
+    out_perm: Optional[Perm] = None  # standard mode only
     _solve_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -256,10 +201,6 @@ class OssInstance:
     @property
     def n(self) -> int:
         return self.params.n
-
-    @property
-    def r(self) -> int:
-        return self.params.r
 
     @property
     def k(self) -> int:
@@ -274,15 +215,19 @@ class OssInstance:
         return got
 
 
-def _seeded_perm(root: PrfKey, tag: bytes, bits: int, table: bool) -> PermBackend:
+def _seeded_perm(root: PrfKey, tag: bytes, bits: int, table: bool) -> Perm:
     """The permutation of {0,1}^bits seeded under ``tag``: an explicit table,
     or a lazy PRP key, which above EXACT_MAX_BITS rides the INSECURE-DEMO
     gauss path."""
     if table:
         return random_table_perm(bits, prng.bit_stream(root, tag))
     if bits > nsprp.EXACT_MAX_BITS:
-        return PrpPerm(nsprp.make_scale_prp_key(prng.derive_key(root, tag).seed, bits), bits)
-    return PrpPerm(nsprp.PrpKey(prng.derive_key(root, tag), 1 << bits), bits)
+        key = nsprp.make_scale_prp_key(prng.derive_key(root, tag).seed, bits)
+    else:
+        key = nsprp.PrpKey(prng.derive_key(root, tag), 1 << bits)
+    # nsprp is looked up at call time, so perfbench's tracer, which swaps this
+    # module's nsprp global after set-up, sees these calls
+    return Perm(bits, lambda x: nsprp.prp_forward(key, x), lambda z: nsprp.prp_inverse(key, z))
 
 
 def oss_gen(params: OssParams, seed: bytes) -> OssInstance:
@@ -408,7 +353,8 @@ def self_reduce(inst: OssInstance, seed: bytes) -> SelfReduction:
     root = PrfKey(seed, b"selfreduce")
     gamma = _seeded_perm(root, b"gamma", p.n, p.n <= 12)
     cd = PrfCosetSource(prng.derive_key(root, b"cd"), p.k, p.k, b"cd")
-    new_pi = ComposedPerm(inner=gamma, outer=inst.pi, n_bits=p.n)
+    pi = inst.pi
+    new_pi = Perm(p.n, lambda x: pi.forward(gamma.forward(x)), lambda z: gamma.inverse(pi.inverse(z)))
     new_src = TransformedCosetSource(inst.coset_source, cd)
     inst2 = OssInstance(p, new_pi, new_src, inst.out_perm)
     return SelfReduction(inst2, gamma.forward)
@@ -500,18 +446,11 @@ def simulate_from_smaller(small: OssInstance, n: int, k: int) -> SimulatedTriple
 
 def realize_simulated(sim: SimulatedTriple) -> OssInstance:
     """Explicit instance whose honest oracles equal the simulated triple."""
-    sp = sim.small.params
     extra = sim.n - sim.r - sim.s
     mask = (1 << extra) - 1
-
-    class _Pi:
-        n_bits = sim.n
-
-        def forward(self, x: int) -> int:
-            return (sim.small.pi.forward(x >> extra) << extra) | (x & mask)
-
-        def inverse(self, w: int) -> int:
-            return (sim.small.pi.inverse(w >> extra) << extra) | (w & mask)
+    small_pi = sim.small.pi
+    pi = Perm(sim.n, lambda x: (small_pi.forward(x >> extra) << extra) | (x & mask),
+              lambda w: (small_pi.inverse(w >> extra) << extra) | (w & mask))
 
     def src(y: int) -> tuple[BitMatrix, BitVector]:
         # column ints index components directly, so the small-instance block
@@ -523,7 +462,7 @@ def realize_simulated(sim: SimulatedTriple) -> OssInstance:
         return BitMatrix(sim.k, tuple(cols)), BitVector(b_bar.bits, sim.k)
 
     params = OssParams(0, sim.s, sim.r, sim.n, sim.k, None, MODE_ORACLE)
-    return OssInstance(params, _Pi(), src)
+    return OssInstance(params, pi, src)
 
 
 # -- coset partition functions ---------------------------------------------------------
@@ -616,8 +555,8 @@ class EmbeddedTriple:
     r: int
     k: int
     q: CosetPartitionFunction
-    gamma: PermBackend
-    cd_source: Callable[[int], tuple[BitMatrix, BitVector]]
+    gamma: Perm
+    cd_source: CosetSource
     p: Callable[[int], tuple[int, BitVector]]
     p_inv: Callable[[int, BitVector], Optional[int]]
     back_map: Callable[[int], int]
@@ -667,40 +606,25 @@ _OSS_MAGIC = b"OSS1"
 _MAX_TABLE_BITS = 14
 
 
-def materialize(inst: OssInstance) -> OssInstance:
-    """Explicit-table copy of a (tiny) instance: permutation tables plus a
-    dictionary coset source, suitable for serialization."""
-    p = inst.params
-    if max(p.n, p.d if p.mode == MODE_STANDARD else 0) > _MAX_TABLE_BITS:
-        raise RangeError(f"materializing above 2^{_MAX_TABLE_BITS} refused")
-    pi = TablePerm(tuple(inst.pi.forward(x) for x in range(1 << p.n)), p.n)
-    out = None
-    if p.mode == MODE_STANDARD:
-        out = TablePerm(tuple(inst.out_perm.forward(y) for y in range(1 << p.d)), p.d)
-    entries = {y: inst.coset_source(y) for y in range(1 << p.y_bits)}
-    return OssInstance(p, pi, DictCosetSource(entries), out)
-
-
 def serialize_instance(inst: OssInstance) -> bytes:
     """Binary instance file: params header, permutation tables, coset table.
 
-    Lazy (PRF-backed) instances are materialized first, so this is a
-    tiny-parameter format.
+    The tables are written out in full, so this is a tiny-parameter format.
     """
-    inst = materialize(inst)
     p = inst.params
+    if max(p.n, p.d if p.mode == MODE_STANDARD else 0) > _MAX_TABLE_BITS:
+        raise RangeError(f"instance files above 2^{_MAX_TABLE_BITS} refused")
     if p.k > 64:
         raise RangeError("instance files carry shifts as u64 (k <= 64)")
     mode = 1 if p.mode == MODE_STANDARD else 0
-    head = _OSS_MAGIC + struct.pack("<BHHHH", mode, p.n, p.r, p.k, p.d or 0)
+    head = _OSS_MAGIC + struct.pack("<BHHHH", mode, p.n, p.r, p.k, p.d if mode else 0)
     body = [head]
-    body.append(struct.pack(f"<{1 << p.n}I", *inst.pi.table))
+    body.append(struct.pack(f"<{1 << p.n}I", *map(inst.pi.forward, range(1 << p.n))))
     if mode:
-        body.append(struct.pack(f"<{1 << p.d}I", *inst.out_perm.table))
-    entries = inst.coset_source.entries
-    body.append(struct.pack("<I", len(entries)))
-    for y in sorted(entries):
-        a, b = entries[y]
+        body.append(struct.pack(f"<{1 << p.d}I", *map(inst.out_perm.forward, range(1 << p.d))))
+    body.append(struct.pack("<I", 1 << p.y_bits))
+    for y in range(1 << p.y_bits):
+        a, b = inst.coset_source(y)
         mat = gf2.serialize_matrix(a)
         body.append(struct.pack("<QI", y, len(mat)))
         body.append(mat)
@@ -715,21 +639,30 @@ def deserialize_instance(data: bytes) -> OssInstance:
     mode, n, r_bits, k, d = r.unpack("<BHHHH")
     if mode not in (0, 1):
         raise ContractError(f"unknown instance mode {mode}")
+    if not mode and d:
+        raise ContractError(f"oracle-mode instance with d = {d}")
     if max(n, d if mode else 0) > _MAX_TABLE_BITS:
         raise ContractError(f"instance tables above 2^{_MAX_TABLE_BITS}")
     params = OssParams(0, n - r_bits, r_bits, n, k, d if mode else None,
                        MODE_STANDARD if mode else MODE_ORACLE)
-    pi = TablePerm(r.unpack(f"<{1 << n}I"), n)
-    out = TablePerm(r.unpack(f"<{1 << d}I"), d) if mode else None
+    pi = table_perm(r.unpack(f"<{1 << n}I"), n)
+    out = table_perm(r.unpack(f"<{1 << d}I"), d) if mode else None
     (count,) = r.unpack("<I")
-    entries = {}
-    for _ in range(count):
+    if count != 1 << params.y_bits:
+        raise ContractError(f"{count} cosets where 2^{params.y_bits} are due")
+    cosets = []
+    for want in range(count):
         (y,) = r.unpack("<Q")
+        if y != want:
+            raise ContractError(f"coset entry {want} is labelled y = {y}")
         a = gf2.deserialize_matrix(r.blob("<I"))
+        if a.rows != k or a.ncols != n - r_bits or not gf2.is_full_column_rank(a):
+            raise ContractError(f"coset matrix of y = {y} is not a full-column-rank "
+                                f"{k} x {n - r_bits} matrix")
         (shift,) = r.unpack("<Q")
-        entries[y] = (a, BitVector(r.fits(shift, k, "coset shift"), k))
+        cosets.append((a, BitVector(r.fits(shift, k, "coset shift"), k)))
     r.done()
-    return OssInstance(params, pi, DictCosetSource(entries), out)
+    return OssInstance(params, pi, tuple(cosets).__getitem__, out)
 
 
 def realize_embedded(emb: EmbeddedTriple) -> OssInstance:
@@ -739,26 +672,23 @@ def realize_embedded(emb: EmbeddedTriple) -> OssInstance:
     q = emb.q
     n, r, k = emb.n, emb.r, emb.k
 
-    class _Pi:
-        n_bits = n
-
-        def forward(self, x: int) -> int:
-            w = emb.gamma.forward(x)
-            y = q.evaluate(w)
-            coset = q.preimage_coset(y)
-            j = gf2.solve_coordinates(coset, int_to_vec(w, n))
-            return (y << (n - r)) | vec_to_int(j)
-
-        def inverse(self, val: int) -> int:
-            y, j = val >> (n - r), val & ((1 << (n - r)) - 1)
-            coset = q.preimage_coset(y)
-            w = coset.point(int_to_vec(j, n - r))
-            return emb.gamma.inverse(vec_to_int(w))
-
-    def src(y: int) -> tuple[BitMatrix, BitVector]:
+    def forward(x: int) -> int:
+        w = emb.gamma.forward(x)
+        y = q.evaluate(w)
         coset = q.preimage_coset(y)
-        c, d = emb.cd_source(y)
-        return gf2.mat_mul(c, coset.basis), gf2.mat_mul_vec(c, coset.shift) ^ d
+        j = gf2.solve_coordinates(coset, int_to_vec(w, n))
+        return (y << (n - r)) | vec_to_int(j)
+
+    def inverse(val: int) -> int:
+        y, j = val >> (n - r), val & ((1 << (n - r)) - 1)
+        coset = q.preimage_coset(y)
+        w = coset.point(int_to_vec(j, n - r))
+        return emb.gamma.inverse(vec_to_int(w))
+
+    def preimage_coset(y: int) -> tuple[BitMatrix, BitVector]:
+        coset = q.preimage_coset(y)
+        return coset.basis, coset.shift
 
     params = OssParams(0, n - r, r, n, k, None, MODE_ORACLE)
-    return OssInstance(params, _Pi(), src)
+    src = TransformedCosetSource(preimage_coset, emb.cd_source)
+    return OssInstance(params, Perm(n, forward, inverse), src)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import shlex
+import struct
 import subprocess
 import sys
 
@@ -11,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 from ossprim import cli, permdecomp as pd
 
 
-def run_cli(argv_str, check=True, timeout=None):
-    proc = subprocess.run([sys.executable, "-m", "ossprim.cli"] + shlex.split(argv_str),
-                          capture_output=True, timeout=timeout)
+def run_cli(argv_str, check=True, timeout=None, dev=False):
+    # dev: a file-handling command runs under -X dev, which reports unclosed files
+    proc = subprocess.run([sys.executable] + (["-X", "dev"] if dev else []) + ["-m", "ossprim.cli"]
+                          + shlex.split(argv_str), capture_output=True, timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr
+    if dev:
+        assert b"ResourceWarning" not in proc.stderr, proc.stderr
     return proc
 
 
@@ -52,29 +56,31 @@ def test_prp_eval_inverse_consistency_via_cli():
 def test_owp_file_round_trip(tmp_path):
     pk = tmp_path / "pk.bin"
     sk = tmp_path / "sk.bin"
-    run_cli(f"owp gen --bits 10 --seed 0c --out-pk {pk} --out-sk {sk} --format kv")
-    y = cli.parse_kv(run_cli(f"owp eval --bits 10 --pk {pk} --x 100 --format kv").stdout.decode())["y"]
-    x = cli.parse_kv(run_cli(f"owp invert --bits 10 --sk {sk} --y {y} --format kv").stdout.decode())["x"]
+    run_cli(f"owp gen --bits 10 --seed 0c --out-pk {pk} --out-sk {sk} --format kv", dev=True)
+    y = cli.parse_kv(run_cli(f"owp eval --bits 10 --pk {pk} --x 100 --format kv",
+                             dev=True).stdout.decode())["y"]
+    x = cli.parse_kv(run_cli(f"owp invert --bits 10 --sk {sk} --y {y} --format kv",
+                             dev=True).stdout.decode())["x"]
     assert int(x) == 100
     assert b"MOCK-IO" in pk.read_bytes()
 
 
 def test_owp_secret_key_with_bad_bits_is_a_contract_error(tmp_path):
     sk = tmp_path / "sk.bin"
-    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv")
+    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv", dev=True)
     blob = sk.read_bytes()
     sk.write_bytes(blob[:5] + bytes([blob[5] ^ 0x40]) + blob[6:])  # bits u16: 6 -> 70
-    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False)
+    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
 def test_owp_secret_key_exact_above_20_bits_is_a_contract_error(tmp_path):
     sk = tmp_path / "sk.bin"
-    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv")
+    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv", dev=True)
     blob = sk.read_bytes()
     sk.write_bytes(blob[:5] + bytes([blob[5] ^ 0x10]) + blob[6:])  # bits u16: 6 -> 22, still exact
-    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False, timeout=30)
+    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False, timeout=30, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
@@ -87,12 +93,22 @@ def test_owp_gen_above_64_bits_is_an_error():
 
 def test_oss_instance_file_round_trip(tmp_path):
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv")
-    y1 = cli.parse_kv(run_cli(f"oss hash --inst {inst} --x 5 --format kv").stdout.decode())["y"]
+    run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv", dev=True)
+    y1 = cli.parse_kv(run_cli(f"oss hash --inst {inst} --x 5 --format kv", dev=True).stdout.decode())["y"]
     y2 = cli.parse_kv(run_cli("oss hash --tiny 6,3,6 --seed 07 --x 5 --format kv").stdout.decode())["y"]
     assert y1 == y2
-    run_cli(f"oss selfreduce --inst {inst} --seed2 02 --out-inst {tmp_path/'sr.bin'} --format kv")
-    run_cli(f"oss p --inst {tmp_path/'sr.bin'} --x 9 --format kv")
+    run_cli(f"oss selfreduce --inst {inst} --seed2 02 --out-inst {tmp_path/'sr.bin'} --format kv",
+            dev=True)
+    run_cli(f"oss p --inst {tmp_path/'sr.bin'} --x 9 --format kv", dev=True)
+
+
+def test_oracle_mode_instance_file_with_d_flag_round_trips(tmp_path):
+    # --d only shapes a standard-mode instance: an oracle-mode file records no d
+    inst = tmp_path / "inst.bin"
+    run_cli(f"oss gen --tiny 8,4,8 --d 10 --seed 07 --out-inst {inst} --format kv", dev=True)
+    y1 = cli.parse_kv(run_cli(f"oss hash --inst {inst} --x 1 --format kv", dev=True).stdout.decode())["y"]
+    y2 = cli.parse_kv(run_cli("oss hash --tiny 8,4,8 --seed 07 --x 1 --format kv").stdout.decode())["y"]
+    assert y1 == y2
 
 
 def test_exit_codes():
@@ -127,9 +143,9 @@ def test_perm_domain_and_point_outside_their_range_are_errors(argv, message):
 
 def test_truncated_instance_file_is_a_contract_error(tmp_path):
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv")
+    run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv", dev=True)
     inst.write_bytes(inst.read_bytes()[:40])
-    proc = run_cli(f"oss hash --inst {inst} --x 5", check=False)
+    proc = run_cli(f"oss hash --inst {inst} --x 5", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: truncated instance file") and b"Traceback" not in proc.stderr
 
@@ -146,13 +162,109 @@ def _duplicated_entry(blob):
 def test_instance_table_not_a_permutation_is_a_contract_error(tmp_path, corrupt):
     # bytes 13..20 hold the first two u32 entries of the 2^4-entry pi table
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv")
+    run_cli(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv", dev=True)
     blob = inst.read_bytes()
     assert blob[13:17] != blob[17:21]
     inst.write_bytes(corrupt(blob))
-    proc = run_cli(f"oss hash --inst {inst} --x 1", check=False)
+    proc = run_cli(f"oss hash --inst {inst} --x 1", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: table is not a permutation") and b"Traceback" not in proc.stderr
+
+
+def test_lwe_keygen_writes_its_files(tmp_path):
+    pk, td = tmp_path / "pk.bin", tmp_path / "td.bin"
+    run_cli(f"lwe keygen --preset micro --seed 0d --out-pk {pk} --out-td {td} --format kv", dev=True)
+    assert b"INSECURE-DEMO" in pk.read_bytes() and td.read_bytes()
+
+
+# the 4,2,4 instance file: a 13-byte header and 2^4 u32 pi entries, then the
+# u32 coset count and 2^2 entries of 40 bytes: y u64, matrix length u32, the
+# 4 x 2 matrix (u16 rows, u16 cols, one u64 word per column) and the shift u64
+_COUNT = 77
+
+
+def _coset_entries(blob):
+    return [blob[_COUNT + 4 + 40 * i:_COUNT + 44 + 40 * i] for i in range(4)]
+
+
+def _with_entries(blob, entries):
+    return blob[:_COUNT] + struct.pack("<I", len(entries)) + b"".join(entries)
+
+
+def _relabelled(entry, y):
+    return struct.pack("<Q", y) + entry[8:]
+
+
+def _one_coset(blob):
+    return _with_entries(blob, _coset_entries(blob)[:1])
+
+
+def _five_cosets(blob):
+    entries = _coset_entries(blob)
+    return _with_entries(blob, entries + [_relabelled(entries[0], 4)])
+
+
+def _swapped_ys(blob):
+    e = _coset_entries(blob)
+    return _with_entries(blob, [e[1], e[0], e[2], e[3]])
+
+
+def _repeated_y(blob):
+    e = _coset_entries(blob)
+    return _with_entries(blob, [e[0], _relabelled(e[1], 0), e[2], e[3]])
+
+
+def _y_out_of_range(blob):
+    e = _coset_entries(blob)
+    return _with_entries(blob, e[:3] + [_relabelled(e[3], 1 << 40)])
+
+
+def _one_column_matrix(blob):
+    e = _coset_entries(blob)
+    narrow = struct.pack("<QIHH", 0, 12, 4, 1) + e[0][16:24] + e[0][32:]
+    return _with_entries(blob, [narrow] + e[1:])
+
+
+def _rank_one_matrix(blob):
+    e = _coset_entries(blob)
+    twin = e[0][:24] + e[0][16:24] + e[0][32:]
+    return _with_entries(blob, [twin] + e[1:])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_one_coset, b"error: 1 cosets where 2^2 are due"),
+    (_five_cosets, b"error: 5 cosets where 2^2 are due"),
+    (_swapped_ys, b"error: coset entry 0 is labelled y = 1"),
+    (_repeated_y, b"error: coset entry 1 is labelled y = 0"),
+    (_y_out_of_range, b"error: coset entry 3 is labelled y = 1099511627776"),
+    (_one_column_matrix, b"error: coset matrix of y = 0 is not a full-column-rank 4 x 2 matrix"),
+    (_rank_one_matrix, b"error: coset matrix of y = 0 is not a full-column-rank 4 x 2 matrix"),
+])
+def test_instance_coset_table_corruption_is_a_contract_error(tmp_path, corrupt, message):
+    inst = tmp_path / "inst.bin"
+    run_cli(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv", dev=True)
+    blob = inst.read_bytes()
+    assert blob[_COUNT:_COUNT + 4] == struct.pack("<I", 4) and _with_entries(blob, _coset_entries(blob)) == blob
+    inst.write_bytes(corrupt(blob))
+    proc = run_cli(f"oss hash --inst {inst} --x 1", check=False, dev=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("prp eval --bits 4 --seed zz --x 1", b"--seed"),
+    ("merge eval --n0 2 --n1 2 --seed 123 --b 0 --x 1", b"--seed"),
+    ("oss selfreduce --seed2 0g", b"--seed2"),
+    ("oss hash --tiny 8,4 --x 1", b"--tiny"),
+    ("oss hash --tiny 8,4,8,1 --x 1", b"--tiny"),
+    ("oss hash --tiny 8,x,8 --x 1", b"--tiny"),
+    ("prp eval --bits -1 --x 0", b"--bits"),
+    ("prp decompose --bits -4", b"--bits"),
+])
+def test_malformed_flags_are_usage_errors(argv, flag):
+    proc = run_cli(argv, check=False)
+    assert proc.returncode == 2
+    assert b"error: argument " + flag + b":" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -184,7 +296,7 @@ def test_oracle_inputs_outside_their_range_are_errors(argv, message):
 def test_params_file_missing_keys_is_a_contract_error(tmp_path):
     params = tmp_path / "params.txt"
     params.write_text("u=4\nv=8\n")
-    proc = run_cli(f"lwe keygen --params-file {params} --seed 01", check=False)
+    proc = run_cli(f"lwe keygen --params-file {params} --seed 01", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 

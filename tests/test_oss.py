@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -70,13 +72,13 @@ def test_hash_constant_on_cosets_and_preimage_count():
         assert sum(1 for x in range(256) if oss.oss_hash(inst, x) == y) == 16
 
 
-def test_self_reduce_identity_ingredients_neutral():
+def test_self_reduce_identity_ingredients_neutral(monkeypatch):
     inst = gen(6, 3, 6, tag=4)
-    neutral = oss.OssInstance(
-        inst.params,
-        oss.ComposedPerm(oss.TablePerm(tuple(range(64)), 6), inst.pi, 6),
-        oss.TransformedCosetSource(inst.coset_source,
-                                   lambda y: (gf2.identity(6), gf2.BitVector(0, 6))))
+    # an identity Gamma and identity (C, d) leave every oracle answer alone
+    monkeypatch.setattr(oss, "random_table_perm", lambda bits, stream: oss.table_perm(range(1 << bits), bits))
+    monkeypatch.setattr(oss, "PrfCosetSource",
+                        lambda key, k, cols, label: lambda y: (gf2.identity(k), gf2.BitVector(0, k)))
+    neutral = oss.self_reduce(inst, b"\x60" * 32).instance
     for x in range(64):
         assert oss.oss_p(neutral, x) == oss.oss_p(inst, x)
 
@@ -101,11 +103,8 @@ def test_self_reduce_back_maps_planted_collision():
 def test_self_reduce_rerandomizes_uniformly():
     # start from a fixed degenerate instance; the re-randomized hash table
     # must look like a fresh one: chi-square over the 70 balanced tables
-    base = oss.OssInstance(
-        OssParams.tiny(3, 1, 3),
-        oss.TablePerm(tuple(range(8)), 3),
-        oss.DictCosetSource({y: (gf2.identity(3).from_rows([[1, 0], [0, 1], [0, 0]]), gf2.BitVector(0, 3))
-                             for y in range(2)}))
+    coset = (gf2.identity(3).from_rows([[1, 0], [0, 1], [0, 0]]), gf2.BitVector(0, 3))
+    base = oss.OssInstance(OssParams.tiny(3, 1, 3), oss.table_perm(range(8), 3), lambda y: coset)
     import itertools
     classes = {c: i for i, c in enumerate(itertools.combinations(range(8), 4))}
     counts = np.zeros(70, dtype=np.int64)
@@ -234,6 +233,35 @@ def test_instance_serialization_round_trip():
             assert oss.oss_d(back, y, v) == oss.oss_d(inst, y, v)
 
 
+def test_oracle_mode_instance_with_a_d_reads_back():
+    # d only shapes standard mode, so an oracle-mode file records d = 0
+    inst = gen(8, 4, 8, tag=17, d=10)
+    blob = oss.serialize_instance(inst)
+    assert blob == oss.serialize_instance(gen(8, 4, 8, tag=17))
+    back = oss.deserialize_instance(blob)
+    assert all(oss.oss_p(back, x) == oss.oss_p(inst, x) for x in range(256))
+
+
+# sha256 over the serialize_instance bytes of oracle and standard tiny instances,
+# both after a self-reduction, and a realized simulated and embedded instance
+INSTANCE_SHA256 = "3a31abfaa7a16b9a62a3b3d2d22ca4488e736da2d97d8093f792e1c732d746ca"
+
+
+def test_instance_files_pinned_digest():
+    orc = gen(8, 4, 8, tag=14)
+    std = gen(8, 4, 8, tag=15, mode=oss.MODE_STANDARD, d=14)
+    h = oss.random_two_to_one(4, prng.bit_stream(prng.PrfKey(b"\x6b" * 32, b"h"), b"s"))
+    insts = [orc, std, oss.self_reduce(orc, b"\x6c" * 32).instance, oss.self_reduce(std, b"\x6d" * 32).instance,
+             oss.realize_simulated(oss.simulate_from_smaller(gen(6, 3, 6, tag=16), 8, 8)),
+             oss.realize_embedded(oss.embed_cpf(oss.cpf_from_two_to_one(h, 4, 2), 8, b"\x6e" * 32))]
+    digest = hashlib.sha256()
+    for inst in insts:
+        blob = oss.serialize_instance(inst)
+        assert oss.serialize_instance(oss.deserialize_instance(blob)) == blob
+        digest.update(blob)
+    assert digest.hexdigest() == INSTANCE_SHA256
+
+
 def test_standard_mode_routes_through_outer_permutation():
     inst = gen(6, 3, 6, tag=11, mode=oss.MODE_STANDARD, d=8)
     for x in range(64):
@@ -267,7 +295,13 @@ def test_prp_backed_instance_round_trips():
 
 def test_permutation_rule_keys_on_n_and_scales_past_exact_keys():
     std = gen(8, 4, 8, tag=13, mode=oss.MODE_STANDARD, d=14)
-    assert isinstance(std.pi, oss.TablePerm) and isinstance(std.out_perm, oss.TablePerm)
+    # n <= 12: both permutations are Fisher-Yates tables on their seeded streams
+    root = prng.PrfKey(bytes([113]) * 32, b"oss")
+    for perm, tag, bits in ((std.pi, b"pi", 8), (std.out_perm, b"pi-out", 14)):
+        want = oss.random_table_perm(bits, prng.bit_stream(root, tag))
+        assert perm.n_bits == bits
+        assert [perm.forward(x) for x in range(1 << bits)] == [want.forward(x) for x in range(1 << bits)]
+        assert all(perm.inverse(perm.forward(x)) == x for x in range(1 << bits))
     # Gamma on 2^80 is a scale key like Pi; an exact key there never finishes a draw
     sr = oss.self_reduce(oss.oss_gen(OssParams.paper_preset(2), b"\x42" * 32), b"\x43" * 32)
     y, u = oss.oss_p(sr.instance, 12345)

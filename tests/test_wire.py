@@ -227,6 +227,8 @@ HEADER_CASES = [
      lambda: _patched(blob_of("oss_instance"), 4, 2), "mode"),
     ("instance table width", oss.deserialize_instance,
      lambda: _patched(blob_of("oss_instance"), 5, 40), "2^14"),
+    ("instance oracle-mode d", oss.deserialize_instance,
+     lambda: _patched(blob_of("oss_instance"), 11, 5), "oracle-mode instance with d = 5"),
     # payload values wider than the width their header declares
     ("punctured key node path", prng.deserialize_punctured,
      _wide_punctured_path_blob, "node path wider than 3 bits"),
