@@ -97,11 +97,11 @@ def _tiny_triple(text: str) -> tuple[int, int, int]:
     return n, r, k
 
 
-def _bit_count(text: str) -> int:
-    bits = int(text)
-    if bits < 0:
-        raise argparse.ArgumentTypeError(f"negative bit count: {bits}")
-    return bits
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"negative count: {n}")
+    return n
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     prp_sub = prp.add_subparsers(dest="prp_cmd", required=True)
     for name in ("eval", "inv", "permute-eval", "decompose"):
         s = prp_sub.add_parser(name)
-        s.add_argument("--bits", type=_bit_count, required=True)
+        s.add_argument("--bits", type=_count, required=True)
         _add_common(s)
         if name == "eval":
             s.add_argument("--x", type=int, required=True)
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--c", type=int, choices=(0, 1), required=True)
             s.add_argument("--x", type=int, required=True)
         else:
-            s.add_argument("--limit", type=int, default=16)
+            s.add_argument("--limit", type=_count, default=16)
 
     mg = sub.add_parser("merge", help="order-preserving pseudorandom merge")
     mg_sub = mg.add_subparsers(dest="merge_cmd", required=True)
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "apply":
             s.add_argument("--x", type=int, required=True)
         else:
-            s.add_argument("--budget", type=int, default=1 << 20)
+            s.add_argument("--budget", type=_count, default=1 << 20)
 
     hg = sub.add_parser("hypergeom", help="exact hypergeometric sampler")
     hg_sub = hg.add_subparsers(dest="hg_cmd", required=True)

@@ -13,6 +13,7 @@ the same vector formula.  Uneven splits and sizes above 2^64 (such as the top
 16 levels of the paper preset's 2^80 merges) use a second definition,
 ``gauss_draw_general``, a scalar formula with a different float-op order;
 folding the two changes bits above 2^64 (ROADMAP item 3's caveat, item 7).
+Scalar draws run a port of Cephes' ndtri: only lockstep batches import scipy.
 Tree sizes are uniform per depth for a power-of-two domain and are carried
 as per-step scalars; 2^64 itself never has to fit in a u64 lane.
 
@@ -28,16 +29,67 @@ step enters ``np.errstate``: unsigned array ops wrap without a warning, and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import prng
 from .errors import RangeError
 
+# Cephes ndtri (Moshier, 1989); leading zeros and p1evl's implied 1.0 pad every table to 9 terms
+_EXPM2, _S2PI = 0.13533528323661269189, 2.50662827463100050242  # exp(-2), sqrt(2 pi)
+_P0 = (0.0, 0.0, 0.0, 0.0, -5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: float, coef) -> float:
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = coef
+    return (((((((c0 * x + c1) * x + c2) * x + c3) * x + c4) * x + c5) * x + c6) * x + c7) * x + c8
+
+
+def _ndtri_port(y: float) -> float:
+    """Cephes ndtri on one float: scipy's IEEE operations in scipy's order."""
+    if not 0.0 < y < 1.0:
+        return -math.inf if y == 0.0 else math.inf if y == 1.0 else math.nan
+    neg = y <= 1.0 - _EXPM2
+    y = y if neg else 1.0 - y
+    if y > _EXPM2:  # central branch: |u - 1/2| < 1/2 - exp(-2)
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)  # x < 8: u > exp(-32)
+    x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, q)
+    return -x if neg else x
+
+
 _ndtri = None
 
 
 def ndtri(u, out=None):
-    """scipy.special.ndtri, bound on first use (import cost)."""
+    """The normal quantile: the port on floats and one-lane arrays, scipy's lazy ufunc on wider."""
+    if isinstance(u, float):
+        return _ndtri_port(u)
+    if u.size == 1:
+        out = np.empty_like(u) if out is None else out
+        out[0] = _ndtri_port(u.item())
+        return out
     global _ndtri
     if _ndtri is None:
         from scipy.special import ndtri as fn

@@ -111,9 +111,10 @@ class PrfKey:
     def root_seed(self) -> bytes:
         return self._root
 
+    _fast_words = cached_property(lambda self: struct.unpack("<QQ", self._root[:16]))
+
     def fast_words(self) -> tuple[int, int]:
-        r = self.root_seed()
-        return struct.unpack("<QQ", r[:16])
+        return self._fast_words
 
 
 def _expand(seed: bytes, bit: int) -> bytes:

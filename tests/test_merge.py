@@ -417,6 +417,64 @@ def test_gauss_draw_general_matches_old_formula():
     assert cases > 5000
 
 
+def _ndtri_inputs():
+    """Seeded quantile inputs in [0, 1], each an exact float built from integers."""
+    rng = np.random.default_rng(19)
+    u = rng.integers(0, 1 << 53, size=100_000, dtype=np.uint64) * 2.0 ** -53
+    ends = np.array([0.0, 1.0, 0.5, 2.0 ** -53, 1 - 2.0 ** -53, 2.0 ** -1022, 5e-324])
+    # exp(-2) splits the central branch from the tails, exp(-32) the two tail
+    # approximations; 3,000 ulp steps either side of each
+    splits = np.array([0.1353352832366127, 1 - 0.1353352832366127,
+                       1.2664165549094176e-14, 1 - 1.2664165549094176e-14])
+    steps = (splits.view(np.int64)[:, None] + np.arange(-3000, 3001)).ravel().view(np.float64)
+    m = 1 + rng.integers(0, 1 << 52, size=20_000, dtype=np.uint64) * 2.0 ** -52
+    tails = np.ldexp(m, -rng.integers(3, 1075, size=20_000))  # down to subnormals
+    upper = 1 - np.ldexp(m[:5000], -rng.integers(3, 54, size=5000))
+    return np.concatenate([u, ends, steps[steps <= 1.0], tails, upper])
+
+
+def _f64_digest(values):
+    import hashlib
+
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of scipy.special.ndtri (scipy 1.17.1) over _ndtri_inputs(), recorded
+# while fastpath.ndtri was still that ufunc
+NDTRI_SHA256 = "cd5c05dcc174b5ddae7d5ff246bba9c226158ad20c05bf9f69b8e437d014d481"
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri as scipy_ndtri
+
+    from ossprim import fastpath
+
+    xs = _ndtri_inputs()
+    want = scipy_ndtri(xs)
+    assert _f64_digest(want) == NDTRI_SHA256
+    got = np.array([fastpath.ndtri(v) for v in xs.tolist()])
+    assert _f64_digest(got) == NDTRI_SHA256
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_gauss_draw_one_lane_matches_batch():
+    from ossprim import fastpath
+
+    rng = np.random.default_rng(20)
+    for half in (1, 2, 1 << 20, 1 << 62, 1 << 63):
+        top = min(2 * half, _MASK)  # 2^64 fits no u64 lane
+        ts = [0, top, 0, top, half, 1, top - 1] + [int(v) % (top + 1) for v in
+                                                   rng.integers(0, 1 << 63, size=40, dtype=np.uint64)]
+        # r64 < 2^11 makes u = 0, where ndtri gives -inf and the -1e30 floor applies
+        rs = [0, 0, 2047, 2047, 0, 1, 2048] + [int(v) for v in
+                                              rng.integers(0, 1 << 63, size=40, dtype=np.uint64) * 2 + 1]
+        t = np.array(ts, dtype=np.uint64)
+        r = np.array(rs, dtype=np.uint64)
+        batch = fastpath.gauss_draw_even(half, t, r)
+        for i in range(len(t)):
+            assert fastpath.gauss_draw_even(half, t[i:i + 1], r[i:i + 1])[0] == batch[i]
+
+
 def test_gauss_large_domain_batch_throughput():
     # 10^4 merge round trips at N = 2^64 against the 1s-per-10^3 budget
     import time
