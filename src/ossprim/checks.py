@@ -359,7 +359,7 @@ def crit08_trigger(n: int = 10, t_bits: int = 4) -> tuple[bool, str]:
     a = 5
     one = prog((a, a + 1))
     diverge = sum(1 for x in range(1 << n) if one(x) != base[x])
-    want = opprp.trigger_preimage_count(k0, wid, (a, a + 1))
+    want = opprp.trigger_preimage_count(wid, (a, a + 1))
     if diverge != want:
         return False, f"diverging count {diverge} != preimage count {want}"
     return True, f"empty/full/width-1 intervals exact on all 2^{n} inputs"
@@ -404,7 +404,7 @@ def crit09_hypergeom(n_max: int = 64, kappa: int = 16) -> tuple[bool, str]:
 
 # -- criterion 10 --------------------------------------------------------------------
 
-def _triple_checks(p_fn, p_inv_fn, d_fn, n: int, r: int, k: int,
+def _triple_checks(p_fn, p_inv_fn, d_fn, n: int, k: int,
                    coset_of: Callable[[int], gf2.AffineCoset]) -> Optional[str]:
     seen: dict = {}
     per_y: dict = {}
@@ -442,14 +442,14 @@ def crit10_oss_triple() -> tuple[bool, str]:
     err = _triple_checks(lambda x: oss_mod.oss_p(inst, x),
                          lambda y, u: oss_mod.oss_p_inv(inst, y, u),
                          lambda y, v: oss_mod.oss_d(inst, y, v),
-                         8, 4, 8, inst.coset)
+                         8, 8, inst.coset)
     if err:
         return False, "base: " + err
     sr = oss_mod.self_reduce(inst, _seed(90_001))
     err = _triple_checks(lambda x: oss_mod.oss_p(sr.instance, x),
                          lambda y, u: oss_mod.oss_p_inv(sr.instance, y, u),
                          lambda y, v: oss_mod.oss_d(sr.instance, y, v),
-                         8, 4, 8, sr.instance.coset)
+                         8, 8, sr.instance.coset)
     if err:
         return False, "self-reduced: " + err
     # planted collision back-maps
@@ -488,7 +488,7 @@ def crit11_cpf_embedding() -> tuple[bool, str]:
         return False, "parallel 2-to-1 failed CPF validation"
     emb = oss_mod.embed_cpf(q, 8, _seed(91_001), validate=True)
     real = oss_mod.realize_embedded(emb)
-    err = _triple_checks(emb.p, emb.p_inv, None, 8, 6, 8, real.coset)
+    err = _triple_checks(emb.p, emb.p_inv, None, 8, 8, real.coset)
     if err:
         return False, err
     for x in range(256):

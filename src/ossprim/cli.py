@@ -104,13 +104,6 @@ def _count(text: str) -> int:
     return n
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=_hex_seed, default="00",
-                    help="hex seed; all randomness derives from it")
-    sp.add_argument("--format", choices=("text", "kv"), default="text")
-    sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-
 # -- prp ----------------------------------------------------------------------------
 
 def _prp_key(args) -> nsprp.PrpKey:
@@ -121,14 +114,14 @@ def _prp_key(args) -> nsprp.PrpKey:
 
 def cmd_prp(args, out: _Out) -> int:
     k = _prp_key(args)
-    if args.prp_cmd == "eval":
+    if args.sub == "eval":
         out.emit("y", nsprp.prp_forward(k, args.x))
-    elif args.prp_cmd == "inv":
+    elif args.sub == "inv":
         out.emit("x", nsprp.prp_inverse(k, args.z))
-    elif args.prp_cmd == "permute-eval":
+    elif args.sub == "permute-eval":
         pk = nsprp.prp_permute(k, args.z, args.c)
         out.emit("y", nsprp.permuted_prp_forward(pk, args.x))
-    elif args.prp_cmd == "decompose":
+    elif args.sub == "decompose":
         for i, st in enumerate(nsprp.prp_decompose(k)):
             if i >= args.limit:
                 break
@@ -140,13 +133,13 @@ def cmd_prp(args, out: _Out) -> int:
 
 def cmd_merge(args, out: _Out) -> int:
     k = merge_mod.make_merge_key(args.seed, args.n0, args.n1)
-    if args.merge_cmd == "eval":
+    if args.sub == "eval":
         out.emit("z", merge_mod.merge_forward(k, args.b, args.x))
-    elif args.merge_cmd == "inv":
+    elif args.sub == "inv":
         b, x = merge_mod.merge_inverse(k, args.z)
         out.emit("b", b)
         out.emit("x", x)
-    elif args.merge_cmd == "permute-eval":
+    elif args.sub == "permute-eval":
         pmk = merge_mod.merge_permute(k, args.z, args.c)
         if pmk is None:
             out.emit("illegal", 1, "illegal swap (both preimages in one pile)")
@@ -160,11 +153,11 @@ def cmd_merge(args, out: _Out) -> int:
 
 def cmd_perm(args, out: _Out) -> int:
     g = pd.parse_perm(args.desc)
-    if args.perm_cmd == "apply":
+    if args.sub == "apply":
         if not 0 <= args.x < g.n:
             raise ContractError(f"--x outside [0, {g.n})")
         out.emit("y", g.forward(args.x))
-    elif args.perm_cmd == "verify":
+    elif args.sub == "verify":
         rep = pd.verify_decomposition(g, budget=args.budget)
         out.emit("ok", 1 if rep.ok else 0)
         out.emit("steps", rep.checked_steps)
@@ -185,17 +178,8 @@ def cmd_hypergeom(args, out: _Out) -> int:
 
 # -- owp --------------------------------------------------------------------------------
 
-def _owp_keys(args) -> opprp.TrapdoorOwpKeys:
-    if getattr(args, "pk", None):
-        pk = opprp.deserialize_owp_public(Path(args.pk).read_bytes())
-        return opprp.TrapdoorOwpKeys(pk, None, pk.n.bit_length() - 1)
-    if getattr(args, "sk", None):
-        return opprp.deserialize_owp_secret(Path(args.sk).read_bytes())
-    return opprp.owp_gen(args.seed, args.bits)
-
-
 def cmd_owp(args, out: _Out) -> int:
-    if args.owp_cmd == "gen":
+    if args.sub == "gen":
         keys = opprp.owp_gen(args.seed, args.bits)
         pk_blob = opprp.serialize_owp_public(keys)
         sk_blob = opprp.serialize_owp_secret(keys)
@@ -206,11 +190,14 @@ def cmd_owp(args, out: _Out) -> int:
         out.emit("bits", args.bits)
         out.emit("pk_fingerprint", prng.prf_eval(prng.PrfKey(b"\x00" * 32, b"fp"), pk_blob, 8).hex())
         out.emit("label_present", 1 if opprp.MOCK_LABEL in pk_blob else 0)
-    elif args.owp_cmd == "eval":
-        keys = _owp_keys(args)
-        out.emit("y", opprp.owp_forward(keys.pk, args.x))
-    elif args.owp_cmd == "invert":
-        out.emit("x", opprp.owp_invert(_owp_keys(args).sk, args.y))
+    elif args.sub == "eval":
+        pk = (opprp.deserialize_owp_public(Path(args.pk).read_bytes()) if args.pk
+              else opprp.owp_gen(args.seed, args.bits).pk)
+        out.emit("y", opprp.owp_forward(pk, args.x))
+    elif args.sub == "invert":
+        keys = (opprp.deserialize_owp_secret(Path(args.sk).read_bytes()) if args.sk
+                else opprp.owp_gen(args.seed, args.bits))
+        out.emit("x", opprp.owp_invert(keys.sk, args.y))
     return 0
 
 
@@ -224,7 +211,7 @@ def _oss_params(args) -> OssParams:
 
 
 def _oss_instance(args) -> oss_mod.OssInstance:
-    if getattr(args, "inst", None):
+    if args.inst:
         return oss_mod.deserialize_instance(Path(args.inst).read_bytes())
     return oss_mod.oss_gen(_oss_params(args), args.seed)
 
@@ -237,37 +224,7 @@ def _k_vec(val: int, flag: str, k: int):
 
 
 def cmd_oss(args, out: _Out) -> int:
-    if args.oss_cmd == "gen":
-        inst = oss_mod.oss_gen(_oss_params(args), args.seed)
-        blob = oss_mod.serialize_instance(inst)
-        if args.out_inst:
-            Path(args.out_inst).write_bytes(blob)
-        out.emit("n", inst.params.n)
-        out.emit("r", inst.params.r)
-        out.emit("k", inst.params.k)
-        out.emit("bytes", len(blob))
-        return 0
-    inst = _oss_instance(args)
-    if args.oss_cmd == "hash":
-        out.emit("y", oss_mod.oss_hash(inst, args.x))
-    elif args.oss_cmd == "p":
-        y, u = oss_mod.oss_p(inst, args.x)
-        out.emit("y", y)
-        out.emit("u", oss_mod.vec_to_int(u))
-    elif args.oss_cmd == "pinv":
-        x = oss_mod.oss_p_inv(inst, args.y, _k_vec(args.u, "--u", inst.params.k))
-        out.emit("x", "bottom" if x is None else x)
-    elif args.oss_cmd == "selfreduce":
-        sr = oss_mod.self_reduce(inst, args.seed2)
-        blob = oss_mod.serialize_instance(sr.instance)
-        if args.out_inst:
-            Path(args.out_inst).write_bytes(blob)
-        out.emit("bytes", len(blob))
-        out.emit("gamma_of_0", sr.back_map(0))
-    elif args.oss_cmd == "bloat":
-        dp = oss_mod.bloat_dual(inst, args.s)
-        out.emit("accept", dp(args.y, _k_vec(args.v, "--v", inst.params.k)))
-    elif args.oss_cmd == "embed-cpf":
+    if args.sub == "embed-cpf":
         if not 1 <= args.l <= args.n:
             raise ContractError(f"--l must lie in [1, --n = {args.n}], got {args.l}")
         if args.n % args.l:
@@ -279,13 +236,44 @@ def cmd_oss(args, out: _Out) -> int:
         y, u = emb.p(args.x)
         out.emit("y", y)
         out.emit("u", oss_mod.vec_to_int(u))
+        return 0
+    if args.sub == "gen":
+        inst = oss_mod.oss_gen(_oss_params(args), args.seed)
+        blob = oss_mod.serialize_instance(inst)
+        if args.out_inst:
+            Path(args.out_inst).write_bytes(blob)
+        out.emit("n", inst.params.n)
+        out.emit("r", inst.params.r)
+        out.emit("k", inst.params.k)
+        out.emit("bytes", len(blob))
+        return 0
+    inst = _oss_instance(args)
+    if args.sub == "hash":
+        out.emit("y", oss_mod.oss_hash(inst, args.x))
+    elif args.sub == "p":
+        y, u = oss_mod.oss_p(inst, args.x)
+        out.emit("y", y)
+        out.emit("u", oss_mod.vec_to_int(u))
+    elif args.sub == "pinv":
+        x = oss_mod.oss_p_inv(inst, args.y, _k_vec(args.u, "--u", inst.params.k))
+        out.emit("x", "bottom" if x is None else x)
+    elif args.sub == "selfreduce":
+        sr = oss_mod.self_reduce(inst, args.seed2)
+        blob = oss_mod.serialize_instance(sr.instance)
+        if args.out_inst:
+            Path(args.out_inst).write_bytes(blob)
+        out.emit("bytes", len(blob))
+        out.emit("gamma_of_0", sr.back_map(0))
+    elif args.sub == "bloat":
+        dp = oss_mod.bloat_dual(inst, args.s)
+        out.emit("accept", dp(args.y, _k_vec(args.v, "--v", inst.params.k)))
     return 0
 
 
 # -- lwe --------------------------------------------------------------------------------
 
 def _lwe_params(args) -> lwehash.LweParams:
-    if getattr(args, "params_file", None):
+    if args.params_file:
         return lwehash.parse_params(Path(args.params_file).read_text())
     return lwehash.MICRO if args.preset == "micro" else lwehash.INSECURE_DEMO
 
@@ -297,7 +285,7 @@ def _lwe_keys(args):
 
 
 def cmd_lwe(args, out: _Out) -> int:
-    if args.lwe_cmd == "keygen":
+    if args.sub == "keygen":
         p, pk, td = _lwe_keys(args)
         pk_blob = lwehash.serialize_key(pk)
         td_blob = lwehash.serialize_trapdoor(p, td)
@@ -307,10 +295,10 @@ def cmd_lwe(args, out: _Out) -> int:
             Path(args.out_td).write_bytes(td_blob)
         out.emit("domain_bits", p.domain_bits)
         out.emit("insecure_demo", 1 if lwehash.INSECURE_DEMO_MAGIC in pk_blob else 0)
-    elif args.lwe_cmd == "eval":
+    elif args.sub == "eval":
         p, pk, td = _lwe_keys(args)
         out.emit("y", lwehash.hashl_eval_packed(pk, args.x))
-    elif args.lwe_cmd == "invert":
+    elif args.sub == "invert":
         p, pk, td = _lwe_keys(args)
         pre = lwehash.hashl_invert(pk, td, lwehash.unpack_range(p, args.y))
         out.emit("count", len(pre))
@@ -322,12 +310,12 @@ def cmd_lwe(args, out: _Out) -> int:
 # -- qsim -------------------------------------------------------------------------------
 
 def cmd_qsim(args, out: _Out) -> int:
-    if args.qsim_cmd == "noncollapse":
+    if args.sub == "noncollapse":
         inst = oss_mod.oss_gen(OssParams.tiny(args.n, args.r, args.k), args.seed)
         prob = qsim.noncollapsing_experiment(inst, args.branch)
         out.emit("branch", args.branch)
         out.emit("accept_probability", repr(prob))
-    elif args.qsim_cmd == "sign":
+    elif args.sub == "sign":
         # multi-bit messages loop over independent one-bit instances
         rng = np.random.default_rng(int.from_bytes(args.seed, "big") & 0xFFFFFFFF)
         bits = args.message if args.message is not None else str(args.m)
@@ -367,168 +355,124 @@ def cmd_verify_all(args, out: _Out) -> int:
 
 # -- wiring ---------------------------------------------------------------------------
 
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A flag group that the subcommands reading it take through ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _ints(sp: argparse.ArgumentParser, *flags: str) -> argparse.ArgumentParser:
+    """Add required integer flags; --b and --c are single bits."""
+    for flag in flags:
+        sp.add_argument(flag, type=int, required=True, choices=(0, 1) if flag in ("--b", "--c") else None)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
+    out = _flags()
+    out.add_argument("--format", choices=("text", "kv"), default="text")
+    out.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    seed = _flags(out)
+    seed.add_argument("--seed", type=_hex_seed, default="00",
+                      help="hex seed; all randomness derives from it")
+
     ap = argparse.ArgumentParser(prog="ossprim",
                                  description="one-shot-signature machinery: permutable PRPs, "
                                              "coset hash oracles, LWE toy hash, demos")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    groups = ap.add_subparsers(dest="cmd", required=True)
 
-    prp = sub.add_parser("prp", help="recursive neighbor-swappable PRP")
-    prp_sub = prp.add_subparsers(dest="prp_cmd", required=True)
-    for name in ("eval", "inv", "permute-eval", "decompose"):
-        s = prp_sub.add_parser(name)
-        s.add_argument("--bits", type=_count, required=True)
-        _add_common(s)
-        if name == "eval":
-            s.add_argument("--x", type=int, required=True)
-        elif name == "inv":
-            s.add_argument("--z", type=int, required=True)
-        elif name == "permute-eval":
-            s.add_argument("--z", type=int, required=True)
-            s.add_argument("--c", type=int, choices=(0, 1), required=True)
-            s.add_argument("--x", type=int, required=True)
-        else:
-            s.add_argument("--limit", type=_count, default=16)
+    def group(name, handler, help, *common):
+        g = groups.add_parser(name, help=help)
+        g.set_defaults(handler=handler)
+        subs = g.add_subparsers(dest="sub", required=True)
+        return lambda cmd, *ints, parents=common: _ints(subs.add_parser(cmd, parents=list(parents)), *ints)
 
-    mg = sub.add_parser("merge", help="order-preserving pseudorandom merge")
-    mg_sub = mg.add_subparsers(dest="merge_cmd", required=True)
-    for name in ("eval", "inv", "permute-eval"):
-        s = mg_sub.add_parser(name)
-        s.add_argument("--n0", type=int, required=True)
-        s.add_argument("--n1", type=int, required=True)
-        _add_common(s)
-        if name == "eval":
-            s.add_argument("--b", type=int, choices=(0, 1), required=True)
-            s.add_argument("--x", type=int, required=True)
-        elif name == "inv":
-            s.add_argument("--z", type=int, required=True)
-        else:
-            s.add_argument("--z", type=int, required=True)
-            s.add_argument("--c", type=int, choices=(0, 1), required=True)
-            s.add_argument("--x", type=int, required=True)
+    bits = _flags(seed)
+    bits.add_argument("--bits", type=_count, required=True)
+    prp = group("prp", cmd_prp, "recursive neighbor-swappable PRP", bits)
+    prp("eval", "--x")
+    prp("inv", "--z")
+    prp("permute-eval", "--z", "--c", "--x")
+    prp("decompose").add_argument("--limit", type=_count, default=16)
 
-    pm = sub.add_parser("perm", help="decomposable permutation language")
-    pm_sub = pm.add_subparsers(dest="perm_cmd", required=True)
-    for name in ("apply", "verify"):
-        s = pm_sub.add_parser(name)
-        s.add_argument("--desc", required=True,
-                       help=f"e.g. '{PERM_DESC_EXAMPLE}'")
-        _add_common(s)
-        if name == "apply":
-            s.add_argument("--x", type=int, required=True)
-        else:
-            s.add_argument("--budget", type=_count, default=1 << 20)
+    sizes = _ints(_flags(seed), "--n0", "--n1")
+    merge = group("merge", cmd_merge, "order-preserving pseudorandom merge", sizes)
+    merge("eval", "--b", "--x")
+    merge("inv", "--z")
+    merge("permute-eval", "--z", "--c", "--x")
 
-    hg = sub.add_parser("hypergeom", help="exact hypergeometric sampler")
-    hg_sub = hg.add_subparsers(dest="hg_cmd", required=True)
-    s = hg_sub.add_parser("sample")
-    s.add_argument("--N", type=int, required=True)
-    s.add_argument("--t", type=int, required=True)
-    s.add_argument("--s", type=int, required=True)
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--kappa", type=int, default=hypergeom.DEFAULT_KAPPA)
-    _add_common(s)
+    desc = _flags(out)
+    desc.add_argument("--desc", required=True, help=f"e.g. '{PERM_DESC_EXAMPLE}'")
+    perm = group("perm", cmd_perm, "decomposable permutation language", desc)
+    perm("apply", "--x")
+    perm("verify").add_argument("--budget", type=_count, default=1 << 20)
 
-    ow = sub.add_parser("owp", help="trapdoor one-way permutation (mock obfuscation)")
-    ow_sub = ow.add_subparsers(dest="owp_cmd", required=True)
-    for name in ("gen", "eval", "invert"):
-        s = ow_sub.add_parser(name)
-        s.add_argument("--bits", type=int, default=12)
-        _add_common(s)
-        if name == "gen":
-            s.add_argument("--out-pk", default=None)
-            s.add_argument("--out-sk", default=None)
-        elif name == "eval":
-            s.add_argument("--pk", default=None, help="public key file (defaults to --seed keygen)")
-            s.add_argument("--x", type=int, required=True)
-        else:
-            s.add_argument("--sk", default=None, help="secret key file (defaults to --seed keygen)")
-            s.add_argument("--y", type=int, required=True)
+    hg = group("hypergeom", cmd_hypergeom, "exact hypergeometric sampler", out)
+    hg("sample", "--N", "--t", "--s", "--r").add_argument("--kappa", type=int,
+                                                          default=hypergeom.DEFAULT_KAPPA)
 
-    os_ = sub.add_parser("oss", help="coset hash oracle instances")
-    os_sub = os_.add_subparsers(dest="oss_cmd", required=True)
-    for name in ("gen", "hash", "p", "pinv", "selfreduce", "bloat", "embed-cpf"):
-        s = os_sub.add_parser(name)
-        s.add_argument("--preset", choices=("paper", "tiny"), default="tiny")
-        s.add_argument("--lambda", dest="lam", type=int, default=2)
-        s.add_argument("--tiny", type=_tiny_triple, default="8,4,8", help="n,r,k")
-        s.add_argument("--mode", choices=("oracle", "standard"), default="oracle")
-        s.add_argument("--d", type=int, default=None)
-        s.add_argument("--inst", default=None, help="instance file (overrides preset)")
-        _add_common(s)
-        if name == "gen":
-            s.add_argument("--out-inst", default=None)
-        elif name in ("hash", "p"):
-            s.add_argument("--x", type=int, required=True)
-        elif name == "pinv":
-            s.add_argument("--y", type=int, required=True)
-            s.add_argument("--u", type=int, required=True)
-        elif name == "selfreduce":
-            s.add_argument("--seed2", type=_hex_seed, default="01")
-            s.add_argument("--out-inst", default=None)
-        elif name == "bloat":
-            s.add_argument("--s", type=int, required=True)
-            s.add_argument("--y", type=int, required=True)
-            s.add_argument("--v", type=int, required=True)
-        else:
-            s.add_argument("--n", type=int, default=8)
-            s.add_argument("--l", type=int, default=2)
-            s.add_argument("--k", type=int, default=None)
-            s.add_argument("--x", type=int, default=0)
+    owp_bits = _flags(seed)
+    owp_bits.add_argument("--bits", type=int, default=12)
+    owp = group("owp", cmd_owp, "trapdoor one-way permutation (mock obfuscation)", owp_bits)
+    s = owp("gen")
+    s.add_argument("--out-pk", default=None)
+    s.add_argument("--out-sk", default=None)
+    owp("eval", "--x").add_argument("--pk", default=None,
+                                    help="public key file (defaults to --seed keygen)")
+    owp("invert", "--y").add_argument("--sk", default=None,
+                                      help="secret key file (defaults to --seed keygen)")
 
-    lw = sub.add_parser("lwe", help="INSECURE-DEMO LWE trapdoor hash")
-    lw_sub = lw.add_subparsers(dest="lwe_cmd", required=True)
-    for name in ("keygen", "eval", "invert"):
-        s = lw_sub.add_parser(name)
-        s.add_argument("--preset", choices=("insecure-demo", "micro"), default="insecure-demo")
-        s.add_argument("--params-file", default=None, help="key=value parameter file")
-        _add_common(s)
-        if name == "keygen":
-            s.add_argument("--out-pk", default=None)
-            s.add_argument("--out-td", default=None)
-        elif name == "eval":
-            s.add_argument("--x", type=int, required=True)
-        else:
-            s.add_argument("--y", type=int, required=True)
+    params = _flags(seed)  # the OSS instance parameters
+    params.add_argument("--preset", choices=("paper", "tiny"), default="tiny")
+    params.add_argument("--lambda", dest="lam", type=int, default=2)
+    params.add_argument("--tiny", type=_tiny_triple, default="8,4,8", help="n,r,k")
+    params.add_argument("--mode", choices=("oracle", "standard"), default="oracle")
+    params.add_argument("--d", type=int, default=None)
+    inst = _flags(params)
+    inst.add_argument("--inst", default=None, help="instance file (overrides preset)")
+    oss = group("oss", cmd_oss, "coset hash oracle instances", inst)
+    oss("gen", parents=[params]).add_argument("--out-inst", default=None)
+    oss("hash", "--x")
+    oss("p", "--x")
+    oss("pinv", "--y", "--u")
+    s = oss("selfreduce")
+    s.add_argument("--seed2", type=_hex_seed, default="01")
+    s.add_argument("--out-inst", default=None)
+    oss("bloat", "--s", "--y", "--v")
+    s = oss("embed-cpf", parents=[seed])
+    s.add_argument("--n", type=int, default=8)
+    s.add_argument("--l", type=int, default=2)
+    s.add_argument("--k", type=int, default=None)
+    s.add_argument("--x", type=int, default=0)
 
-    qs = sub.add_parser("qsim", help="statevector demos")
-    qs_sub = qs.add_subparsers(dest="qsim_cmd", required=True)
-    s = qs_sub.add_parser("noncollapse")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--branch", choices=("full", "partial"), required=True)
-    _add_common(s)
-    s = qs_sub.add_parser("sign")
+    lwe_params = _flags(seed)
+    lwe_params.add_argument("--preset", choices=("insecure-demo", "micro"), default="insecure-demo")
+    lwe_params.add_argument("--params-file", default=None, help="key=value parameter file")
+    lwe = group("lwe", cmd_lwe, "INSECURE-DEMO LWE trapdoor hash", lwe_params)
+    s = lwe("keygen")
+    s.add_argument("--out-pk", default=None)
+    s.add_argument("--out-td", default=None)
+    lwe("eval", "--x")
+    lwe("invert", "--y")
+
+    qs = group("qsim", cmd_qsim, "statevector demos", seed)
+    qs("noncollapse", "--n", "--r", "--k").add_argument("--branch", choices=("full", "partial"),
+                                                        required=True)
+    s = qs("sign")
     s.add_argument("--n", type=int, default=8)
     s.add_argument("--m", type=int, choices=(0, 1), default=0)
     s.add_argument("--message", default=None, help="bit string; loops one-bit instances")
-    _add_common(s)
 
-    va = sub.add_parser("verify-all", help="run the desk-scale invariant suites")
+    va = groups.add_parser("verify-all", parents=[out], help="run the desk-scale invariant suites")
+    va.set_defaults(handler=cmd_verify_all)
     va.add_argument("--level", choices=("quick", "full"), default="quick")
-    _add_common(va)
     return ap
-
-
-_DISPATCH = {
-    "prp": cmd_prp,
-    "merge": cmd_merge,
-    "perm": cmd_perm,
-    "hypergeom": cmd_hypergeom,
-    "owp": cmd_owp,
-    "oss": cmd_oss,
-    "lwe": cmd_lwe,
-    "qsim": cmd_qsim,
-    "verify-all": cmd_verify_all,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     out = _Out(args.format)
     try:
-        code = _DISPATCH[args.cmd](args, out)
+        code = args.handler(args, out)
     except (ContractError, ValueError, RuntimeError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -81,9 +81,9 @@ def make_prp_key(seed: bytes, n: int, kappa: int = DEFAULT_KAPPA,
 EXACT_MAX_BITS = 20
 
 
-def make_scale_prp_key(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> PrpKey:
+def make_scale_prp_key(seed: bytes, bits: int) -> PrpKey:
     """INSECURE-DEMO key for {0,1}^bits: fastmix PRF, so gauss draws."""
-    return make_prp_key(seed, 1 << bits, kappa, prng.BACKEND_FASTMIX)
+    return make_prp_key(seed, 1 << bits, backend=prng.BACKEND_FASTMIX)
 
 
 # -- level key derivation --------------------------------------------------------

@@ -123,7 +123,7 @@ def _owp_public(sk: PrpKey, label: bytes = MOCK_LABEL) -> MockObfuscation:
                            sk.n, payload, label)
 
 
-def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> TrapdoorOwpKeys:
+def owp_gen(seed: bytes, bits: int) -> TrapdoorOwpKeys:
     """Key pair for the full-domain permutation on {0,1}^bits.
 
     Above ``nsprp.EXACT_MAX_BITS`` bits, where exact sampling is infeasible,
@@ -131,7 +131,7 @@ def owp_gen(seed: bytes, bits: int, kappa: int = DEFAULT_KAPPA) -> TrapdoorOwpKe
     """
     if not 1 <= bits <= 64:
         raise RangeError("bits must be in [1, 64]")
-    sk = make_prp_key(seed, 1 << bits, kappa, _owp_backend(bits))
+    sk = make_prp_key(seed, 1 << bits, backend=_owp_backend(bits))
     return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
 
 
@@ -252,8 +252,7 @@ def triggered_program(
     return run
 
 
-def trigger_preimage_count(k0: PrpKey, widths: TriggerWidths,
-                           interval: tuple[int, int]) -> int:
+def trigger_preimage_count(widths: TriggerWidths, interval: tuple[int, int]) -> int:
     """Exact count of Pi(k0, .) outputs whose x2 slice lands in the interval
     (the permutation is a bijection, so images count preimages)."""
     a, b = interval

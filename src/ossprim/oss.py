@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional
 from . import gf2, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .gf2 import AffineCoset, BitMatrix, BitVector
-from .opprp import MOCK_LABEL, MockObfuscation
+from .opprp import MockObfuscation
 from .prng import BitStream, PrfKey
 from .wire import Reader
 
@@ -312,10 +312,10 @@ def _orthogonal(inst: OssInstance, y: int, v: BitVector, first: int) -> int:
     return 1
 
 
-def seal_instance(inst: OssInstance) -> tuple[MockObfuscation, Callable, bytes]:
-    """Mock-obfuscation wrapping of (P, P^-1) plus D, with the warning label.
+def seal_instance(inst: OssInstance) -> tuple[MockObfuscation, Callable]:
+    """Mock-obfuscation wrapping of (P, P^-1) plus D.
 
-    Returns (sealed P/P^-1 pair, sealed D, label).  Packed encoding: P maps x
+    Returns (sealed P/P^-1 pair, sealed D); the pair carries the warning label.  Packed encoding: P maps x
     to (y << k) | u; P^-1 of a packed pair returns x or None.
     """
     p = inst.params
@@ -331,7 +331,7 @@ def seal_instance(inst: OssInstance) -> tuple[MockObfuscation, Callable, bytes]:
         return oss_d(inst, packed >> p.k, int_to_vec(packed & ((1 << p.k) - 1), p.k))
 
     sealed = MockObfuscation(fwd, inv, 1 << p.n, payload=b"oss-instance")
-    return sealed, dual, MOCK_LABEL
+    return sealed, dual
 
 
 # -- random self-reduction ----------------------------------------------------------

@@ -336,11 +336,11 @@ def derive_key(key: PrfKey, label: bytes) -> PrfKey:
     return PrfKey(seed, key.domain_tag + b"/" + label, key.backend)
 
 
-def key_from_hex(seed_hex: str, tag: bytes = b"", backend: int = BACKEND_SHA256) -> PrfKey:
+def key_from_hex(seed_hex: str) -> PrfKey:
     """Pad/trim a hex string into a 32-byte seed (CLI convenience)."""
     raw = bytes.fromhex(seed_hex)
     seed = _sha(b"hexseed" + raw) if len(raw) != SEED_LEN else raw
-    return PrfKey(seed, tag, backend)
+    return PrfKey(seed)
 
 
 # -- serialization ------------------------------------------------------------

@@ -161,7 +161,7 @@ def _distinguisher_accept(inst: OssInstance, sv_x: StateVector) -> float:
     p = inst.params
     if p.mode != oss_mod.MODE_ORACLE:
         raise ContractError("the experiment drives an oracle-mode instance")
-    sealed, dual, _ = oss_mod.seal_instance(inst)
+    sealed, dual = oss_mod.seal_instance(inst)
     sv = apply_classical(sv_x, sealed.forward, out_bits=p.r + p.k, inverse=sealed.inverse)
     sv = hadamard_all(sv, range(p.r, p.r + p.k))
     return accept_probability(sv, lambda packed: dual(packed) == 1)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ossprim import cli, permdecomp as pd
+from ossprim import cli, oss, permdecomp as pd, prng
 
 
 def run_cli(argv_str, check=True, timeout=None, dev=False):
@@ -289,6 +290,102 @@ def test_malformed_flags_are_usage_errors(argv, flag):
     proc = run_cli(argv, check=False)
     assert proc.returncode == 2
     assert b"error: argument " + flag + b":" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+# the flags of each subcommand: exactly the ones its handler reads
+SUBCOMMAND_FLAGS = {
+    "prp eval": "--bits --format --out --seed --x",
+    "prp inv": "--bits --format --out --seed --z",
+    "prp permute-eval": "--bits --c --format --out --seed --x --z",
+    "prp decompose": "--bits --format --limit --out --seed",
+    "merge eval": "--b --format --n0 --n1 --out --seed --x",
+    "merge inv": "--format --n0 --n1 --out --seed --z",
+    "merge permute-eval": "--c --format --n0 --n1 --out --seed --x --z",
+    "perm apply": "--desc --format --out --x",
+    "perm verify": "--budget --desc --format --out",
+    "hypergeom sample": "--N --format --kappa --out --r --s --t",
+    "owp gen": "--bits --format --out --out-pk --out-sk --seed",
+    "owp eval": "--bits --format --out --pk --seed --x",
+    "owp invert": "--bits --format --out --seed --sk --y",
+    "oss gen": "--d --format --lambda --mode --out --out-inst --preset --seed --tiny",
+    "oss hash": "--d --format --inst --lambda --mode --out --preset --seed --tiny --x",
+    "oss p": "--d --format --inst --lambda --mode --out --preset --seed --tiny --x",
+    "oss pinv": "--d --format --inst --lambda --mode --out --preset --seed --tiny --u --y",
+    "oss selfreduce": "--d --format --inst --lambda --mode --out --out-inst --preset --seed --seed2 --tiny",
+    "oss bloat": "--d --format --inst --lambda --mode --out --preset --s --seed --tiny --v --y",
+    "oss embed-cpf": "--format --k --l --n --out --seed --x",
+    "lwe keygen": "--format --out --out-pk --out-td --params-file --preset --seed",
+    "lwe eval": "--format --out --params-file --preset --seed --x",
+    "lwe invert": "--format --out --params-file --preset --seed --y",
+    "qsim noncollapse": "--branch --format --k --n --out --r --seed",
+    "qsim sign": "--format --m --message --n --out --seed",
+    "verify-all": "--format --level --out",
+}
+
+
+def _subcommand_flags(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        flags = (s for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings)
+        yield " ".join(path), " ".join(sorted(flags))
+    for action in subs:
+        for name, sp in action.choices.items():
+            yield from _subcommand_flags(sp, path + (name,))
+
+
+def test_every_subcommand_declares_its_flags():
+    assert dict(_subcommand_flags(cli.build_parser())) == SUBCOMMAND_FLAGS
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("perm apply --desc 'swap 8 3' --x 1 --seed 00", b"--seed"),
+    ("perm verify --desc 'cycle 16 2 9' --seed 00", b"--seed"),
+    ("hypergeom sample --N 12 --t 5 --s 7 --r 1 --seed 00", b"--seed"),
+    ("verify-all --seed 00", b"--seed"),
+    ("oss gen --inst missing.bin", b"--inst"),
+    ("oss embed-cpf --preset tiny", b"--preset"),
+    ("oss embed-cpf --lambda 2", b"--lambda"),
+    ("oss embed-cpf --tiny 8,4,8", b"--tiny"),
+    ("oss embed-cpf --mode oracle", b"--mode"),
+    ("oss embed-cpf --d 10", b"--d"),
+    ("oss embed-cpf --inst missing.bin", b"--inst"),
+])
+def test_flags_a_command_never_reads_are_usage_errors(argv, flag):
+    proc = run_cli(argv, check=False, timeout=60)
+    assert proc.returncode == 2
+    assert b"unrecognized arguments: " + flag in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_embed_cpf_builds_and_reads_no_instance(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oss embed-cpf needs no OSS instance")
+
+    monkeypatch.setattr(oss, "oss_gen", refuse)
+    monkeypatch.setattr(oss, "deserialize_instance", refuse)
+    assert cli.main(["oss", "embed-cpf", "--format", "kv"]) == 0
+    assert capsys.readouterr().out == "y=9\nu=183\n"
+
+
+@pytest.mark.parametrize("argv, params", [
+    ("oss hash --preset paper --lambda 2 --seed 07 --x 5", oss.OssParams.paper_preset(2)),
+    ("oss hash --mode standard --tiny 8,4,8 --d 10 --seed 07 --x 5",
+     oss.OssParams.tiny(8, 4, 8, mode=oss.MODE_STANDARD, d=10)),
+])
+def test_oss_instance_flags_match_the_library(argv, params):
+    kv = cli.parse_kv(run_cli(argv + " --format kv").stdout.decode())
+    assert kv == {"y": str(oss.oss_hash(oss.oss_gen(params, prng.key_from_hex("07").seed), 5))}
+
+
+def test_qsim_sign_message_verifies_every_bit():
+    kv = cli.parse_kv(run_cli("qsim sign --message 101 --format kv").stdout.decode())
+    assert [kv[f"verified{i}"] for i in range(3)] == ["1", "1", "1"]
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path):
+    out = tmp_path / "out.txt"
+    stdout = run_cli("prp eval --bits 8 --seed 00 --x 5").stdout
+    assert run_cli(f"prp eval --bits 8 --seed 00 --x 5 --out {out}", dev=True).stdout == b""
+    assert out.read_bytes() == stdout
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -302,7 +302,7 @@ def _pinned_outputs() -> bytes:
     out.append([(y, u.bits) for y, u in map(emb.p, range(1 << emb.n))])
     for (n, r, k), seed in (((6, 3, 6), b"\x0e"), ((4, 2, 5), b"\x56")):
         inst = oss.oss_gen(oss.OssParams.tiny(n, r, k), seed * 32)
-        sealed, dual, _ = oss.seal_instance(inst)
+        sealed, dual = oss.seal_instance(inst)
         out.append([(sealed.forward(x), dual(sealed.forward(x))) for x in range(1 << n)])
         out.append([repr(qsim.noncollapsing_experiment(inst, br)) for br in ("full", "partial")])
     inst = oss.oss_gen(oss.OssParams.tiny(16, 8, 16), b"\x69" * 32)

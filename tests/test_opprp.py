@@ -137,7 +137,7 @@ def test_trigger_width_one_diverges_exactly_on_preimages():
     base = opprp.triggered_program(k0, k1, wid, p0, p1, p1a, p2, (0, 0))
     one = opprp.triggered_program(k0, k1, wid, p0, p1, p1a, p2, (5, 6))
     diverge = sum(1 for x in range(64) if one(x) != base(x))
-    assert diverge == opprp.trigger_preimage_count(k0, wid, (5, 6)) == 8
+    assert diverge == opprp.trigger_preimage_count(wid, (5, 6)) == 8
 
 
 def test_trigger_malformed_widths():

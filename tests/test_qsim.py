@@ -26,7 +26,7 @@ def test_apply_classical_identity_and_norm():
 
 
 def test_apply_classical_uncompute_uniform_over_images():
-    sealed, _, _ = oss.seal_instance(oss.oss_gen(OssParams.tiny(6, 3, 6), b"\x71" * 32))
+    sealed, _ = oss.seal_instance(oss.oss_gen(OssParams.tiny(6, 3, 6), b"\x71" * 32))
     sv = qsim.apply_classical(qsim.uniform_state(6), sealed.forward, out_bits=9, inverse=sealed.inverse)
     nz = np.abs(sv.amps) > 0
     assert nz.sum() == 64
