@@ -106,14 +106,8 @@ def _count(text: str) -> int:
 
 # -- prp ----------------------------------------------------------------------------
 
-def _prp_key(args) -> nsprp.PrpKey:
-    if args.bits > nsprp.EXACT_MAX_BITS:
-        return nsprp.make_scale_prp_key(args.seed, args.bits)
-    return nsprp.make_prp_key(args.seed, 1 << args.bits)
-
-
 def cmd_prp(args, out: _Out) -> int:
-    k = _prp_key(args)
+    k = nsprp.width_key(prng.PrfKey(args.seed, nsprp.PRP_TAG), args.bits)
     if args.sub == "eval":
         out.emit("y", nsprp.prp_forward(k, args.x))
     elif args.sub == "inv":

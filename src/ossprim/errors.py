@@ -9,10 +9,6 @@ class RangeError(ValueError):
     """An index or domain element is outside its declared range."""
 
 
-class EntropyError(RuntimeError):
-    """A finite randomness source ran out of bits before sampling succeeded."""
-
-
 class PunctureError(RuntimeError):
     """A punctured key was consulted at a punctured point."""
 

@@ -11,8 +11,9 @@ numpy lockstep so 10^4-point sweeps at N = 2^64 take seconds.
 Scalar draws on even splits up to 2^64 route through length-1 batches of
 the same vector formula.  Uneven splits and sizes above 2^64 (such as the top
 16 levels of the paper preset's 2^80 merges) use a second definition,
-``gauss_draw_general``, a scalar formula with a different float-op order;
-folding the two changes bits above 2^64 (ROADMAP item 3's caveat, item 7).
+``gauss_draw_general``, a scalar formula with a different float-op order.
+Folding the two into one formula would change the output bits of every key
+that draws at those nodes, so it needs a versioned fastmix backend.
 Scalar draws run a port of Cephes' ndtri: only lockstep batches import scipy.
 Tree sizes are uniform per depth for a power-of-two domain and are carried
 as per-step scalars; 2^64 itself never has to fit in a u64 lane.

@@ -120,10 +120,6 @@ def identity(n: int) -> BitMatrix:
     return BitMatrix(n, tuple(1 << i for i in range(n)))
 
 
-def zero_matrix(rows: int, cols: int) -> BitMatrix:
-    return BitMatrix(rows, (0,) * cols)
-
-
 def mat_mul_vec(m: BitMatrix, v: BitVector) -> BitVector:
     """Matrix-vector product over GF(2): XOR of the columns selected by v."""
     if v.dim != m.ncols:

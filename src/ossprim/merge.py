@@ -62,17 +62,34 @@ class MergeKey:
         return self.n0 + self.n1
 
 
-def _root_key(prf_key: PrfKey, n0: int, n1: int, kappa: int) -> MergeKey:
+# The width rule: exact (SHA-256) keys stay feasible up to 2^EXACT_MAX_BITS
+# points, and wider domains take fastmix keys, which draw the gauss stand-in.
+EXACT_MAX_BITS = 20
+
+
+def exact_fits(n: int) -> bool:
+    """Whether an exact key over n points is within the width rule."""
+    return n <= 1 << EXACT_MAX_BITS
+
+
+def check_width(backend: int, n: int) -> None:
+    """Refuse an exact key over more points than the width rule allows;
+    every root key, made or read, passes here."""
+    if backend == prng.BACKEND_SHA256 and not exact_fits(n):
+        raise ContractError(f"exact keys cover at most 2^{EXACT_MAX_BITS} points, not {n}")
+
+
+def _root_key(prf_key: PrfKey, n0: int, n1: int, kappa: int = DEFAULT_KAPPA) -> MergeKey:
     """The merge key of piles [n0] and [n1] rooted at ``prf_key``."""
+    check_width(prf_key.backend, n0 + n1)
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
     return MergeKey(prf_key, n0, n1, kappa, ctx)
 
 
-def make_merge_key(seed: bytes, n0: int, n1: int, kappa: int = DEFAULT_KAPPA,
-                   backend: int = prng.BACKEND_SHA256) -> MergeKey:
-    return _root_key(PrfKey(seed, b"merge", backend), n0, n1, kappa)
+def make_merge_key(seed: bytes, n0: int, n1: int, backend: int = prng.BACKEND_SHA256) -> MergeKey:
+    return _root_key(PrfKey(seed, b"merge", backend), n0, n1)
 
 
 # -- tree geometry -------------------------------------------------------------
@@ -442,6 +459,7 @@ def deserialize_permuted(data: bytes) -> PermutedMergeKey:
     r = Reader(data, "permuted merge key")
     punct = prng.deserialize_punctured(r.blob("<I"))
     n0, n1, kappa, c, z = r.unpack("<QQIBQ")
+    check_width(prng.BACKEND_SHA256, n0 + n1)  # permuted keys always draw exactly
     (count,) = r.unpack("<I")
     hard = {}
     for _ in range(count):

@@ -60,8 +60,9 @@ class PrpKey(_Piles):
             raise RangeError("domain size must be >= 1")
 
 
-def _root_key(prf_key: PrfKey, n: int, kappa: int) -> PrpKey:
+def _root_key(prf_key: PrfKey, n: int, kappa: int = DEFAULT_KAPPA) -> PrpKey:
     """The key over [n] rooted at ``prf_key``."""
+    merge_mod.check_width(prf_key.backend, n)
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
@@ -71,19 +72,23 @@ def _root_key(prf_key: PrfKey, n: int, kappa: int) -> PrpKey:
 PRP_TAG = b"prp"  # the PRF domain tag of every make_prp_key key
 
 
-def make_prp_key(seed: bytes, n: int, kappa: int = DEFAULT_KAPPA,
-                 backend: int = prng.BACKEND_SHA256) -> PrpKey:
-    return _root_key(PrfKey(seed, PRP_TAG, backend), n, kappa)
-
-
-# Exact keys stay feasible up to 2^EXACT_MAX_BITS points; wider
-# domains take the scale key below.
-EXACT_MAX_BITS = 20
+def make_prp_key(seed: bytes, n: int) -> PrpKey:
+    """The exact key over [n]; ``merge.check_width`` refuses one above
+    2^EXACT_MAX_BITS points."""
+    return _root_key(PrfKey(seed, PRP_TAG), n)
 
 
 def make_scale_prp_key(seed: bytes, bits: int) -> PrpKey:
     """INSECURE-DEMO key for {0,1}^bits: fastmix PRF, so gauss draws."""
-    return make_prp_key(seed, 1 << bits, backend=prng.BACKEND_FASTMIX)
+    return _root_key(PrfKey(seed, PRP_TAG, prng.BACKEND_FASTMIX), 1 << bits)
+
+
+def width_key(prf_key: PrfKey, bits: int) -> PrpKey:
+    """The key for {0,1}^bits that the width rule picks: the exact key on
+    ``prf_key`` up to 2^EXACT_MAX_BITS points, the scale key of its seed above."""
+    if merge_mod.exact_fits(1 << bits):
+        return _root_key(prf_key, 1 << bits)
+    return make_scale_prp_key(prf_key.seed, bits)
 
 
 # -- level key derivation --------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 from . import merge as merge_mod, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .hypergeom import DEFAULT_KAPPA
-from .nsprp import PrpKey, make_prp_key, prp_forward, prp_inverse
+from .nsprp import PrpKey, prp_forward, prp_inverse
 from .permdecomp import DecomposablePermutation
 from .prng import PrfKey
 from .wire import Reader
@@ -98,22 +98,22 @@ class TrapdoorOwpKeys:
     bits: int
 
 
-def _owp_backend(bits: int) -> int:
-    """The PRF backend of an ``owp_gen`` key on {0,1}^bits; the key readers
-    reject any other with ContractError."""
+def _owp_key(seed: bytes, bits: int) -> PrpKey:
+    """The secret PRP key of ``owp_gen``'s pair on {0,1}^bits."""
     if not 1 <= bits <= 64:
         raise ContractError(f"OWP key bits {bits} outside [1, 64]")
-    return prng.BACKEND_FASTMIX if bits > nsprp.EXACT_MAX_BITS else prng.BACKEND_SHA256
+    return nsprp.width_key(PrfKey(seed, nsprp.PRP_TAG), bits)
 
 
 def _owp_read_key(what: str, prf_key: PrfKey, bits: int, kappa: int) -> PrpKey:
-    """The PRP key of an OWP key file, which must be one ``owp_gen`` makes."""
-    want = _owp_backend(bits)
-    if prf_key.backend != want:
-        raise ContractError(f"a {bits}-bit {what} has PRF backend {want}, not {prf_key.backend}")
-    if prf_key.domain_tag != nsprp.PRP_TAG:
-        raise ContractError(f"{what} PRF tag {prf_key.domain_tag!r} is not {nsprp.PRP_TAG!r}")
-    return nsprp._root_key(prf_key, 1 << bits, kappa)
+    """The PRP key of an OWP key file, which must be the one ``owp_gen``
+    makes from the file's seed."""
+    sk = _owp_key(prf_key.seed, bits)
+    if (prf_key, kappa) != (sk.prf_key, sk.kappa):
+        raise ContractError(f"a {bits}-bit {what} with PRF backend {prf_key.backend}, PRF tag "
+                            f"{prf_key.domain_tag!r} and kappa {kappa} is not the key owp_gen "
+                            f"makes from its seed")
+    return sk
 
 
 def _owp_public(sk: PrpKey, label: bytes = MOCK_LABEL) -> MockObfuscation:
@@ -126,12 +126,10 @@ def _owp_public(sk: PrpKey, label: bytes = MOCK_LABEL) -> MockObfuscation:
 def owp_gen(seed: bytes, bits: int) -> TrapdoorOwpKeys:
     """Key pair for the full-domain permutation on {0,1}^bits.
 
-    Above ``nsprp.EXACT_MAX_BITS`` bits, where exact sampling is infeasible,
+    Above ``merge.EXACT_MAX_BITS`` bits, where exact sampling is infeasible,
     the key is the INSECURE-DEMO fastmix key, which draws gauss.
     """
-    if not 1 <= bits <= 64:
-        raise RangeError("bits must be in [1, 64]")
-    sk = make_prp_key(seed, 1 << bits, backend=_owp_backend(bits))
+    sk = _owp_key(seed, bits)
     return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
 
 

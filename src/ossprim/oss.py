@@ -215,28 +215,25 @@ class OssInstance:
         return got
 
 
-def _seeded_perm(root: PrfKey, tag: bytes, bits: int, table: bool) -> Perm:
-    """The permutation of {0,1}^bits seeded under ``tag``: an explicit table,
-    or a lazy PRP key, which above EXACT_MAX_BITS rides the INSECURE-DEMO
-    gauss path."""
-    if table:
+def _seeded_perm(root: PrfKey, tag: bytes, bits: int, n: int) -> Perm:
+    """The permutation of {0,1}^bits seeded under ``tag`` for an instance on
+    n input bits: an explicit table on a small instance, otherwise a lazy PRP
+    key of the width rule's choice (``nsprp.width_key``), which above
+    2^EXACT_MAX_BITS points rides the INSECURE-DEMO gauss path."""
+    if n <= 12:
         return random_table_perm(bits, prng.bit_stream(root, tag))
-    if bits > nsprp.EXACT_MAX_BITS:
-        key = nsprp.make_scale_prp_key(prng.derive_key(root, tag).seed, bits)
-    else:
-        key = nsprp.PrpKey(prng.derive_key(root, tag), 1 << bits)
+    key = nsprp.width_key(prng.derive_key(root, tag), bits)
     # nsprp is looked up at call time, so perfbench's tracer, which swaps this
     # module's nsprp global after set-up, sees these calls
     return Perm(bits, lambda x: nsprp.prp_forward(key, x), lambda z: nsprp.prp_inverse(key, z))
 
 
 def oss_gen(params: OssParams, seed: bytes) -> OssInstance:
-    """Deterministic instance from a seed: explicit permutation tables when
-    n <= 12, lazy PRP keys otherwise."""
+    """Deterministic instance from a seed, its permutations seeded as
+    ``_seeded_perm`` says."""
     root = PrfKey(seed, b"oss")
-    table = params.n <= 12
-    pi = _seeded_perm(root, b"pi", params.n, table)
-    out = _seeded_perm(root, b"pi-out", params.d, table) if params.mode == MODE_STANDARD else None
+    pi = _seeded_perm(root, b"pi", params.n, params.n)
+    out = _seeded_perm(root, b"pi-out", params.d, params.n) if params.mode == MODE_STANDARD else None
     src = PrfCosetSource(prng.derive_key(root, b"cosets"), params.k, params.n - params.r)
     return OssInstance(params, pi, src, out)
 
@@ -351,7 +348,7 @@ def self_reduce(inst: OssInstance, seed: bytes) -> SelfReduction:
     """
     p = inst.params
     root = PrfKey(seed, b"selfreduce")
-    gamma = _seeded_perm(root, b"gamma", p.n, p.n <= 12)
+    gamma = _seeded_perm(root, b"gamma", p.n, p.n)
     cd = PrfCosetSource(prng.derive_key(root, b"cd"), p.k, p.k, b"cd")
     pi = inst.pi
     new_pi = Perm(p.n, lambda x: pi.forward(gamma.forward(x)), lambda z: gamma.inverse(pi.inverse(z)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import ContractError, DimensionError, EntropyError, PunctureError, UnsupportedBackend
+from .errors import ContractError, DimensionError, PunctureError, UnsupportedBackend
 from .wire import Reader
 
 BACKEND_SHA256 = 1
@@ -305,21 +305,6 @@ class BitStream:
             v = self.bits(k) if k else 0
             if v < n:
                 return v
-
-
-class FiniteBitStream:
-    """A bounded bit source; raises EntropyError when exhausted (tests)."""
-
-    def __init__(self, bits: int, nbits: int):
-        self._bits = bits
-        self._left = nbits
-
-    def bits(self, n: int) -> int:
-        if n > self._left:
-            raise EntropyError("bit source exhausted")
-        self._left -= n
-        out = (self._bits >> self._left) & ((1 << n) - 1)
-        return out
 
 
 def bit_stream(key: PrfKey, label: bytes) -> BitStream:

@@ -2,17 +2,11 @@
 
 Each test runs one numbered suite from ossprim.checks at full parameters and
 prints its one-line pass/fail verdict (run pytest with -s to see them all).
-Criterion 15 (CLI determinism) drives the documented examples through a
-subprocess and byte-compares two runs.
+Criterion 15 (CLI determinism) lives in the CLI test,
+``tests/test_cli.py::test_documented_examples_are_deterministic``.
 """
 
-import shlex
-import subprocess
-import sys
-
-import pytest
-
-from ossprim import checks, cli
+from ossprim import checks
 
 
 def _run(fn, **kwargs):
@@ -78,13 +72,3 @@ def test_crit13_noncollapsing_gap():
 
 def test_crit14_sign_verify_demo():
     _run(checks.crit14_sign_verify)
-
-
-def test_crit15_cli_determinism():
-    for example in cli.DOC_EXAMPLES:
-        argv = [sys.executable, "-m", "ossprim.cli"] + shlex.split(example)
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
-        assert first.returncode == 0, (example, first.stderr)
-        assert first.stdout == second.stdout and first.stdout
-    print(f"CRIT-15 CLI determinism: PASS ({len(cli.DOC_EXAMPLES)} documented examples byte-identical)")

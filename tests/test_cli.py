@@ -108,6 +108,13 @@ def test_owp_secret_key_exact_above_20_bits_is_a_contract_error(tmp_path):
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
+def test_merge_exact_above_2_20_points_is_a_contract_error():
+    proc = run_cli("merge eval --n0 1048576 --n1 1 --b 0 --x 0", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: exact keys cover at most 2^20 points")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_owp_gen_above_64_bits_is_an_error():
     proc = run_cli("owp gen --bits 70 --seed 0c", check=False)
     assert proc.returncode == 1

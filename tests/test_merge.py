@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ossprim import merge, permdecomp as pd, prng
-from ossprim.errors import InvariantViolation, RangeError, UnsupportedBackend
+from ossprim.errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
 from ossprim.prng import NodeId
 
 
@@ -521,3 +521,10 @@ def test_gauss_parent_consistency_at_2_40():
         v = merge.tally(k, parent)
         assert v == merge.tally(k, parent.child(0)) + merge.tally(k, parent.child(1))
         assert 0 <= v <= merge.span(k.n, parent)[1]
+
+
+def test_exact_merge_keys_stop_at_2_20_points():
+    assert key(1 << 19, 1 << 19).n == 1 << 20
+    with pytest.raises(ContractError, match=r"exact keys cover at most 2\^20 points, not 1048577"):
+        key(1 << 20, 1)
+    assert key(1 << 20, 1, backend=prng.BACKEND_FASTMIX).fast_ctx is not None

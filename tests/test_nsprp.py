@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ossprim import merge, nsprp, permdecomp as pd
-from ossprim.errors import RangeError, UnsupportedBackend
+from ossprim.errors import ContractError, RangeError, UnsupportedBackend
+from ossprim.prng import PrfKey
 
 
 def key(n, tag=0):
@@ -364,3 +365,20 @@ def test_decompositions_pinned_digest():
         for st in nsprp.prp_decompose(key(n, 0x90 + n)):
             _step_digest(h, st, n)
     assert h.hexdigest() == DECOMP_SHA256
+
+
+def test_exact_prp_keys_stop_at_2_20_points():
+    # the width rule: exact keys cover at most 2^20 points
+    assert nsprp.make_prp_key(b"\x2a" * 32, 1 << 20).n == 1 << 20
+    with pytest.raises(ContractError, match=r"exact keys cover at most 2\^20 points, not 1048577"):
+        nsprp.make_prp_key(b"\x2a" * 32, (1 << 20) + 1)
+
+
+def test_width_key_is_exact_up_to_20_bits_and_scale_above():
+    root = PrfKey(b"\x2a" * 32, nsprp.PRP_TAG)
+    assert nsprp.width_key(root, 20) == nsprp.make_prp_key(b"\x2a" * 32, 1 << 20)
+    assert nsprp.width_key(root, 21) == nsprp.make_scale_prp_key(b"\x2a" * 32, 21)
+    # a derived tag keeps its exact keys, and only the seed reaches the scale key
+    derived = PrfKey(b"\x2a" * 32, b"other")
+    assert nsprp.width_key(derived, 8).prf_key == derived
+    assert nsprp.width_key(derived, 21) == nsprp.make_scale_prp_key(b"\x2a" * 32, 21)

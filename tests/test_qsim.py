@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,3 +132,17 @@ def test_sign_retry_budget_failure_surfaces():
     with pytest.raises(ContractError):
         # an impossible budget forces the failure result
         qsim.oss_sign_demo(inst, 1, np.random.default_rng(0), max_retries=0)
+
+
+def test_noncollapse_demo_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "noncollapse_demo.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["(n,r,k)", "partial", "full", "2^-(k-r)"]
+    assert len(rows) == 4
+    for row in rows:
+        shape, partial, full, gap = row.split()
+        _, r, k = (int(v) for v in shape.split(","))
+        assert partial == "1.000000000"
+        assert float(full) == float(gap) == 2.0 ** -(k - r)

@@ -132,10 +132,10 @@ def _bump(blob, at, delta):
     return _patched(blob, at, blob[at] + delta)
 
 
-def _bump_permuted_merge_head(blob, at):
+def _bump_permuted_merge_head(blob, at, delta=1):
     """A permuted merge key blob with byte ``at`` of its (n0, n1, kappa, c, z)
-    head, after the punctured key, raised by 1."""
-    return _bump(blob, 4 + int.from_bytes(blob[:4], "little") + at, 1)
+    head, after the punctured key, raised by ``delta``."""
+    return _bump(blob, 4 + int.from_bytes(blob[:4], "little") + at, delta)
 
 
 def _owp_tag_flipped(blob, tag_at):
@@ -149,6 +149,7 @@ def _owp8_public_blob():
 
 OWP_PUBLIC_TAG_AT = 4 + 2 + 2 + len(opprp.MOCK_LABEL) + 8 + 4 + 3  # after the backend and tag length
 OWP_SECRET_TAG_AT = 5 + 6 + 1 + 3
+OWP_SECRET_KAPPA_AT = 5 + 2  # the u32 kappa field's low byte, after the bits field
 
 
 # (case, deserializer, corrupted blob factory, message fragment)
@@ -223,6 +224,17 @@ HEADER_CASES = [
      lambda: _owp8_public_blob()[:-1] + b"\x01", "payload flag 1"),
     ("owp public domain size", opprp.deserialize_owp_public,
      _bad_owp_public_blob, "domain"),
+    # exact keys wider than the width rule's 2^20 points, and an OWP kappa
+    # other than the one owp_gen uses
+    ("prp key exact above 2^20 points", nsprp.deserialize_key,
+     lambda: _patched(blob_of("prp_key"), 2, 0x10), "exact keys cover at most 2^20 points, not 1048588"),
+    ("merge key exact above 2^20 points", merge.deserialize_key,
+     lambda: _patched(blob_of("merge_key"), 3, 0x80), "exact keys cover at most 2^20 points, not 2147483659"),
+    ("permuted merge key above 2^20 points", merge.deserialize_permuted,
+     lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), 2, 0x10),
+     "exact keys cover at most 2^20 points, not 1048587"),
+    ("owp secret kappa 6", opprp.deserialize_owp_secret,
+     lambda: _patched(blob_of("owp_secret"), OWP_SECRET_KAPPA_AT, 6), "kappa 6 is not the key owp_gen makes"),
     ("instance mode", oss.deserialize_instance,
      lambda: _patched(blob_of("oss_instance"), 4, 2), "mode"),
     ("instance table width", oss.deserialize_instance,
