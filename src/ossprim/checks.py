@@ -37,7 +37,13 @@ class CheckResult:
         return f"{self.name}: {status} ({self.detail}) [{self.seconds:.1f}s{budget}]"
 
 
-def _timed(name: str, budget: Optional[float] = None):
+# every suite in definition order, with the kwargs of its quick level
+_SUITES: list[tuple[Callable[..., CheckResult], dict]] = []
+
+
+def _timed(name: str, budget: Optional[float] = None, quick: Optional[dict] = None):
+    """Register ``fn`` as the suite ``name``, run under ``budget`` seconds and,
+    at the quick level, with the reduced kwargs ``quick``."""
     def wrap(fn):
         def run(*args, **kwargs) -> CheckResult:
             t0 = time.monotonic()
@@ -49,7 +55,7 @@ def _timed(name: str, budget: Optional[float] = None):
             if ok and budget is not None and dt > budget:
                 ok, detail = False, detail + f"; exceeded budget {budget}s"
             return CheckResult(name, ok, detail, dt, budget)
-        run.__name__ = fn.__name__
+        _SUITES.append((run, quick or {}))
         return run
     return wrap
 
@@ -69,7 +75,7 @@ def _merge_table(k: merge_mod.MergeKey) -> list[int]:
 
 # -- criterion 1 --------------------------------------------------------------------
 
-@_timed("CRIT-01 merge correctness", budget=60)
+@_timed("CRIT-01 merge correctness", budget=60, quick=dict(n_max=64, keys_per_n=5))
 def crit01_merge_correctness(n_max: int = 256, keys_per_n: int = 50) -> tuple[bool, str]:
     """Order preservation per pile, bijectivity, and round trip on every
     point, for every N <= n_max with seeded random splits."""
@@ -106,7 +112,7 @@ def _chi2_uniform(counts: np.ndarray) -> tuple[float, float]:
     return stat, float(chi2.ppf(0.999, len(counts) - 1))
 
 
-@_timed("CRIT-02 merge uniformity", budget=120)
+@_timed("CRIT-02 merge uniformity", budget=120, quick=dict(keys=7_000))
 def crit02_merge_uniformity(keys: int = 70_000) -> tuple[bool, str]:
     """Chi-square over the 70 possible (4,4)-merges."""
     combos = {c: i for i, c in enumerate(itertools.combinations(range(8), 4))}
@@ -122,7 +128,7 @@ def crit02_merge_uniformity(keys: int = 70_000) -> tuple[bool, str]:
 
 # -- criterion 3 --------------------------------------------------------------------
 
-@_timed("CRIT-03 neighbor-swap correctness", budget=60)
+@_timed("CRIT-03 neighbor-swap correctness", budget=60, quick=dict(n_max=24))
 def crit03_merge_neighbor_swap(n_max: int = 64) -> tuple[bool, str]:
     split_stream = prng.bit_stream(prng.PrfKey(b"\x5b" * 32, b"splits"), b"c3")
     checked = 0
@@ -153,7 +159,7 @@ def crit03_merge_neighbor_swap(n_max: int = 64) -> tuple[bool, str]:
 
 # -- criterion 4 --------------------------------------------------------------------
 
-@_timed("CRIT-04 puncture statistics")
+@_timed("CRIT-04 puncture statistics", quick=dict(n_max=6))
 def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
     """With true randomness (uniform leaf sequences), the joint distributions
     of hard-coded values under c=0 and c=1 are identical rational tables."""
@@ -190,7 +196,8 @@ def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
 
 # -- criterion 5 --------------------------------------------------------------------
 
-@_timed("CRIT-05 neighbor-swap PRP", budget=180)
+@_timed("CRIT-05 neighbor-swap PRP", budget=180,
+        quick=dict(round_max=64, chi_keys=2_400, permute_max=20))
 def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 64) -> tuple[bool, str]:
     for n in range(1, round_max + 1):
         k = nsprp.make_prp_key(_seed(40_000 + n), n)
@@ -264,7 +271,7 @@ def _fig5_constructors(n_cap: int) -> list[tuple[str, pd.DecomposablePermutation
     return [(name, g) for name, g in out if g.n <= c]
 
 
-@_timed("CRIT-06 decomposition oracle", budget=240)
+@_timed("CRIT-06 decomposition oracle", budget=240, quick=dict(n_cap=16))
 def crit06_decomposition(n_cap: int = 32) -> tuple[bool, str]:
     total_steps = 0
     for name, g in _fig5_constructors(n_cap):
@@ -289,7 +296,7 @@ def crit06_decomposition(n_cap: int = 32) -> tuple[bool, str]:
 
 # -- criterion 7 --------------------------------------------------------------------
 
-@_timed("CRIT-07 OP-PRP and OWP", budget=120)
+@_timed("CRIT-07 OP-PRP and OWP", budget=120, quick=dict(owp_bits=10, scale_points=2_000))
 def crit07_opprp_owp(hybrid_n: int = 16, owp_bits: int = 12,
                      scale_bits: int = 64, scale_points: int = 10_000,
                      scale_budget: float = 5.0) -> tuple[bool, str]:
@@ -300,11 +307,11 @@ def crit07_opprp_owp(hybrid_n: int = 16, owp_bits: int = 12,
             pk = opprp.op_permute(k, g, c)
             fwd, inv = opprp.hybrid_walk(k, g, g.length if c else 0)
             for x in range(n):
-                if pk.sealed.forward(x) != fwd(x):
+                if pk.forward(x) != fwd(x):
                     return False, f"endpoint mismatch at N={n} c={c}"
-                if pk.sealed.inverse(pk.sealed.forward(x)) != x:
+                if pk.inverse(pk.forward(x)) != x:
                     return False, f"sealed inverse wrong at N={n} c={c}"
-        img = sorted(pk.sealed.forward(x) for x in range(n))
+        img = sorted(pk.forward(x) for x in range(n))
         if img != list(range(n)):
             return False, f"permuted image != [N] at N={n}"
     keys = opprp.owp_gen(_seed(71_000), owp_bits)
@@ -367,7 +374,7 @@ def crit08_trigger(n: int = 10, t_bits: int = 4) -> tuple[bool, str]:
 
 # -- criterion 9 --------------------------------------------------------------------
 
-@_timed("CRIT-09 hypergeometric")
+@_timed("CRIT-09 hypergeometric", quick=dict(n_max=24))
 def crit09_hypergeom(n_max: int = 64, kappa: int = 16) -> tuple[bool, str]:
     for n in range(0, n_max + 1):
         for s in range(0, n + 1):
@@ -507,7 +514,7 @@ def crit11_cpf_embedding() -> tuple[bool, str]:
 
 # -- criterion 12 --------------------------------------------------------------------
 
-@_timed("CRIT-12 LWE toy hash", budget=240)
+@_timed("CRIT-12 LWE toy hash", budget=240, quick=dict(samples=500))
 def crit12_lwe(samples: int = 10_000) -> tuple[bool, str]:
     """Inversion is complete and sound, claws reveal s, and the sampled
     2-to-1 fraction is within 4.5 binomial sigma of the trapdoor partner
@@ -573,7 +580,7 @@ def crit13_noncollapsing() -> tuple[bool, str]:
 
 # -- criterion 14 --------------------------------------------------------------------
 
-@_timed("CRIT-14 sign/verify demo", budget=120)
+@_timed("CRIT-14 sign/verify demo", budget=120, quick=dict(trials=100))
 def crit14_sign_verify(trials: int = 1000) -> tuple[bool, str]:
     inst = oss_mod.oss_gen(OssParams.tiny(8, 4, 8), _seed(94_000))
     rng = np.random.default_rng(424242)
@@ -592,40 +599,5 @@ def crit14_sign_verify(trials: int = 1000) -> tuple[bool, str]:
 
 # -- criterion 15 lives in the CLI test (subprocess byte comparison) -------------------
 
-ALL_CHECKS: list[Callable[[], CheckResult]] = [
-    crit01_merge_correctness,
-    crit02_merge_uniformity,
-    crit03_merge_neighbor_swap,
-    crit04_puncture_statistics,
-    crit05_prp,
-    crit06_decomposition,
-    crit07_opprp_owp,
-    crit08_trigger,
-    crit09_hypergeom,
-    crit10_oss_triple,
-    crit11_cpf_embedding,
-    crit12_lwe,
-    crit13_noncollapsing,
-    crit14_sign_verify,
-]
-
-QUICK_OVERRIDES: dict[str, dict] = {
-    "crit01_merge_correctness": dict(n_max=64, keys_per_n=5),
-    "crit02_merge_uniformity": dict(keys=7_000),
-    "crit03_merge_neighbor_swap": dict(n_max=24),
-    "crit04_puncture_statistics": dict(n_max=6),
-    "crit05_prp": dict(round_max=64, chi_keys=2_400, permute_max=20),
-    "crit06_decomposition": dict(n_cap=16),
-    "crit07_opprp_owp": dict(owp_bits=10, scale_points=2_000),
-    "crit09_hypergeom": dict(n_max=24),
-    "crit12_lwe": dict(samples=500),
-    "crit14_sign_verify": dict(trials=100),
-}
-
-
 def run_all(level: str = "full") -> list[CheckResult]:
-    results = []
-    for fn in ALL_CHECKS:
-        kwargs = QUICK_OVERRIDES.get(fn.__name__, {}) if level == "quick" else {}
-        results.append(fn(**kwargs))
-    return results
+    return [run(**(quick if level == "quick" else {})) for run, quick in _SUITES]

@@ -6,9 +6,9 @@ interleaving them.  The permutation is determined by a tally tree: leaves are
 outputs, each leaf holds the pile bit of its preimage, and every internal
 node holds the count of 1-leaves below it.  Values are never materialized up
 front; the left child of any node is drawn from the hypergeometric induced by
-its parent (the paper-facing draw is the exact kappa-bit inverse CDF; scale
-keys substitute the gaussian stand-in from ``fastpath``), and the right child
-is derived, never sampled.
+its parent (the paper-facing draw is the exact inverse CDF on 128 PRF bits;
+scale keys substitute the gaussian stand-in from ``fastpath``), and the
+right child is derived, never sampled.
 
 Key permutation ("swap outputs z and z+1") punctures the tree PRF on the two
 root-to-leaf paths and hard-codes the values of the paths and their siblings,
@@ -45,7 +45,6 @@ class MergeKey:
     prf_key: PrfKey
     n0: int
     n1: int
-    kappa: int = DEFAULT_KAPPA
     # pre-mixed context word, set iff the PRF backend is fastmix; keys
     # without one draw exactly, keys with one draw the gaussian stand-in
     fast_ctx: Optional[int] = None
@@ -79,13 +78,13 @@ def check_width(backend: int, n: int) -> None:
         raise ContractError(f"exact keys cover at most 2^{EXACT_MAX_BITS} points, not {n}")
 
 
-def _root_key(prf_key: PrfKey, n0: int, n1: int, kappa: int = DEFAULT_KAPPA) -> MergeKey:
+def _root_key(prf_key: PrfKey, n0: int, n1: int) -> MergeKey:
     """The merge key of piles [n0] and [n1] rooted at ``prf_key``."""
     check_width(prf_key.backend, n0 + n1)
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
-    return MergeKey(prf_key, n0, n1, kappa, ctx)
+    return MergeKey(prf_key, n0, n1, ctx)
 
 
 def make_merge_key(seed: bytes, n0: int, n1: int, backend: int = prng.BACKEND_SHA256) -> MergeKey:
@@ -131,9 +130,7 @@ def _node_seed(k: MergeKey, nodekey: int) -> bytes:
 
 
 def _prf_r_exact(k: MergeKey, parent_key: int) -> int:
-    nbytes = (k.kappa + 7) // 8
-    raw = prng._finalize(_node_seed(k, parent_key), nbytes)
-    return int.from_bytes(raw, "big") >> (8 * nbytes - k.kappa)
+    return int.from_bytes(prng._finalize(_node_seed(k, parent_key), DEFAULT_KAPPA // 8), "big")
 
 
 _MASK64 = (1 << 64) - 1
@@ -170,7 +167,7 @@ def _draw_left(k: MergeKey, parent_key: int, s: int, t: int) -> int:
     """Tally of the left child of a node of size s and tally t."""
     sl = left_size(s)
     if k.fast_ctx is None:
-        return sample(HypergeomParams(s, t, sl), _prf_r_exact(k, parent_key), k.kappa)
+        return sample(HypergeomParams(s, t, sl), _prf_r_exact(k, parent_key))
     if len(k._values) >= _MEMO_MAX:
         _trim(k._values, parent_key)
     lo, hi = max(0, t - (s - sl)), min(sl, t)
@@ -266,7 +263,6 @@ class PermutedMergeKey:
     c: int
     n0: int
     n1: int
-    kappa: int
     fast_ctx = None  # a class attribute: permuted keys always draw exactly
     # the honest walk's memos, keyed like MergeKey's; the walk never draws
     # at a punctured node, since both its children are hard-coded
@@ -315,7 +311,7 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
     # the punctured nodes are the two paths above their leaves: exactly the
     # hard-coded nodes whose children are hard-coded
     punct = prng.puncture_nodes(k.prf_key, [nd for nd in hard if nd.child(0) in hard])
-    return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1, k.kappa)
+    return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1)
 
 
 def hardcoded_values(n: int, z: int, c: int, value: Callable[[NodeId], int]) -> dict:
@@ -413,16 +409,26 @@ def merge_decompose(k: MergeKey) -> Iterator[SwapStep]:
 
 # -- serialization ---------------------------------------------------------------
 
+def check_kappa(kappa: int) -> None:
+    """Refuse a wire kappa field other than the one draw precision,
+    ``DEFAULT_KAPPA``: every key draws its tallies from that many PRF bits."""
+    if kappa != DEFAULT_KAPPA:
+        raise ContractError(f"kappa {kappa} is not {DEFAULT_KAPPA}, the draw precision of every key")
+
+
 def sampler_key_bytes(prf_key: PrfKey) -> bytes:
-    """The sampler mode byte and the PRF key after it, which end every
-    serialized key: mode 1 (gauss) on fastmix, 0 (exact) on sha256."""
-    return bytes([prf_key.backend == prng.BACKEND_FASTMIX]) + prng.serialize_key(prf_key)
+    """The u32 kappa field, the sampler mode byte and the PRF key after it,
+    which end every serialized root key: mode 1 (gauss) on fastmix, 0
+    (exact) on sha256."""
+    mode = prf_key.backend == prng.BACKEND_FASTMIX
+    return struct.pack("<IB", DEFAULT_KAPPA, mode) + prng.serialize_key(prf_key)
 
 
 def read_sampler_key(r: Reader) -> PrfKey:
     """The PRF key that ``sampler_key_bytes`` wrote, whose mode byte must
     be the one its backend decides."""
-    (mode,) = r.unpack("<B")
+    kappa, mode = r.unpack("<IB")
+    check_kappa(kappa)
     if mode not in (0, 1):
         raise ContractError(f"unknown sampler mode {mode}")
     prf_key = prng.deserialize_key(r.rest())
@@ -432,19 +438,19 @@ def read_sampler_key(r: Reader) -> PrfKey:
 
 
 def serialize_key(k: MergeKey) -> bytes:
-    return struct.pack("<QQI", k.n0, k.n1, k.kappa) + sampler_key_bytes(k.prf_key)
+    return struct.pack("<QQ", k.n0, k.n1) + sampler_key_bytes(k.prf_key)
 
 
 def deserialize_key(data: bytes) -> MergeKey:
     r = Reader(data, "merge key")
-    n0, n1, kappa = r.unpack("<QQI")
-    return _root_key(read_sampler_key(r), n0, n1, kappa)
+    n0, n1 = r.unpack("<QQ")
+    return _root_key(read_sampler_key(r), n0, n1)
 
 
 def serialize_permuted(pk: PermutedMergeKey) -> bytes:
     """Punctured-PRF blob + sorted (path, value) list, values length-prefixed."""
     blob = prng.serialize_punctured(pk.punctured)
-    head = struct.pack("<QQIBQ", pk.n0, pk.n1, pk.kappa, pk.c, pk.z)
+    head = struct.pack("<QQIBQ", pk.n0, pk.n1, DEFAULT_KAPPA, pk.c, pk.z)
     items = sorted(pk.hardcoded.items(), key=lambda t: t[0].sort_key())
     out = [struct.pack("<I", len(blob)), blob, head, struct.pack("<I", len(items))]
     for node, value in items:
@@ -456,10 +462,14 @@ def serialize_permuted(pk: PermutedMergeKey) -> bytes:
 
 
 def deserialize_permuted(data: bytes) -> PermutedMergeKey:
+    """The permuted merge key of a blob whose tables are those ``merge_permute``
+    builds for its swap; any other table is refused, so every loaded key
+    evaluates."""
     r = Reader(data, "permuted merge key")
     punct = prng.deserialize_punctured(r.blob("<I"))
     n0, n1, kappa, c, z = r.unpack("<QQIBQ")
     check_width(prng.BACKEND_SHA256, n0 + n1)  # permuted keys always draw exactly
+    check_kappa(kappa)
     (count,) = r.unpack("<I")
     hard = {}
     for _ in range(count):
@@ -467,8 +477,24 @@ def deserialize_permuted(data: bytes) -> PermutedMergeKey:
         node = NodeId(depth, r.fits(path, depth, "node path"))
         hard[node] = int.from_bytes(r.blob("<H"), "big")
     r.done()
-    for node, value in hard.items():
-        left, right = hard.get(node.child(0)), hard.get(node.child(1))
-        if left is not None and right is not None and value != left + right:
+    n = n0 + n1
+    if not 0 <= z < n - 1 or c > 1:
+        raise ContractError(f"permuted merge key swap z={z}, c={c} outside [0, N-1) x {{0, 1}}")
+    spans = hardcoded_values(n, z, 0, lambda nd: span(n, nd)[1])
+    inner = {nd for nd in spans if nd.child(0) in spans}
+    for got, want, what in [(hard.keys(), spans.keys(), "hard-coded nodes"),
+                            (set(punct.punctured), inner, "punctured nodes"),
+                            ({pos for pos, _ in punct.copath}, spans.keys() - inner, "copath positions")]:
+        if got != want:
+            raise ContractError(f"permuted merge key {what} are not those of the swap at z={z}")
+    for node in inner:
+        if hard[node] != hard[node.child(0)] + hard[node.child(1)]:
             raise ContractError(f"hard-coded tally at {node} is not the sum of its children")
-    return PermutedMergeKey(punct, hard, z, c, n0, n1, kappa)
+    for node, value in hard.items():
+        if value > spans[node]:
+            raise ContractError(f"hard-coded tally {value} at {node} outside [0, {spans[node]}]")
+    if hard[prng.ROOT] != n1:
+        raise ContractError(f"permuted merge key root tally {hard[prng.ROOT]} is not n1 = {n1}")
+    if hard[_path_nodes(n, z)[-1]] == hard[_path_nodes(n, z + 1)[-1]]:
+        raise ContractError(f"permuted merge key leaves z={z} and z+1 hold the same pile bit")
+    return PermutedMergeKey(punct, hard, z, c, n0, n1)

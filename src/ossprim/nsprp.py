@@ -51,7 +51,6 @@ class _Piles:
 class PrpKey(_Piles):
     prf_key: PrfKey
     n: int
-    kappa: int = DEFAULT_KAPPA
     fast_ctx: Optional[int] = None  # as on MergeKey: set iff the backend is fastmix
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -60,13 +59,13 @@ class PrpKey(_Piles):
             raise RangeError("domain size must be >= 1")
 
 
-def _root_key(prf_key: PrfKey, n: int, kappa: int = DEFAULT_KAPPA) -> PrpKey:
+def _root_key(prf_key: PrfKey, n: int) -> PrpKey:
     """The key over [n] rooted at ``prf_key``."""
     merge_mod.check_width(prf_key.backend, n)
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
         ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
-    return PrpKey(prf_key, n, kappa, ctx)
+    return PrpKey(prf_key, n, ctx)
 
 
 PRP_TAG = b"prp"  # the PRF domain tag of every make_prp_key key
@@ -104,10 +103,10 @@ def _child_key(k: PrpKey, b: int) -> PrpKey:
     if cached is not None:
         return cached
     if k.fast_ctx is not None:
-        child = PrpKey(k.prf_key, nb, k.kappa, _fast_ctx(k, fastpath.TAG_CHILD, b))
+        child = PrpKey(k.prf_key, nb, _fast_ctx(k, fastpath.TAG_CHILD, b))
         k._cache.pop(("child", 1 - b), None)  # a scale key keeps the path it walked last
     else:
-        child = PrpKey(prng.derive_key(k.prf_key, b"half%d" % b), nb, k.kappa)
+        child = PrpKey(prng.derive_key(k.prf_key, b"half%d" % b), nb)
     k._cache[("child", b)] = child
     return child
 
@@ -117,9 +116,9 @@ def _merge_key(k: PrpKey) -> MergeKey:
     if cached is not None:
         return cached
     if k.fast_ctx is not None:
-        mk = MergeKey(k.prf_key, k.n0, k.n1, k.kappa, _fast_ctx(k, fastpath.TAG_MERGE))
+        mk = MergeKey(k.prf_key, k.n0, k.n1, _fast_ctx(k, fastpath.TAG_MERGE))
     else:
-        mk = MergeKey(prng.derive_key(k.prf_key, b"merge"), k.n0, k.n1, k.kappa)
+        mk = MergeKey(prng.derive_key(k.prf_key, b"merge"), k.n0, k.n1)
     k._cache["merge"] = mk
     return mk
 
@@ -200,7 +199,6 @@ class PermutedPrpKey(_Piles):
     ``prp_forward``/``prp_inverse`` through the cache ``prp_permute`` fills."""
 
     n: int
-    kappa: int
     z: int
     c: int
     _cache: dict = field(default_factory=dict, repr=False)
@@ -220,7 +218,7 @@ def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
         raise RangeError("c is a bit")
     if k.fast_ctx is not None:
         raise UnsupportedBackend("key permutation needs sha256 GGM keys, which draw exactly")
-    pk = PermutedPrpKey(k.n, k.kappa, z, c)
+    pk = PermutedPrpKey(k.n, z, c)
     if k.n == 2:  # z == 0: the swap flips the key bit
         pk._cache["xor"] = _xor_bit(k) ^ c
         return pk
@@ -295,13 +293,13 @@ def prp_decompose(k: PrpKey) -> Iterator[SwapStep]:
 # swap recurses into, the other child key and the honest merge key.
 
 def serialize_key(k: PrpKey) -> bytes:
-    return struct.pack("<QI", k.n - 1, k.kappa) + merge_mod.sampler_key_bytes(k.prf_key)
+    return struct.pack("<Q", k.n - 1) + merge_mod.sampler_key_bytes(k.prf_key)
 
 
 def deserialize_key(data: bytes) -> PrpKey:
     r = Reader(data, "PRP key")
-    n_minus_1, kappa = r.unpack("<QI")
-    return _root_key(merge_mod.read_sampler_key(r), n_minus_1 + 1, kappa)
+    (n_minus_1,) = r.unpack("<Q")
+    return _root_key(merge_mod.read_sampler_key(r), n_minus_1 + 1)
 
 
 def _spine_records(pk: PermutedPrpKey) -> list[tuple]:
@@ -318,7 +316,7 @@ def _spine_records(pk: PermutedPrpKey) -> list[tuple]:
 
 def serialize_permuted_key(pk: PermutedPrpKey) -> bytes:
     records = _spine_records(pk)
-    out = [struct.pack("<QIQBH", pk.n - 1, pk.kappa, pk.z, pk.c, len(records))]
+    out = [struct.pack("<QIQBH", pk.n - 1, DEFAULT_KAPPA, pk.z, pk.c, len(records))]
     for kind, flag, b1, b2, b3 in records:
         out.append(struct.pack("<BB", kind, flag))
         for blob in (b1, b2, b3):
@@ -327,20 +325,21 @@ def serialize_permuted_key(pk: PermutedPrpKey) -> bytes:
     return b"".join(out)
 
 
-def _check_level(what: str, got: tuple, want: tuple) -> None:
+def _check_level(what: str, got: object, want: object) -> None:
     if got != want:
         raise ContractError(f"permuted PRP key: {what} {got} where its level has {want}")
 
 
-def _level_key(blob: bytes, n: int, kappa: int) -> PrpKey:
+def _level_key(blob: bytes, n: int) -> PrpKey:
     k = deserialize_key(blob)
-    _check_level("child key (N, kappa)", (k.n, k.kappa), (n, kappa))
+    _check_level("child key N", k.n, n)
     return k
 
 
 def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
     r = Reader(data, "permuted PRP key")
     n_minus_1, kappa, z, c, count = r.unpack("<QIQBH")
+    merge_mod.check_kappa(kappa)
     records = [(*r.unpack("<BB"), r.blob("<I"), r.blob("<I"), r.blob("<I")) for _ in range(count)]
     r.done()
     kinds = [rec[0] for rec in records]
@@ -348,7 +347,7 @@ def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
         raise ContractError("permuted PRP key records do not form a spine")
     if not 0 <= z < n_minus_1 or c > 1:
         raise ContractError(f"permuted PRP key swap z={z}, c={c} outside [0, N-1) x {{0, 1}}")
-    top = pk = PermutedPrpKey(n_minus_1 + 1, kappa, z, c)
+    top = pk = PermutedPrpKey(n_minus_1 + 1, z, c)
     for kind, flag, b1, b2, b3 in records:
         if (kind == 0) != (pk.n == 2):
             raise ContractError(f"permuted PRP key has a kind-{kind} record at a level over N={pk.n}")
@@ -360,17 +359,17 @@ def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
             continue
         sizes = (pk.n0, pk.n1)
         mk = merge_mod.deserialize_permuted(b3) if kind == 1 else merge_mod.deserialize_key(b2)
-        _check_level("merge key (n0, n1, kappa)", (mk.n0, mk.n1, mk.kappa), (*sizes, kappa))
+        _check_level("merge key (n0, n1)", (mk.n0, mk.n1), sizes)
         if kind == 1:
             _check_level("merge swap (z, c)", (mk.z, mk.c), (pk.z, c))
-            kids = [_level_key(b1, sizes[0], kappa), _level_key(b2, sizes[1], kappa)]
+            kids = [_level_key(b1, sizes[0]), _level_key(b2, sizes[1])]
         else:
             (p0, y0), (p1, _) = merge_mod.merge_inverse(mk, pk.z), merge_mod.merge_inverse(mk, pk.z + 1)
             if p0 != flag or p1 != flag:
                 raise ContractError(f"permuted PRP key swap z={pk.z} does not land in pile {flag}")
             kids = [None, None]
-            kids[flag] = PermutedPrpKey(sizes[flag], kappa, y0, c)
-            kids[1 - flag] = _level_key(b1, sizes[1 - flag], kappa)
+            kids[flag] = PermutedPrpKey(sizes[flag], y0, c)
+            kids[1 - flag] = _level_key(b1, sizes[1 - flag])
         pk._cache.update({("child", 0): kids[0], ("child", 1): kids[1], "merge": mk})
         pk = kids[flag]  # the next level; a kind-1 record is the last
     return top

@@ -15,7 +15,6 @@ from typing import Callable
 
 from . import merge as merge_mod, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
-from .hypergeom import DEFAULT_KAPPA
 from .nsprp import PrpKey, prp_forward, prp_inverse
 from .permdecomp import DecomposablePermutation
 from .prng import PrfKey
@@ -47,21 +46,14 @@ class MockObfuscation:
         )
 
 
-@dataclass(frozen=True)
-class OpPrpPermutedKey:
-    """Sealed forward/inverse pair computing Gamma^c o Pi(k, .) and its
-    inverse Pi^-1(k, Gamma^-c(.))."""
-
-    sealed: MockObfuscation
-    c: int
-
-    @property
-    def n(self) -> int:
-        return self.sealed.n
+def _payload(k: PrpKey, c: int) -> bytes:
+    """The mock payload of a program over ``k``: its PRF key, N - 1 and c, verbatim."""
+    return prng.serialize_key(k.prf_key) + struct.pack("<QB", k.n - 1, c)
 
 
-def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> OpPrpPermutedKey:
-    """Deterministic permuted key: evaluation composes g on the output iff c=1."""
+def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> MockObfuscation:
+    """Deterministic permuted key: the sealed pair computing Gamma^c o Pi(k, .)
+    and its inverse Pi^-1(k, Gamma^-c(.)); it composes g on the output iff c=1."""
     if g.n != k.n:
         raise DimensionError("permutation domain != PRP domain")
     if c not in (0, 1):
@@ -72,8 +64,7 @@ def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> OpPrpPermutedKe
     else:
         fwd = lambda x: g.forward(prp_forward(k, x))
         inv = lambda z: prp_inverse(k, g.inverse(z))
-    payload = prng.serialize_key(k.prf_key) + struct.pack("<QB", k.n - 1, c)
-    return OpPrpPermutedKey(MockObfuscation(fwd, inv, k.n, payload), c)
+    return MockObfuscation(fwd, inv, k.n, _payload(k, c))
 
 
 def hybrid_walk(k: PrpKey, g: DecomposablePermutation, t: int) -> tuple[Callable, Callable]:
@@ -105,22 +96,20 @@ def _owp_key(seed: bytes, bits: int) -> PrpKey:
     return nsprp.width_key(PrfKey(seed, nsprp.PRP_TAG), bits)
 
 
-def _owp_read_key(what: str, prf_key: PrfKey, bits: int, kappa: int) -> PrpKey:
+def _owp_read_key(what: str, prf_key: PrfKey, bits: int) -> PrpKey:
     """The PRP key of an OWP key file, which must be the one ``owp_gen``
     makes from the file's seed."""
     sk = _owp_key(prf_key.seed, bits)
-    if (prf_key, kappa) != (sk.prf_key, sk.kappa):
-        raise ContractError(f"a {bits}-bit {what} with PRF backend {prf_key.backend}, PRF tag "
-                            f"{prf_key.domain_tag!r} and kappa {kappa} is not the key owp_gen "
-                            f"makes from its seed")
+    if prf_key != sk.prf_key:
+        raise ContractError(f"a {bits}-bit {what} with PRF backend {prf_key.backend} and PRF tag "
+                            f"{prf_key.domain_tag!r} is not the key owp_gen makes from its seed")
     return sk
 
 
 def _owp_public(sk: PrpKey, label: bytes = MOCK_LABEL) -> MockObfuscation:
     """The sealed forward/inverse pair of ``sk``, carrying the key verbatim."""
-    payload = prng.serialize_key(sk.prf_key) + struct.pack("<QB", sk.n - 1, 0)
     return MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
-                           sk.n, payload, label)
+                           sk.n, _payload(sk, 0), label)
 
 
 def owp_gen(seed: bytes, bits: int) -> TrapdoorOwpKeys:
@@ -150,8 +139,7 @@ def serialize_owp_public(keys: TrapdoorOwpKeys) -> bytes:
 
 
 def serialize_owp_secret(keys: TrapdoorOwpKeys) -> bytes:
-    return _OWP_MAGIC + b"S" + struct.pack("<HI", keys.bits, keys.sk.kappa) \
-        + merge_mod.sampler_key_bytes(keys.sk.prf_key)
+    return _OWP_MAGIC + b"S" + struct.pack("<H", keys.bits) + merge_mod.sampler_key_bytes(keys.sk.prf_key)
 
 
 def deserialize_owp_public(data: bytes) -> MockObfuscation:
@@ -174,15 +162,15 @@ def deserialize_owp_public(data: bytes) -> MockObfuscation:
         raise ContractError("OWP public key domain sizes disagree")
     if c:
         raise ContractError(f"OWP public key payload flag {c} is not 0")
-    return _owp_public(_owp_read_key(r.what, prf_key, bits, DEFAULT_KAPPA), label)
+    return _owp_public(_owp_read_key(r.what, prf_key, bits), label)
 
 
 def deserialize_owp_secret(data: bytes) -> TrapdoorOwpKeys:
     r = Reader(data, "OWP secret key")
     if r.take(5) != _OWP_MAGIC + b"S":
         raise ContractError("not an OWP secret key file")
-    bits, kappa = r.unpack("<HI")
-    sk = _owp_read_key(r.what, merge_mod.read_sampler_key(r), bits, kappa)
+    (bits,) = r.unpack("<H")
+    sk = _owp_read_key(r.what, merge_mod.read_sampler_key(r), bits)
     return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
 
 

@@ -209,8 +209,7 @@ def test_permuted_key_never_consults_punctured_nodes():
     broken = dict(pmk.hardcoded)
     victim = next(nd for nd in broken if nd.depth == 1)
     del broken[victim]
-    bad = merge.PermutedMergeKey(pmk.punctured, broken, pmk.z, pmk.c,
-                                 pmk.n0, pmk.n1, pmk.kappa)
+    bad = merge.PermutedMergeKey(pmk.punctured, broken, pmk.z, pmk.c, pmk.n0, pmk.n1)
     with pytest.raises(InvariantViolation):
         for zz in range(16):
             merge.permuted_merge_inverse(bad, zz)
@@ -350,8 +349,7 @@ def test_gauss_draws_raise_no_float_flags(monkeypatch):
         # returns before any float op
         kw = mk.prf_key.fast_words()[0]
         for p in range(1 << (nbits - 1)):
-            pk = merge.MergeKey(mk.prf_key, mk.n0, mk.n1, mk.kappa,
-                                _zero_r_ctx(kw, nbits - 1, p))
+            pk = merge.MergeKey(mk.prf_key, mk.n0, mk.n1, _zero_r_ctx(kw, nbits - 1, p))
             for z in (2 * p, 2 * p + 1):
                 assert merge.merge_forward(pk, *merge.merge_inverse(pk, z)) == z
         assert seen[0] == 0

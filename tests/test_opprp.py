@@ -13,7 +13,7 @@ def test_op_permute_c0_is_plain_prp():
         k = key(n)
         g = pd.transposition(n, 0, min(3, n - 1))
         pk = opprp.op_permute(k, g, 0)
-        assert [pk.sealed.forward(x) for x in range(n)] == [nsprp.prp_forward(k, x) for x in range(n)]
+        assert [pk.forward(x) for x in range(n)] == [nsprp.prp_forward(k, x) for x in range(n)]
 
 
 def test_op_permute_c1_swaps_declared_outputs():
@@ -22,7 +22,7 @@ def test_op_permute_c1_swaps_declared_outputs():
     g = pd.transposition(n, 0, 3)
     pk = opprp.op_permute(k, g, 1)
     base = [nsprp.prp_forward(k, x) for x in range(n)]
-    got = [pk.sealed.forward(x) for x in range(n)]
+    got = [pk.forward(x) for x in range(n)]
     diff = [x for x in range(n) if got[x] != base[x]]
     assert sorted(base[x] for x in diff) == [0, 3]
     assert got == [g.forward(w) for w in base]
@@ -35,8 +35,8 @@ def test_op_permute_round_trip_both_c():
     for c in (0, 1):
         pk = opprp.op_permute(k, g, c)
         for x in range(n):
-            assert pk.sealed.inverse(pk.sealed.forward(x)) == x
-        assert sorted(pk.sealed.forward(x) for x in range(n)) == list(range(n))
+            assert pk.inverse(pk.forward(x)) == x
+        assert sorted(pk.forward(x) for x in range(n)) == list(range(n))
 
 
 def test_op_permute_domain_mismatch():
@@ -53,8 +53,8 @@ def test_hybrid_walk_endpoints_and_steps():
     pk0 = opprp.op_permute(k, g, 0)
     pk1 = opprp.op_permute(k, g, 1)
     for x in range(n):
-        assert f0(x) == pk0.sealed.forward(x)
-        assert fT(x) == pk1.sealed.forward(x)
+        assert f0(x) == pk0.forward(x)
+        assert fT(x) == pk1.forward(x)
     for t in range(1, g.length + 1):
         fa, _ = opprp.hybrid_walk(k, g, t - 1)
         fb, ib = opprp.hybrid_walk(k, g, t)
@@ -99,7 +99,7 @@ def test_owp_public_blob_carries_warning_label():
 def test_mock_obfuscation_serialize_contains_label_and_key_material():
     k = key(8, 4)
     pk = opprp.op_permute(k, pd.neighbor_swap(8, 0), 0)
-    blob = pk.sealed.serialize()
+    blob = pk.serialize()
     assert opprp.MOCK_LABEL in blob
     assert k.prf_key.seed in blob  # mock: functionality only, nothing hidden
 

@@ -4,6 +4,7 @@ rejects truncated, overlong or mislabelled input with ContractError only."""
 import hashlib
 import re
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -77,12 +78,20 @@ def _patched(blob, offset, value):
     return blob[:offset] + bytes([value]) + blob[offset + 1:]
 
 
-def _bad_permuted_merge_blob():
+def _flip(blob, bit):
+    return _patched(blob, bit // 8, blob[bit // 8] ^ 1 << bit % 8)
+
+
+def _edited_permuted_merge_blob(tallies=None, punctured=lambda p: p):
+    """The permuted merge key blob with the hard-coded tallies of ``tallies``,
+    keyed by (depth, path), and its punctured key passed through ``punctured``.
+    The key is the swap z=0, c=1 over n0=5, n1=6, whose table is (depth, path):
+    tally (0, 0): 6, (1, 0): 3, (1, 1): 3, (2, 0): 2, (2, 1): 1, (3, 0): 1,
+    (3, 1): 1, (4, 0): 1, (4, 1): 0."""
     pmk = _permuted_merge_key()
-    hard = dict(pmk.hardcoded)
-    hard[NodeId(1, 1)] += 5
+    hard = {**pmk.hardcoded, **{NodeId(*nd): v for nd, v in (tallies or {}).items()}}
     return merge.serialize_permuted(merge.PermutedMergeKey(
-        pmk.punctured, hard, pmk.z, pmk.c, pmk.n0, pmk.n1, pmk.kappa))
+        punctured(pmk.punctured), hard, pmk.z, pmk.c, pmk.n0, pmk.n1))
 
 
 def _bad_owp_public_blob():
@@ -181,19 +190,41 @@ HEADER_CASES = [
     ("lwe trapdoor head", lh.deserialize_trapdoor,
      lambda: _patched(blob_of("lwe_trapdoor"), 13, 0), "LWE trapdoor"),
     ("permuted merge parent != left + right", merge.deserialize_permuted,
-     _bad_permuted_merge_blob, "sum of its children"),
+     lambda: _edited_permuted_merge_blob({(1, 1): 8}), "sum of its children"),
+    # a permuted merge key whose tables are not those merge_permute builds
+    ("permuted merge swap z", merge.deserialize_permuted,
+     lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), 21, 10),
+     "permuted merge key swap z=10, c=1 outside [0, N-1)"),
+    ("permuted merge nodes of another N", merge.deserialize_permuted,  # n1 6 -> 2
+     lambda: _flip(blob_of("permuted_merge_key"), 1722),
+     "permuted merge key hard-coded nodes are not those of the swap at z=0"),
+    ("permuted merge punctured nodes", merge.deserialize_permuted,
+     lambda: _edited_permuted_merge_blob(punctured=lambda p: replace(p, punctured=p.punctured[:-1])),
+     "permuted merge key punctured nodes are not those of the swap at z=0"),
+    ("permuted merge copath positions", merge.deserialize_permuted,
+     lambda: _edited_permuted_merge_blob(punctured=lambda p: replace(p, copath=p.copath[:-1])),
+     "permuted merge key copath positions are not those of the swap at z=0"),
+    ("permuted merge tally above its span", merge.deserialize_permuted,
+     lambda: _edited_permuted_merge_blob({(0, 0): 9, (1, 1): 6}),
+     "hard-coded tally 6 at NodeId(depth=1, path=1) outside [0, 5]"),
+    ("permuted merge root tally", merge.deserialize_permuted,
+     lambda: _edited_permuted_merge_blob({(0, 0): 5, (1, 1): 2}),
+     "permuted merge key root tally 5 is not n1 = 6"),
+    ("permuted merge equal leaves", merge.deserialize_permuted,
+     lambda: _edited_permuted_merge_blob({(3, 0): 2, (3, 1): 0, (4, 1): 1}),
+     "permuted merge key leaves z=0 and z+1 hold the same pile bit"),
     ("permuted prp record kind", nsprp.deserialize_permuted_key,
      lambda: _patched(blob_of("permuted_prp_key"), 23, 3), "spine"),
     ("permuted prp child key size", nsprp.deserialize_permuted_key,
-     lambda: _edit_spine_record(4, 1, 0, 2, lambda b: _bump(b, 0, 3)), "child key (N, kappa) (9,"),
+     lambda: _edit_spine_record(4, 1, 0, 2, lambda b: _bump(b, 0, 3)), "child key N 9 where its level has 6"),
     ("permuted prp merge key size", nsprp.deserialize_permuted_key,
-     lambda: _edit_spine_record(4, 1, 0, 3, lambda b: _bump(b, 0, 1)), "merge key (n0, n1, kappa) (7,"),
+     lambda: _edit_spine_record(4, 1, 0, 3, lambda b: _bump(b, 0, 1)), "merge key (n0, n1) (7,"),
     ("permuted prp permuted merge key size", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(1, 1, 0, 4, lambda b: _bump_permuted_merge_head(b, 0)),
-     "merge key (n0, n1, kappa) (7,"),
+     "permuted merge key hard-coded nodes are not those of the swap at z=1"),
     ("permuted prp merge swap c", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(4, 1, 1, 4, lambda b: _bump_permuted_merge_head(b, 20)),
-     "merge swap (z, c)"),
+     "permuted merge key swap z=3, c=2 outside [0, N-1) x {0, 1}"),
     ("permuted prp recursion pile", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(4, 1, 0, 1, lambda flag: 1 - flag), "does not land in pile 1"),
     ("permuted prp bit record above N=2", nsprp.deserialize_permuted_key,
@@ -234,7 +265,16 @@ HEADER_CASES = [
      lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), 2, 0x10),
      "exact keys cover at most 2^20 points, not 1048587"),
     ("owp secret kappa 6", opprp.deserialize_owp_secret,
-     lambda: _patched(blob_of("owp_secret"), OWP_SECRET_KAPPA_AT, 6), "kappa 6 is not the key owp_gen makes"),
+     lambda: _patched(blob_of("owp_secret"), OWP_SECRET_KAPPA_AT, 6), "kappa 6 is not 128"),
+    # a kappa other than the one draw precision, on every key format that carries one
+    ("merge key kappa 0", merge.deserialize_key,
+     lambda: _patched(blob_of("merge_key"), 16, 0), "kappa 0 is not 128"),
+    ("prp key kappa 129", nsprp.deserialize_key,
+     lambda: _patched(blob_of("prp_key"), 8, 129), "kappa 129 is not 128"),
+    ("permuted merge key kappa 0", merge.deserialize_permuted,
+     lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), 16, -128), "kappa 0 is not 128"),
+    ("permuted prp key kappa 0", nsprp.deserialize_permuted_key,
+     lambda: _patched(blob_of("permuted_prp_key"), 8, 0), "kappa 0 is not 128"),
     ("instance mode", oss.deserialize_instance,
      lambda: _patched(blob_of("oss_instance"), 4, 2), "mode"),
     ("instance table width", oss.deserialize_instance,
@@ -258,6 +298,58 @@ HEADER_CASES = [
 def test_header_fields_are_validated(case, de, make_blob, fragment):
     with pytest.raises(ContractError, match=re.escape(fragment)):
         de(make_blob())
+
+
+def _spread(n):
+    """At most 4 points of [0, n): both ends and two in between."""
+    return sorted({0, n // 3, 2 * n // 3, n - 1})
+
+
+def _merge_points(k):
+    for z in _spread(k.n):
+        merge.merge_forward(k, *merge.merge_inverse(k, z))
+
+
+def _prp_points(k):
+    for x in _spread(k.n):
+        nsprp.prp_inverse(k, nsprp.prp_forward(k, x))
+
+
+# name -> evaluation of at most 4 points of a loaded artifact; an LWE
+# trapdoor is only loaded, since it has no points of its own
+EVALUATE = {
+    "prf_key": lambda k: [prng.prf_eval(k, bytes([x]), 16) for x in range(4)],
+    "punctured_prf_key": lambda pk: [prng.punctured_tree_eval(pk, pos, 16) for pos, _ in pk.copath[:4]],
+    "merge_key": _merge_points,
+    "permuted_merge_key": _merge_points,
+    "prp_key": _prp_points,
+    "permuted_prp_key": _prp_points,
+    "owp_public": lambda pk: [opprp.owp_forward(pk, x) for x in _spread(pk.n)],
+    "owp_secret": lambda keys: [opprp.owp_invert(keys.sk, opprp.owp_forward(keys.pk, x))
+                                for x in _spread(keys.sk.n)],
+    "gf2_matrix": lambda m: [gf2.mat_mul_vec(m, gf2.BitVector(x, m.ncols))
+                             for x in _spread(1 << m.ncols)],
+    "lwe_key": lambda pk: [lh.hashl_eval_packed(pk, x) for x in _spread(1 << pk.params.domain_bits)],
+    "lwe_trapdoor": lambda td: None,
+    "oss_instance": lambda inst: [oss.oss_p_inv(inst, *oss.oss_p(inst, x)) for x in _spread(1 << inst.n)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_every_bit_flip_is_refused_or_evaluates(name):
+    """Flip every 7th bit of the blob, which hits every byte: the reader
+    refuses the flipped blob with ContractError, or what it loads evaluates."""
+    _, _, de = ARTIFACTS[name]
+    blob = blob_of(name)
+    for bit in range(0, 8 * len(blob), 7):
+        try:
+            loaded = de(_flip(blob, bit))
+        except ContractError:
+            continue
+        try:
+            EVALUATE[name](loaded)
+        except Exception as e:
+            pytest.fail(f"bit {bit} loads, then raises {e!r}")
 
 
 # sha256 over the serialized bytes of exact and fastmix PRP and merge keys and
