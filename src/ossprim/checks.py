@@ -529,7 +529,7 @@ def crit12_lwe(samples: int = 10_000) -> tuple[bool, str]:
         x = pts.bits(p.domain_bits)
         t, f, b = lwehash.unpack_domain(p, x)
         y = lwehash.hashl_eval(pk, t, f, b)
-        pre = lwehash.hashl_invert(pk, td, y)
+        pre = lwehash.hashl_invert(pk, y)
         if not any((pt == t).all() and (pf == f).all() and pb == b for pt, pf, pb in pre):
             return False, f"inversion missed a constructed preimage (#{i})"
         for pt, pf, pb in pre:
@@ -551,7 +551,7 @@ def crit12_lwe(samples: int = 10_000) -> tuple[bool, str]:
         t1v, _, _ = lwehash.unpack_domain(p, sl1[i])
         if not ((t0v - t1v) % p.q == qtd.tds[i].s % p.q).all():
             return False, f"claw extraction missed s_{i}"
-    frac = lwehash.measure_two_to_one_fraction(pk, td, samples,
+    frac = lwehash.measure_two_to_one_fraction(pk, samples,
                                                prng.bit_stream(prng.PrfKey(_seed(92_002), b"lwe"), b"fr"))
     exact = lwehash.partner_fraction(p, td)
     tol = 4.5 * math.sqrt(exact * (1 - exact) / samples)

@@ -293,8 +293,8 @@ def cmd_lwe(args, out: _Out) -> int:
         p, pk, td = _lwe_keys(args)
         out.emit("y", lwehash.hashl_eval_packed(pk, args.x))
     elif args.sub == "invert":
-        p, pk, td = _lwe_keys(args)
-        pre = lwehash.hashl_invert(pk, td, lwehash.unpack_range(p, args.y))
+        p, pk, _ = _lwe_keys(args)
+        pre = lwehash.hashl_invert(pk, lwehash.unpack_range(p, args.y))
         out.emit("count", len(pre))
         for i, (t, f, b) in enumerate(pre):
             out.emit(f"preimage{i}", lwehash.pack_domain(p, t, f, b))

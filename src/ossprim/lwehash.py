@@ -7,14 +7,15 @@ whose f +- e falls off the box, and their measure is controlled by Bbar/B.
 
 hashQ applies (n-r) independent hashL instances to the slices of an n-bit
 input; its preimage sets are direct sums of the per-slice preimage pairs, so
-proper images pull back to cosets of dimension n-r whose descriptions the
-trapdoor extracts.
+proper images pull back to cosets of dimension n-r whose descriptions
+inversion yields.
 
-All shipped parameter sets are INSECURE-DEMO desk-scale toys.  Trapdoor
-inversion enumerates the box residues of a row subset invertible mod q, or
-all of Z_q^u when B has no such subset (the published constructions use
-lattice trapdoor machinery instead); it is exact and complete at these
-sizes, and nothing here claims concrete security.
+All shipped parameter sets are INSECURE-DEMO desk-scale toys.  Inversion
+needs only the public key: it enumerates the box residues of a row subset
+invertible mod q, or all of Z_q^u when B has no such subset (the published
+constructions invert with a lattice trapdoor instead); it is exact and
+complete at these sizes, and nothing here claims concrete security.  The
+trapdoor (s, e) serves claw extraction and ``partner_fraction``.
 """
 
 from __future__ import annotations
@@ -186,8 +187,9 @@ def _invert_tables(pk: LweKey):
     return tables
 
 
-def hashl_invert(pk: LweKey, td: LweTrapdoor, y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """The full preimage set of y (size 0, 1, or 2 for honest keys).
+def hashl_invert(pk: LweKey, y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The full preimage set of y (size 0, 1, or 2 for honest keys), from the
+    public key alone.
 
     Solves z = B.t + f by enumerating the (2B)^u box residues on an
     invertible row subset, or every t in Z_q^u when B has no such subset;
@@ -322,17 +324,17 @@ def hashq_coords(qk: QKey, w: int) -> gf2.BitVector:
     return gf2.BitVector(gf2.reverse_bits(w, qk.slices), qk.slices)
 
 
-def hashq_preimage_sets(qk: QKey, td: QTrapdoor, a: int) -> list[list[int]]:
+def hashq_preimage_sets(qk: QKey, a: int) -> list[list[int]]:
     """Per-slice preimage lists (as packed slice inputs) of output a."""
     outs = gf2.split_fields(a, [qk.params.range_bits] * qk.slices)
     result = []
-    for pk, tdi, yi in zip(qk.pks, td.tds, outs):
-        pre = hashl_invert(pk, tdi, unpack_range(qk.params, yi))
+    for pk, yi in zip(qk.pks, outs):
+        pre = hashl_invert(pk, unpack_range(qk.params, yi))
         result.append([pack_domain(qk.params, t, f, b) for (t, f, b) in pre])
     return result
 
 
-def hashq_coset(qk: QKey, td: QTrapdoor, a: int) -> gf2.AffineCoset:
+def hashq_coset(qk: QKey, a: int) -> gf2.AffineCoset:
     """Coset description of the preimage set of a proper image a.
 
     Shift: the sum of the lifted b=0 slice preimages (b=1 stands in when a
@@ -340,7 +342,7 @@ def hashq_coset(qk: QKey, td: QTrapdoor, a: int) -> gf2.AffineCoset:
     lifted preimages.  Raises when a slice has no preimage or the image is
     deficient (some slice 1-to-1), since no full-dimension coset exists then.
     """
-    per_slice = hashq_preimage_sets(qk, td, a)
+    per_slice = hashq_preimage_sets(qk, a)
     n = qk.n_bits
     zeros = [0] * qk.slices
     shift_bits = 0
@@ -371,16 +373,16 @@ def reconstruct_from_coset(qk: QKey, coset: gf2.AffineCoset, z: gf2.BitVector) -
     return gf2.reverse_bits(coset.point(z).bits, qk.n_bits)
 
 
-def measure_two_to_one_fraction(pk: LweKey, td: LweTrapdoor, samples: int, stream: BitStream) -> float:
+def measure_two_to_one_fraction(pk: LweKey, samples: int, stream: BitStream) -> float:
     """Fraction of random domain points whose image has two preimages,
-    measured honestly through trapdoor inversion."""
+    counted by exact inversion."""
     p = pk.params
     hits = 0
     for _ in range(samples):
         x = stream.bits(p.domain_bits)
         t, f, b = unpack_domain(p, x)
         y = hashl_eval(pk, t, f, b)
-        if len(hashl_invert(pk, td, y)) == 2:
+        if len(hashl_invert(pk, y)) == 2:
             hits += 1
     return hits / samples
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .errors import ContractError, DimensionError, PunctureError, UnsupportedBackend
@@ -38,7 +38,11 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 _BIT = (b"\x00", b"\x01")
+_BIT_OF = {"0": _BIT[0], "1": _BIT[1]}
 _DERIVE = b"\x01derive:"
+_DERIVE_DEPTH = 8 * len(_DERIVE)
+_OUT = b"\xffout"
+_OUT_BLOCK0 = _OUT + struct.pack("<I", 0)
 
 
 def _sha(data: bytes) -> bytes:
@@ -68,6 +72,11 @@ class NodeId:
 
     def child(self, bit: int) -> "NodeId":
         return NodeId(self.depth + 1, (self.path << 1) | (bit & 1))
+
+    @cached_property
+    def branches(self) -> tuple[bytes, ...]:
+        """The branch byte ``_descend`` appends at each level, root first."""
+        return tuple(map(_BIT_OF.__getitem__, format((1 << self.depth) | self.path, "b")[1:]))
 
     def bit(self, level: int) -> int:
         """Bit at tree level ``level`` (0 = first branch below the root)."""
@@ -117,32 +126,33 @@ class PrfKey:
         return self._fast_words
 
 
+# Every hash reads this module's hashlib binding at call time, so perfbench's
+# tracer, which swaps that binding, counts each one.
+
 def _expand(seed: bytes, bit: int) -> bytes:
     """Length-doubling step: child seed for branch ``bit``."""
-    return _sha(seed + _BIT[bit])
+    return hashlib.sha256(seed + _BIT[bit]).digest()
 
 
 def _finalize(seed: bytes, out_len: int) -> bytes:
     """Node output stream, domain-separated from child derivation."""
-    blocks = []
-    ctr = 0
-    while 32 * len(blocks) < out_len:
-        blocks.append(_sha(seed + b"\xffout" + struct.pack("<I", ctr)))
-        ctr += 1
+    if out_len <= 32:
+        return hashlib.sha256(seed + _OUT_BLOCK0).digest()[:out_len]
+    blocks = (_sha(seed + _OUT + struct.pack("<I", ctr)) for ctr in range((out_len + 31) // 32))
     return b"".join(blocks)[:out_len]
 
 
+@lru_cache(maxsize=256)
 def _bytes_to_node(x: bytes) -> NodeId:
-    return NodeId(8 * len(x), int.from_bytes(x, "big") if x else 0)
+    """The leaf at x's bit path; repeated inputs share one node and its branches."""
+    return NodeId(8 * len(x), int.from_bytes(x, "big"))
 
 
 def _descend(seed: bytes, node: NodeId, from_depth: int = 0) -> bytes:
     """Seed at ``node``, from ``seed`` at its ancestor of depth ``from_depth``."""
-    # hashlib is read per call, so perfbench's tracer, which swaps this
-    # module's hashlib binding, still counts every hash
-    path, sha256 = node.path, hashlib.sha256
-    for shift in range(node.depth - 1 - from_depth, -1, -1):
-        seed = sha256(seed + _BIT[(path >> shift) & 1]).digest()
+    sha256 = hashlib.sha256
+    for branch in node.branches[from_depth:]:
+        seed = sha256(seed + branch).digest()
     return seed
 
 
@@ -165,7 +175,7 @@ def tree_eval(key: PrfKey, node: NodeId, out_len: int) -> bytes:
         raise DimensionError("out_len must be >= 1")
     if key.backend == BACKEND_FASTMIX:
         return _fast_eval(key, node, out_len)
-    return _finalize(_descend(key.root_seed(), node), out_len)
+    return _finalize(_descend(key._root, node), out_len)
 
 
 def prf_eval(key: PrfKey, x: bytes, out_len: int) -> bytes:
@@ -317,7 +327,7 @@ def derive_key(key: PrfKey, label: bytes) -> PrfKey:
         seed = prf_eval(key, _DERIVE + label, SEED_LEN)
     else:
         node = _bytes_to_node(_DERIVE + label)
-        seed = _finalize(_descend(key._derive_prefix, node, 8 * len(_DERIVE)), SEED_LEN)
+        seed = _finalize(_descend(key._derive_prefix, node, _DERIVE_DEPTH), SEED_LEN)
     return PrfKey(seed, key.domain_tag + b"/" + label, key.backend)
 
 

@@ -224,11 +224,11 @@ def _pinned_outputs() -> bytes:
     seeds = [(lwehash.MICRO, bytes([i]) * 32) for i in range(12) if i not in (5, 6)]
     seeds += [(lwehash.INSECURE_DEMO, bytes([i]) * 32) for i in (0, 1)]
     for p, seed in seeds:
-        pk, td = lwehash.hashl_keygen(p, bit_stream(PrfKey(seed, b"enum"), b"lwe"))
+        pk, _ = lwehash.hashl_keygen(p, bit_stream(PrfKey(seed, b"enum"), b"lwe"))
         xs = range(1 << p.domain_bits) if p.domain_bits <= 7 else \
             [bit_stream(PrfKey(seed, b"pts"), b"x").bits(p.domain_bits) for _ in range(12)]
         pres = [[lwehash.pack_domain(p, *pre) for pre in
-                 lwehash.hashl_invert(pk, td, lwehash.unpack_range(p, lwehash.hashl_eval_packed(pk, x)))]
+                 lwehash.hashl_invert(pk, lwehash.unpack_range(p, lwehash.hashl_eval_packed(pk, x)))]
                 for x in xs]
         out.append(([int(i) for i in lwehash._invertible_rows(p, pk.b_mat)], pres))
     inst = oss.oss_gen(oss.OssParams.tiny(8, 4, 8), b"\x77" * 32)

@@ -71,13 +71,13 @@ def test_linearity_in_t():
 
 
 def test_invert_contains_constructed_preimage():
-    pk, td = keys(b"k6")
+    pk, _ = keys(b"k6")
     st = stream(b"t6")
     for _ in range(30):
         x = st.bits(P.domain_bits)
         t, f, b = lh.unpack_domain(P, x)
         y = lh.hashl_eval(pk, t, f, b)
-        pre = lh.hashl_invert(pk, td, y)
+        pre = lh.hashl_invert(pk, y)
         assert 1 <= len(pre) <= 2
         assert any((pt == t).all() and (pf == f).all() and pb == b for pt, pf, pb in pre)
 
@@ -88,19 +88,19 @@ def test_invert_two_to_one_points_return_both_claw_members():
     t = np.array([st.bits(P.lq) for _ in range(P.u)], dtype=np.int64)
     f = td.e.copy()
     y = lh.hashl_eval(pk, t, f, 0)
-    pre = lh.hashl_invert(pk, td, y)
+    pre = lh.hashl_invert(pk, y)
     assert len(pre) == 2
     bs = sorted(pb for _, _, pb in pre)
     assert bs == [0, 1]
 
 
 def test_invert_far_point_is_empty():
-    pk, td = keys(b"k8")
+    pk, _ = keys(b"k8")
     t = np.zeros(P.u, dtype=np.int64)
     g = np.zeros(P.v, dtype=np.int64)
     g[0] = 2 * P.B  # beyond the box by more than Bbar on one coordinate
     y = (pk.b_mat @ t + g) % P.q
-    assert lh.hashl_invert(pk, td, y) == []
+    assert lh.hashl_invert(pk, y) == []
 
 
 def test_lattice_coset_disjointness_sampled():
@@ -117,7 +117,7 @@ def test_lattice_coset_disjointness_sampled():
 def test_two_to_one_fraction_sampled():
     pk, td = keys(b"k10")
     samples = 300
-    frac = lh.measure_two_to_one_fraction(pk, td, samples, stream(b"t10"))
+    frac = lh.measure_two_to_one_fraction(pk, samples, stream(b"t10"))
     exact = lh.partner_fraction(P, td)
     assert abs(frac - exact) <= 4.5 * (exact * (1 - exact) / samples) ** 0.5
     assert 0.5 < frac <= 1.0
@@ -127,10 +127,10 @@ def test_two_to_one_fraction_sampled():
 def test_micro_inversion_is_complete(seed):
     # seeds 5 and 6 draw an all-even B, which has no row invertible mod q
     p = lh.MICRO
-    pk, td = lh.hashl_keygen(p, bit_stream(PrfKey(bytes([seed]) * 32, b"enum"), b"lwe"))
+    pk, _ = lh.hashl_keygen(p, bit_stream(PrfKey(bytes([seed]) * 32, b"enum"), b"lwe"))
     for x in range(1 << p.domain_bits):
         y = lh.unpack_range(p, lh.hashl_eval_packed(pk, x))
-        assert x in [lh.pack_domain(p, *pre) for pre in lh.hashl_invert(pk, td, y)]
+        assert x in [lh.pack_domain(p, *pre) for pre in lh.hashl_invert(pk, y)]
     assert pk._cache["invert"] is lh._invert_tables(pk)
 
 
@@ -138,17 +138,16 @@ def test_inversion_without_spare_rows_is_complete():
     # v = u leaves no rows to screen candidates against
     p = lh.LweParams(u=1, v=1, q=8, B=1, Bbar=1, sigma=0.5)
     pk = lh.LweKey(p, np.array([[3]]), np.array([4]))  # c = B.s + e, s = 1, e = 1
-    td = lh.LweTrapdoor(np.array([1]), np.array([1]))
     for x in range(1 << p.domain_bits):
         y = lh.unpack_range(p, lh.hashl_eval_packed(pk, x))
-        assert x in [lh.pack_domain(p, *pre) for pre in lh.hashl_invert(pk, td, y)]
+        assert x in [lh.pack_domain(p, *pre) for pre in lh.hashl_invert(pk, y)]
 
 
 def test_inversion_without_invertible_rows_refuses_large_q():
-    pk, td = keys(b"k11")
+    pk, _ = keys(b"k11")
     even = lh.LweKey(P, 2 * pk.b_mat % P.q, pk.c_vec)
     with pytest.raises(RangeError):
-        lh.hashl_invert(even, td, pk.c_vec)
+        lh.hashl_invert(even, pk.c_vec)
 
 
 def test_domain_packing_bijective():
@@ -193,14 +192,14 @@ def test_hashq_single_slice_reduces_to_hashl():
 
 
 def test_hashq_coset_reconstruction_round_trip():
-    qk, qtd = qkeys(tag=b"q2")
+    qk, _ = qkeys(tag=b"q2")
     st = stream(b"q2")
     done = 0
     for _ in range(200):
         w = st.bits(qk.n_bits)
         a = lh.hashq_eval(qk, w)
         try:
-            coset = lh.hashq_coset(qk, qtd, a)
+            coset = lh.hashq_coset(qk, a)
         except ContractError:
             continue  # deficient image
         z = lh.hashq_coords(qk, w)
@@ -232,15 +231,15 @@ def test_hashq_collision_reveals_planted_secrets():
 
 def test_micro_preset_exhaustive_structure():
     p = lh.MICRO
-    pk, td = keys(b"m2", p)  # a seed whose lattice cosets are honestly disjoint
+    pk, _ = keys(b"m2", p)  # a seed whose lattice cosets are honestly disjoint
     sizes = {}
     for x in range(1 << p.domain_bits):
         y = lh.hashl_eval_packed(pk, x)
         sizes[y] = sizes.get(y, 0) + 1
-    # every preimage set the trapdoor reports matches the exhaustive census
+    # every preimage set inversion reports matches the exhaustive census
     for y, count in sizes.items():
         assert count in (1, 2)
-        assert len(lh.hashl_invert(pk, td, lh.unpack_range(p, y))) == count
+        assert len(lh.hashl_invert(pk, lh.unpack_range(p, y))) == count
 
 
 def test_params_file_round_trip():
@@ -281,14 +280,14 @@ def _pinned_outputs() -> bytes:
             out.append((t.tolist(), f.tolist(), b, lh.pack_domain(p, t, f, b), wrapped,
                         y.tolist(), lh.pack_range(p, y - p.q)))
     for p, slices in ((lh.MICRO, 3), (P, 2)):
-        qk, qtd = qkeys(slices, p, b"pin")
+        qk, _ = qkeys(slices, p, b"pin")
         st = stream(b"pinq" + bytes([slices]))
         for _ in range(24):
             w = st.bits(qk.n_bits)
             a = lh.hashq_eval(qk, w)
-            entry = [w, a, lh.hashq_preimage_sets(qk, qtd, a)]
+            entry = [w, a, lh.hashq_preimage_sets(qk, a)]
             try:
-                c = lh.hashq_coset(qk, qtd, a)
+                c = lh.hashq_coset(qk, a)
                 entry += [c.basis.cols, c.shift.bits, lh.reconstruct_from_coset(qk, c, lh.hashq_coords(qk, w))]
             except ContractError as e:
                 entry.append(str(e))

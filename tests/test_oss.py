@@ -202,12 +202,12 @@ def test_embedded_pair_coherent_and_collisions_map():
 
 def test_hashq_as_approximate_cpf_deficiency_matches_slices():
     p = lwehash.MICRO
-    qk, qtd = lwehash.hashq_keygen(p, 2, prng.bit_stream(prng.PrfKey(b"\x51" * 32, b"lwe-tests"), b"m2"))
+    qk, _ = lwehash.hashq_keygen(p, 2, prng.bit_stream(prng.PrfKey(b"\x51" * 32, b"lwe-tests"), b"m2"))
     # per-slice 1-to-1 domain fractions, exhaustively
     slice_frac = []
-    for pk, td in zip(qk.pks, qtd.tds):
+    for pk in qk.pks:
         two = sum(1 for x in range(1 << p.domain_bits)
-                  if len(lwehash.hashl_invert(pk, td, lwehash.unpack_range(
+                  if len(lwehash.hashl_invert(pk, lwehash.unpack_range(
                       p, lwehash.hashl_eval_packed(pk, x)))) == 2)
         slice_frac.append(two / (1 << p.domain_bits))
     # the fraction of hashq domain points whose image is a proper coset is
@@ -215,7 +215,7 @@ def test_hashq_as_approximate_cpf_deficiency_matches_slices():
     proper = 0
     total = 1 << qk.n_bits
     for w in range(total):
-        sets = lwehash.hashq_preimage_sets(qk, qtd, lwehash.hashq_eval(qk, w))
+        sets = lwehash.hashq_preimage_sets(qk, lwehash.hashq_eval(qk, w))
         if all(len(s) == 2 for s in sets):
             proper += 1
     assert abs(proper / total - slice_frac[0] * slice_frac[1]) < 1e-12

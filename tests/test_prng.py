@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import struct
 
 import pytest
 
@@ -166,6 +168,78 @@ def test_descend_matches_stepwise_expand():
             walk.append(prng._expand(walk[-1], (node.path >> (depth - 1 - lvl)) & 1))
         for from_depth in range(depth + 1):
             assert prng._descend(walk[from_depth], node, from_depth) == walk[depth]
+
+
+def test_node_branches_are_the_path_bits_root_first():
+    rng = random.Random(7)
+    for depth in list(range(10)) + [rng.randint(10, 300) for _ in range(50)]:
+        node = NodeId(depth, rng.getrandbits(depth) if depth else 0)
+        assert node.branches == tuple(prng._BIT[node.bit(lvl)] for lvl in range(depth))
+
+
+def _finalize_reference(seed, out_len):
+    blocks = (hashlib.sha256(seed + b"\xffout" + struct.pack("<I", ctr)).digest()
+              for ctr in range((out_len + 31) // 32))
+    return b"".join(blocks)[:out_len]
+
+
+def test_finalize_matches_the_multi_block_stream():
+    seed = bytes(range(32))
+    for out_len in range(1, 101):
+        assert prng._finalize(seed, out_len) == _finalize_reference(seed, out_len)
+
+
+def test_bytes_to_node_memo_is_bounded():
+    size = prng._bytes_to_node.cache_info().maxsize
+    for i in range(size + 50):
+        assert prng._bytes_to_node(i.to_bytes(4, "big")) == NodeId(32, i)
+    assert prng._bytes_to_node.cache_info().currsize <= size
+    assert prng._bytes_to_node(b"\x02xorbit") is prng._bytes_to_node(b"\x02xorbit")
+
+
+class _CountingHashlib:
+    """Stands in for prng's hashlib binding and counts its SHA-256 calls."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, 0
+
+    def sha256(self, *args):
+        self.calls += 1
+        return self.real.sha256(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    counter = _CountingHashlib(prng.hashlib)
+    monkeypatch.setattr(prng, "hashlib", counter)
+
+    def calls(fn, *args):
+        before = counter.calls
+        fn(*args)
+        return counter.calls - before
+
+    return calls
+
+
+@pytest.mark.parametrize("x", [b"", b"\x02xorbit", bytes(range(40))])
+@pytest.mark.parametrize("out_len", [1, 16, 32, 33, 100])
+def test_prf_eval_hashes_once_per_level_and_output_block(sha256_calls, x, out_len):
+    k = PrfKey(b"\x11" * 32, b"count")
+    warm = 8 * len(x) + (out_len + 31) // 32
+    assert sha256_calls(prng.prf_eval, k, x, out_len) == warm + 1  # the root, once per key
+    assert sha256_calls(prng.prf_eval, k, x, out_len) == warm
+
+
+@pytest.mark.parametrize("label", [b"", b"merge", b"half1", bytes(range(40))])
+def test_derive_key_hashes_once_per_label_level_and_output_block(sha256_calls, label):
+    k = PrfKey(b"\x12" * 32, b"count")
+    warm = 8 * len(label) + 1
+    # the first derive also hashes the root and the 64-level derive prefix
+    assert sha256_calls(prng.derive_key, k, label) == warm + 65
+    assert sha256_calls(prng.derive_key, k, label) == warm
 
 
 @pytest.mark.parametrize("backend", [prng.BACKEND_SHA256, prng.BACKEND_FASTMIX])
