@@ -98,17 +98,11 @@ def ndtri(u, out=None):
     return _ndtri(u, out=out)
 
 _U64 = np.uint64
-_MASK = (1 << 64) - 1
-_GOLD = 0x9E3779B97F4A7C15
-_GOLDEN = _U64(_GOLD)
-_M1 = _U64(0xBF58476D1CE4E5B9)
-_M2 = _U64(0x94D049BB133111EB)
+_GOLDEN, _M1, _M2 = _U64(prng.GOLDEN), _U64(prng.MIX_M1), _U64(prng.MIX_M2)
 _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
-
-TAG_ROOT = _U64(0x524F4F54)
-TAG_CHILD = _U64(0x4348494C44)
-TAG_MERGE = _U64(0x4D45524745)
-TAG_XOR = _U64(0x584F52)
+# prng's context tags as lane words
+_TAG_ROOT, _TAG_CHILD, _TAG_MERGE, _TAG_XOR = map(
+    _U64, (prng.TAG_ROOT, prng.TAG_CHILD, prng.TAG_MERGE, prng.TAG_XOR))
 
 
 def _mix_rounds(x, tmp):
@@ -132,11 +126,6 @@ def mix64_np(a, b, c):
     x ^= a
     x ^= c
     return _mix_rounds(x, np.empty_like(x))
-
-
-def context_word(a: int, b: int, tag) -> int:
-    """A scalar key's fastmix context word: the mix64 of two words under a tag."""
-    return prng.mix64(a, b, int(tag))
 
 
 def gauss_draw_even(half: int, t, r64):
@@ -202,7 +191,7 @@ def _tree_r(mctx, kg: int, depth: int, path, out, tmp):
     into one Python int.
     """
     np.bitwise_xor(mctx, path, out=out)
-    out ^= _U64((depth * _GOLD ^ kg) & _MASK)
+    out ^= _U64((depth * prng.GOLDEN ^ kg) & prng.MASK64)
     return _mix_rounds(out, tmp)
 
 
@@ -215,7 +204,7 @@ def merge_inverse_batch(mctx, k0, nbits: int, z):
     t = np.full_like(z, _U64(1) << _U64(nbits - 1))  # root tally = N1 = N/2
     ones = np.zeros_like(z)
     path = np.zeros_like(z)
-    kg = int(k0) * _GOLD
+    kg = int(k0) * prng.GOLDEN
     r = np.empty_like(z)
     tmp = np.empty_like(z)
     go = np.empty(z.shape, dtype=bool)
@@ -241,7 +230,7 @@ def merge_forward_batch(mctx, k0, nbits: int, b, x):
     path = np.zeros_like(x)
     x = x.copy()
     is_one = b.astype(bool)
-    kg = int(k0) * _GOLD
+    kg = int(k0) * prng.GOLDEN
     r = np.empty_like(x)
     tmp = np.empty_like(x)
     go = np.empty(x.shape, dtype=bool)
@@ -270,7 +259,7 @@ def _level_contexts(k0: int, k1: int, bits: int, xs):
     """
     k0 = _U64(k0)
     k1 = _U64(k1)
-    ctx = np.full_like(xs, mix64_np(k0, k1, TAG_ROOT))
+    ctx = np.full_like(xs, mix64_np(k0, k1, _TAG_ROOT))
     ctxs = []
     tops = []
     cur = xs.copy()
@@ -280,7 +269,7 @@ def _level_contexts(k0: int, k1: int, bits: int, xs):
         ctxs.append(ctx)
         tops.append(top)
         cur = cur & ((_U64(1) << _U64(width - 1)) - _U64(1))
-        ctx = mix64_np(ctx, k1 ^ top, TAG_CHILD)
+        ctx = mix64_np(ctx, k1 ^ top, _TAG_CHILD)
     ctxs.append(ctx)  # context of the final 1-bit (size-2) block
     return ctxs, tops, cur
 
@@ -293,9 +282,9 @@ def prp_forward_batch(k0: int, k1: int, bits: int, xs: np.ndarray) -> np.ndarray
     k0v = _U64(k0)
     k1v = _U64(k1)
     ctxs, tops, low = _level_contexts(k0, k1, bits, xs)
-    y = low ^ (mix64_np(ctxs[-1], k1v, TAG_XOR) & _U64(1))
+    y = low ^ (mix64_np(ctxs[-1], k1v, _TAG_XOR) & _U64(1))
     for i in range(bits - 2, -1, -1):
-        mctx = mix64_np(ctxs[i], k1v, TAG_MERGE)
+        mctx = mix64_np(ctxs[i], k1v, _TAG_MERGE)
         y = merge_forward_batch(mctx, k0v, bits - i, tops[i], y)
     return y
 
@@ -307,15 +296,15 @@ def prp_inverse_batch(k0: int, k1: int, bits: int, zs: np.ndarray) -> np.ndarray
     zs = np.asarray(zs, dtype=np.uint64)
     k0v = _U64(k0)
     k1v = _U64(k1)
-    ctx = np.full_like(zs, mix64_np(k0v, k1v, TAG_ROOT))
+    ctx = np.full_like(zs, mix64_np(k0v, k1v, _TAG_ROOT))
     out = np.zeros_like(zs)
     cur = zs.copy()
     for i in range(bits - 1):
         width = bits - i
-        mctx = mix64_np(ctx, k1v, TAG_MERGE)
+        mctx = mix64_np(ctx, k1v, _TAG_MERGE)
         b, y = merge_inverse_batch(mctx, k0v, width, cur)
         out |= b << _U64(width - 1)
         cur = y
-        ctx = mix64_np(ctx, k1v ^ b, TAG_CHILD)
-    out |= cur ^ (mix64_np(ctx, k1v, TAG_XOR) & _U64(1))
+        ctx = mix64_np(ctx, k1v ^ b, _TAG_CHILD)
+    out |= cur ^ (mix64_np(ctx, k1v, _TAG_XOR) & _U64(1))
     return out

@@ -36,7 +36,7 @@ import numpy as np
 from . import fastpath, prng
 from .errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA, HypergeomParams, sample
-from .prng import NodeId, PrfKey, PuncturedPrfKey
+from .prng import GOLDEN, MASK64, NodeId, PrfKey, PuncturedPrfKey
 from .wire import Reader
 
 
@@ -83,7 +83,7 @@ def _root_key(prf_key: PrfKey, n0: int, n1: int) -> MergeKey:
     check_width(prf_key.backend, n0 + n1)
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
-        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_MERGE)
+        ctx = prng.mix64(*prf_key.fast_words(), prng.TAG_MERGE)
     return MergeKey(prf_key, n0, n1, ctx)
 
 
@@ -133,18 +133,14 @@ def _prf_r_exact(k: MergeKey, parent_key: int) -> int:
     return int.from_bytes(prng._finalize(_node_seed(k, parent_key), DEFAULT_KAPPA // 8), "big")
 
 
-_MASK64 = (1 << 64) - 1
-_GOLD = 0x9E3779B97F4A7C15
-
-
 def _gauss_r64(k: MergeKey, parent_key: int) -> int:
     depth = parent_key.bit_length() - 1
     path = parent_key - (1 << depth)
     # identical to fastpath._tree_r for paths below 2^64; wider trees fold
     # the overflow bits into the key word
-    return prng.mix64(k.fast_ctx ^ (depth * _GOLD & _MASK64),
+    return prng.mix64(k.fast_ctx ^ (depth * GOLDEN & MASK64),
                       k.prf_key.fast_words()[0] ^ (path >> 64),
-                      path & _MASK64)
+                      path & MASK64)
 
 
 # A fastmix key's tally memo holds at most _MEMO_MAX tallies.  Once it is

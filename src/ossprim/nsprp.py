@@ -64,7 +64,7 @@ def _root_key(prf_key: PrfKey, n: int) -> PrpKey:
     merge_mod.check_width(prf_key.backend, n)
     ctx = None
     if prf_key.backend == prng.BACKEND_FASTMIX:
-        ctx = fastpath.context_word(*prf_key.fast_words(), fastpath.TAG_ROOT)
+        ctx = prng.mix64(*prf_key.fast_words(), prng.TAG_ROOT)
     return PrpKey(prf_key, n, ctx)
 
 
@@ -92,9 +92,9 @@ def width_key(prf_key: PrfKey, bits: int) -> PrpKey:
 
 # -- level key derivation --------------------------------------------------------
 
-def _fast_ctx(k: PrpKey, tag, b: int = 0) -> int:
+def _fast_ctx(k: PrpKey, tag: int, b: int = 0) -> int:
     """The context word under ``tag`` that a fastmix key derives from its own."""
-    return fastpath.context_word(k.fast_ctx, k.prf_key.fast_words()[1] ^ b, tag)
+    return prng.mix64(k.fast_ctx, k.prf_key.fast_words()[1] ^ b, tag)
 
 
 def _child_key(k: PrpKey, b: int) -> PrpKey:
@@ -103,7 +103,7 @@ def _child_key(k: PrpKey, b: int) -> PrpKey:
     if cached is not None:
         return cached
     if k.fast_ctx is not None:
-        child = PrpKey(k.prf_key, nb, _fast_ctx(k, fastpath.TAG_CHILD, b))
+        child = PrpKey(k.prf_key, nb, _fast_ctx(k, prng.TAG_CHILD, b))
         k._cache.pop(("child", 1 - b), None)  # a scale key keeps the path it walked last
     else:
         child = PrpKey(prng.derive_key(k.prf_key, b"half%d" % b), nb)
@@ -116,7 +116,7 @@ def _merge_key(k: PrpKey) -> MergeKey:
     if cached is not None:
         return cached
     if k.fast_ctx is not None:
-        mk = MergeKey(k.prf_key, k.n0, k.n1, _fast_ctx(k, fastpath.TAG_MERGE))
+        mk = MergeKey(k.prf_key, k.n0, k.n1, _fast_ctx(k, prng.TAG_MERGE))
     else:
         mk = MergeKey(prng.derive_key(k.prf_key, b"merge"), k.n0, k.n1)
     k._cache["merge"] = mk
@@ -128,7 +128,7 @@ def _xor_bit(k: PrpKey) -> int:
     if bit is not None:
         return bit
     if k.fast_ctx is not None:
-        return _fast_ctx(k, fastpath.TAG_XOR) & 1
+        return _fast_ctx(k, prng.TAG_XOR) & 1
     return prng.prf_eval(k.prf_key, b"\x02xorbit", 1)[0] & 1
 
 
@@ -330,8 +330,15 @@ def _check_level(what: str, got: object, want: object) -> None:
         raise ContractError(f"permuted PRP key: {what} {got} where its level has {want}")
 
 
+def _exact(k, what: str):
+    """k, refused if it draws gauss: ``prp_permute`` permutes only exact keys."""
+    if k.fast_ctx is not None:
+        raise ContractError(f"permuted PRP key: {what} on a fastmix PRF key; permuted keys draw exactly")
+    return k
+
+
 def _level_key(blob: bytes, n: int) -> PrpKey:
-    k = deserialize_key(blob)
+    k = _exact(deserialize_key(blob), "child key")
     _check_level("child key N", k.n, n)
     return k
 
@@ -358,7 +365,8 @@ def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
             pk._cache["xor"] = flag
             continue
         sizes = (pk.n0, pk.n1)
-        mk = merge_mod.deserialize_permuted(b3) if kind == 1 else merge_mod.deserialize_key(b2)
+        mk = _exact(merge_mod.deserialize_permuted(b3) if kind == 1 else merge_mod.deserialize_key(b2),
+                    "merge key")
         _check_level("merge key (n0, n1)", (mk.n0, mk.n1), sizes)
         if kind == 1:
             _check_level("merge swap (z, c)", (mk.z, mk.c), (pk.z, c))

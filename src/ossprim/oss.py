@@ -217,10 +217,11 @@ class OssInstance:
 
 def _seeded_perm(root: PrfKey, tag: bytes, bits: int, n: int) -> Perm:
     """The permutation of {0,1}^bits seeded under ``tag`` for an instance on
-    n input bits: an explicit table on a small instance, otherwise a lazy PRP
-    key of the width rule's choice (``nsprp.width_key``), which above
-    2^EXACT_MAX_BITS points rides the INSECURE-DEMO gauss path."""
-    if n <= 12:
+    n input bits: an explicit table on a small instance whose table fits an
+    instance file, otherwise a lazy PRP key of the width rule's choice
+    (``nsprp.width_key``), which above 2^EXACT_MAX_BITS points rides the
+    INSECURE-DEMO gauss path."""
+    if n <= 12 and bits <= _MAX_TABLE_BITS:
         return random_table_perm(bits, prng.bit_stream(root, tag))
     key = nsprp.width_key(prng.derive_key(root, tag), bits)
     # nsprp is looked up at call time, so perfbench's tracer, which swaps this

@@ -4,11 +4,14 @@ The length-doubling primitive is a 256-bit hash compression chosen at build
 time and recorded as a one-byte algorithm identifier in every serialized key,
 so test vectors stay portable:
 
-* backend 1 (default): SHA-256.  Supports the full GGM tree, puncturing, and
-  every cryptographic-flavored consumer in the package.
-* backend 2 ("fastmix"): a 64-bit ARX mix, INSECURE-DEMO only.  Evaluation
-  bypasses the GGM tree (one mix per call), so large-domain scale tests are
-  cheap; puncturing is unsupported on this backend.
+* backend 1 (default): SHA-256.  The PRF: the full GGM tree, puncturing,
+  derived keys and bit streams, for every cryptographic-flavored consumer in
+  the package.
+* backend 2 ("fastmix"): INSECURE-DEMO scale keys.  Such a key only supplies
+  two 64-bit key words (``PrfKey.fast_words``), which the scale path mixes
+  into context words with ``mix64`` under the ``TAG_*`` words below.  It has
+  no PRF, puncturing, stream or key derivation: every entry point here that
+  needs the GGM tree refuses it with ``UnsupportedBackend``.
 
 The same machinery serves two input shapes: classic byte-string inputs (the
 GGM leaf at the input's bit path) and explicit tree node addresses
@@ -34,8 +37,17 @@ BACKEND_FASTMIX = 2
 
 SEED_LEN = 32
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+# The fastmix words, defined here only: mix64's constants and the context
+# tags (fastpath wraps them in np.uint64 for its lanes)
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+MIX_M1, MIX_M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+TAG_ROOT = 0x524F4F54
+TAG_CHILD = 0x4348494C44
+TAG_MERGE = 0x4D45524745
+TAG_XOR = 0x584F52
+
+_SHA256_ONLY = "fastmix keys supply key words only: this needs the GGM (sha256) backend"
 
 _BIT = (b"\x00", b"\x01")
 _BIT_OF = {"0": _BIT[0], "1": _BIT[1]}
@@ -51,10 +63,10 @@ def _sha(data: bytes) -> bytes:
 
 def mix64(a: int, b: int, c: int) -> int:
     """One 64-bit ARX-style mixing round chain (NOT cryptographic)."""
-    x = (a ^ (b * _GOLDEN & _MASK64) ^ c) & _MASK64
+    x = (a ^ (b * GOLDEN & MASK64) ^ c) & MASK64
     for _ in range(3):
-        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+        x = (x ^ (x >> 30)) * MIX_M1 & MASK64
+        x = (x ^ (x >> 27)) * MIX_M2 & MASK64
         x ^= x >> 31
     return x
 
@@ -123,6 +135,7 @@ class PrfKey:
     _fast_words = cached_property(lambda self: struct.unpack("<QQ", self._root[:16]))
 
     def fast_words(self) -> tuple[int, int]:
+        """A fastmix key's two key words: the first 16 bytes of its root hash."""
         return self._fast_words
 
 
@@ -156,25 +169,12 @@ def _descend(seed: bytes, node: NodeId, from_depth: int = 0) -> bytes:
     return seed
 
 
-def _fast_eval(key: PrfKey, node: NodeId, out_len: int) -> bytes:
-    k0, k1 = key.fast_words()
-    out = bytearray()
-    ctr = 0
-    while len(out) < out_len:
-        lo = node.path & _MASK64
-        hi = (node.path >> 64) & _MASK64
-        h = mix64(k0 ^ (node.depth * _GOLDEN & _MASK64), k1 ^ hi, lo ^ (ctr * 0xD1342543DE82EF95 & _MASK64))
-        out += struct.pack("<Q", h)
-        ctr += 1
-    return bytes(out[:out_len])
-
-
 def tree_eval(key: PrfKey, node: NodeId, out_len: int) -> bytes:
     """PRF output at an arbitrary tree node (internal nodes allowed)."""
     if out_len < 1:
         raise DimensionError("out_len must be >= 1")
-    if key.backend == BACKEND_FASTMIX:
-        return _fast_eval(key, node, out_len)
+    if key.backend != BACKEND_SHA256:
+        raise UnsupportedBackend(_SHA256_ONLY)
     return _finalize(_descend(key._root, node), out_len)
 
 
@@ -196,14 +196,6 @@ class PuncturedPrfKey:
     punctured: tuple[NodeId, ...]
     copath: tuple[tuple[NodeId, bytes], ...]
     domain_tag: bytes = b""
-    backend: int = BACKEND_SHA256
-
-    def punctured_closure(self) -> frozenset[NodeId]:
-        closed = set()
-        for p in self.punctured:
-            for d in range(p.depth + 1):
-                closed.add(NodeId(d, p.path >> (p.depth - d)))
-        return frozenset(closed)
 
 
 def puncture_nodes(
@@ -217,9 +209,9 @@ def puncture_nodes(
     puncturing an entire fixed-length domain leaves nothing behind.
     """
     if key.backend != BACKEND_SHA256:
-        raise UnsupportedBackend("puncturing requires the GGM (sha256) backend")
+        raise UnsupportedBackend(_SHA256_ONLY)
     pts = sorted(set(nodes), key=NodeId.sort_key)
-    closed = PuncturedPrfKey(tuple(pts), (), key.domain_tag, key.backend).punctured_closure()
+    closed = {NodeId(d, p.path >> (p.depth - d)) for p in pts for d in range(p.depth + 1)}
     copath: list[tuple[NodeId, bytes]] = []
     if ROOT not in closed:
         copath.append((ROOT, key.root_seed()))
@@ -235,7 +227,7 @@ def puncture_nodes(
                 elif floor_depth is None or ch.depth <= floor_depth:
                     copath.append((ch, _expand(seed, bit)))
     copath.sort(key=lambda t: t[0].sort_key())
-    return PuncturedPrfKey(tuple(pts), tuple(copath), key.domain_tag, key.backend)
+    return PuncturedPrfKey(tuple(pts), tuple(copath), key.domain_tag)
 
 
 def puncture(key: PrfKey, s: Iterable[bytes]) -> PuncturedPrfKey:
@@ -270,41 +262,24 @@ class BitStream:
     """
 
     def __init__(self, key: PrfKey, label: bytes):
-        self._key = key
-        self._label = label
-        if key.backend == BACKEND_FASTMIX:
-            k0, k1 = key.fast_words()
-            lab = int.from_bytes(_sha(label), "little") & _MASK64
-            self._fast = (k0, mix64(k1, lab, 0x5EED))
-        else:
-            self._fast = None
-            self._seed = _sha(key.root_seed() + b"\xfestream" + struct.pack("<H", len(label)) + label)
+        if key.backend != BACKEND_SHA256:
+            raise UnsupportedBackend(_SHA256_ONLY)
+        self._seed = _sha(key.root_seed() + b"\xfestream" + struct.pack("<H", len(label)) + label)
         self._ctr = 0
         self._buf = 0
         self._buf_bits = 0
 
-    def _block(self) -> bytes:
-        if self._fast is not None:
-            k0, k1 = self._fast
-            out = struct.pack("<Q", mix64(k0, k1, self._ctr))
-        else:
-            out = _sha(self._seed + struct.pack("<Q", self._ctr))
-        self._ctr += 1
-        return out
-
     def bits(self, n: int) -> int:
         """Next n bits as an integer (earlier bits are more significant)."""
         while self._buf_bits < n:
-            blk = self._block()
-            self._buf = (self._buf << (8 * len(blk))) | int.from_bytes(blk, "big")
-            self._buf_bits += 8 * len(blk)
+            blk = _sha(self._seed + struct.pack("<Q", self._ctr))
+            self._ctr += 1
+            self._buf = (self._buf << 256) | int.from_bytes(blk, "big")
+            self._buf_bits += 256
         self._buf_bits -= n
         out = self._buf >> self._buf_bits
         self._buf &= (1 << self._buf_bits) - 1
         return out
-
-    def bytes(self, n: int) -> bytes:
-        return self.bits(8 * n).to_bytes(n, "big") if n else b""
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection."""
@@ -322,13 +297,12 @@ def bit_stream(key: PrfKey, label: bytes) -> BitStream:
 
 
 def derive_key(key: PrfKey, label: bytes) -> PrfKey:
-    """Child key under a domain label; keeps the parent's backend."""
-    if key.backend == BACKEND_FASTMIX:
-        seed = prf_eval(key, _DERIVE + label, SEED_LEN)
-    else:
-        node = _bytes_to_node(_DERIVE + label)
-        seed = _finalize(_descend(key._derive_prefix, node, _DERIVE_DEPTH), SEED_LEN)
-    return PrfKey(seed, key.domain_tag + b"/" + label, key.backend)
+    """Child key under a domain label."""
+    if key.backend != BACKEND_SHA256:
+        raise UnsupportedBackend(_SHA256_ONLY)
+    node = _bytes_to_node(_DERIVE + label)
+    seed = _finalize(_descend(key._derive_prefix, node, _DERIVE_DEPTH), SEED_LEN)
+    return PrfKey(seed, key.domain_tag + b"/" + label)
 
 
 def key_from_hex(seed_hex: str) -> PrfKey:
@@ -345,16 +319,11 @@ def serialize_key(key: PrfKey) -> bytes:
     return bytes([key.backend]) + struct.pack("<H", len(key.domain_tag)) + key.domain_tag + key.seed
 
 
-def _read_backend(r: Reader) -> int:
+def deserialize_key(data: bytes) -> PrfKey:
+    r = Reader(data, "PRF key")
     (backend,) = r.unpack("<B")
     if backend not in (BACKEND_SHA256, BACKEND_FASTMIX):
         raise ContractError(f"unknown PRF backend id {backend}")
-    return backend
-
-
-def deserialize_key(data: bytes) -> PrfKey:
-    r = Reader(data, "PRF key")
-    backend = _read_backend(r)
     tag = r.blob("<H")
     seed = r.take(SEED_LEN)
     r.done()
@@ -372,8 +341,8 @@ def _read_node(r: Reader) -> NodeId:
 
 
 def serialize_punctured(pk: PuncturedPrfKey) -> bytes:
-    """algorithm-id, sorted punctured points, sorted (position, seed) copath."""
-    out = [bytes([pk.backend]), struct.pack("<H", len(pk.domain_tag)), pk.domain_tag]
+    """algorithm-id (always sha256), sorted punctured points, sorted (position, seed) copath."""
+    out = [bytes([BACKEND_SHA256]), struct.pack("<H", len(pk.domain_tag)), pk.domain_tag]
     pts = sorted(pk.punctured, key=NodeId.sort_key)
     out.append(struct.pack("<I", len(pts)))
     out.extend(_pack_node(p) for p in pts)
@@ -387,11 +356,13 @@ def serialize_punctured(pk: PuncturedPrfKey) -> bytes:
 
 def deserialize_punctured(data: bytes) -> PuncturedPrfKey:
     r = Reader(data, "punctured PRF key")
-    backend = _read_backend(r)
+    (backend,) = r.unpack("<B")
+    if backend != BACKEND_SHA256:
+        raise ContractError(f"punctured PRF key backend id {backend}: only sha256 keys puncture")
     tag = r.blob("<H")
     (npts,) = r.unpack("<I")
     pts = tuple(_read_node(r) for _ in range(npts))
     (ncp,) = r.unpack("<I")
     copath = tuple((_read_node(r), r.take(SEED_LEN)) for _ in range(ncp))
     r.done()
-    return PuncturedPrfKey(pts, copath, tag, backend)
+    return PuncturedPrfKey(pts, copath, tag)

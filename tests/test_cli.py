@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import resource
 import shlex
 import struct
 import subprocess
@@ -13,10 +14,16 @@ from hypothesis import given, settings, strategies as st
 from ossprim import cli, oss, permdecomp as pd, prng
 
 
-def run_cli(argv_str, check=True, timeout=None, dev=False):
-    # dev: a file-handling command runs under -X dev, which reports unclosed files
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_cli(argv_str, check=True, timeout=None, dev=False, capped=False):
+    # dev: a file-handling command runs under -X dev, which reports unclosed files;
+    # capped: the command runs with at most 2 GiB of address space
     proc = subprocess.run([sys.executable] + (["-X", "dev"] if dev else []) + ["-m", "ossprim.cli"]
-                          + shlex.split(argv_str), capture_output=True, timeout=timeout)
+                          + shlex.split(argv_str), capture_output=True, timeout=timeout,
+                          preexec_fn=_cap_address_space if capped else None)
     if check:
         assert proc.returncode == 0, proc.stderr
     if dev:
@@ -139,6 +146,15 @@ def test_oracle_mode_instance_file_with_d_flag_round_trips(tmp_path):
     y1 = cli.parse_kv(run_cli(f"oss hash --inst {inst} --x 1 --format kv", dev=True).stdout.decode())["y"]
     y2 = cli.parse_kv(run_cli("oss hash --tiny 8,4,8 --seed 07 --x 1 --format kv").stdout.decode())["y"]
     assert y1 == y2
+
+
+@pytest.mark.parametrize("d", [64, 40])
+def test_wide_outer_permutation_on_a_small_instance_evaluates(d):
+    # a 2^d outer table fits no instance file, so even an n = 8 instance takes a lazy key
+    proc = run_cli(f"oss hash --tiny 8,4,8 --mode standard --d {d} --seed 07 --x 5 --format kv",
+                   check=False, timeout=120, capped=True)
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
+    assert 0 <= int(cli.parse_kv(proc.stdout.decode())["y"]) < 1 << d
 
 
 def test_exit_codes():

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ossprim import merge, nsprp, permdecomp as pd
+from ossprim import merge, nsprp, permdecomp as pd, prng
 from ossprim.errors import ContractError, RangeError, UnsupportedBackend
 from ossprim.prng import PrfKey
 
@@ -338,6 +338,28 @@ def test_batch_outputs_pinned_digest():
         t, r = np.meshgrid(np.array(ts, dtype=np.uint64), np.array(rs, dtype=np.uint64))
         h.update(fastpath.gauss_draw_even(half, t.ravel(), r.ravel()).tobytes())
     assert h.hexdigest() == BATCH_SHA256
+
+
+# sha256 over scalar forward and inverse walks at 32 points each of 2^24,
+# 2^64 and 2^80 scale keys and of a standalone 2^40 + 2^40 fastmix merge key
+# (the merge root context), recorded before the fastmix words moved to prng
+SCALE_WORDS_SHA256 = "58a2f08f2af6713398e176cfa0d479ff99d9b43071079a3f5c0643683fb712bf"
+
+
+def _spread_points(n, salt):
+    return [(i * 0x9E3779B97F4A7C15 + salt) % n for i in range(32)]
+
+
+def test_scale_keys_pinned_digest():
+    h = hashlib.sha256()
+    for bits in (24, 64, 80):
+        k = nsprp.make_scale_prp_key(bytes([0x30 + bits]) * 32, bits)
+        h.update(repr([nsprp.prp_forward(k, x) for x in _spread_points(k.n, 1)]).encode())
+        h.update(repr([nsprp.prp_inverse(k, z) for z in _spread_points(k.n, 2)]).encode())
+    mk = merge._root_key(PrfKey(b"\x3c" * 32, b"merge", prng.BACKEND_FASTMIX), 1 << 40, 1 << 40)
+    h.update(repr([merge.merge_forward(mk, x & 1, x >> 1) for x in _spread_points(mk.n, 3)]).encode())
+    h.update(repr([merge.merge_inverse(mk, z) for z in _spread_points(mk.n, 4)]).encode())
+    assert h.hexdigest() == SCALE_WORDS_SHA256
 
 
 # sha256 over both decompositions (each swap's z and its intermediate's

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from ossprim import prng
+from ossprim import nsprp, prng
 from ossprim.errors import PunctureError, UnsupportedBackend
 from ossprim.prng import NodeId, PrfKey
 
@@ -140,12 +140,14 @@ def test_punctured_serialization_round_trip():
         assert prng.punctured_eval(back, x, 8) == prng.prf_eval(K, x, 8)
 
 
-def test_fastmix_backend_eval_only():
+def test_fastmix_keys_refuse_the_prf_stream_derivation_and_puncturing():
+    # a fastmix key supplies two key words to the scale path and nothing else
     k = PrfKey(b"\x0d" * 32, b"fast", prng.BACKEND_FASTMIX)
-    assert prng.prf_eval(k, b"x", 8) == prng.prf_eval(k, b"x", 8)
-    assert prng.prf_eval(k, b"x", 8) != prng.prf_eval(k, b"y", 8)
-    with pytest.raises(UnsupportedBackend):
-        prng.puncture(k, [b"x"])
+    assert k.fast_words() == struct.unpack("<QQ", k.root_seed()[:16])
+    for refused in [lambda: prng.prf_eval(k, b"x", 8), lambda: prng.derive_key(k, b"x"),
+                    lambda: prng.bit_stream(k, b"x"), lambda: prng.puncture_nodes(k, [NodeId(1, 0)])]:
+        with pytest.raises(UnsupportedBackend, match="fastmix keys supply key words only"):
+            refused()
 
 
 def test_mix64_matches_numpy_twin():
@@ -242,21 +244,39 @@ def test_derive_key_hashes_once_per_label_level_and_output_block(sha256_calls, l
     assert sha256_calls(prng.derive_key, k, label) == warm
 
 
-@pytest.mark.parametrize("backend", [prng.BACKEND_SHA256, prng.BACKEND_FASTMIX])
+@pytest.mark.parametrize("generation", [1, 2])  # a root key, then a key derived from it
 @pytest.mark.parametrize("label", [b"", b"m", b"half1", bytes(range(40))])
-def test_derive_key_is_prf_eval_under_the_derive_prefix(backend, label):
-    k = PrfKey(b"\x0e" * 32, b"derive-tests", backend)
-    want = PrfKey(prng.prf_eval(k, b"\x01derive:" + label, 32), b"derive-tests/" + label, backend)
+def test_derive_key_is_prf_eval_under_the_derive_prefix(generation, label):
+    k = PrfKey(b"\x0e" * 32, b"derive-tests")
+    if generation == 2:
+        k = prng.derive_key(k, b"parent")
+    want = PrfKey(prng.prf_eval(k, b"\x01derive:" + label, 32), k.domain_tag + b"/" + label)
     assert prng.derive_key(k, label) == want
     assert prng.derive_key(k, label) == want  # again, from the memoized prefix
 
 
 def test_derive_key_memo_is_per_key():
     a = PrfKey(b"\x0f" * 32, b"one")
-    keys = [a, PrfKey(a.seed, b"two"), PrfKey(a.seed, b"one", prng.BACKEND_FASTMIX)]
+    keys = [a, PrfKey(a.seed, b"two"), PrfKey(b"\x1f" * 32, b"one")]
     seeds = [prng.derive_key(k, b"child").seed for k in keys]
     assert len(set(seeds)) == 3
     assert [prng.derive_key(k, b"child").seed for k in reversed(keys)] == seeds[::-1]
+
+
+@pytest.mark.parametrize("bits", [64, 80])
+def test_scale_keys_hash_only_their_roots(sha256_calls, bits):
+    # the bench's scale rule, no SHA-256 per point: a scale key hashes its
+    # root once for its key words, and its walks hash nothing
+    seed = bytes([bits]) * 32
+    assert sha256_calls(nsprp.make_scale_prp_key, seed, bits) == 1
+    k = nsprp.make_scale_prp_key(seed, bits)
+
+    def round_trips():
+        for i in range(64):
+            x = (i * prng.GOLDEN + 1) % k.n
+            assert nsprp.prp_inverse(k, nsprp.prp_forward(k, x)) == x
+
+    assert sha256_calls(round_trips) == 0
 
 
 def test_memoized_seeds_leave_equality_and_hash_unchanged():

@@ -137,6 +137,12 @@ def _edit_spine_record(z, c, i, field, edit):
     return b"".join(out)
 
 
+def _as_fastmix(blob, mode_at):
+    """A root key blob with its sampler mode byte at ``mode_at`` and the PRF
+    backend byte after it set to gauss on fastmix."""
+    return _patched(_patched(blob, mode_at, 1), mode_at + 1, prng.BACKEND_FASTMIX)
+
+
 def _bump(blob, at, delta):
     return _patched(blob, at, blob[at] + delta)
 
@@ -167,6 +173,8 @@ HEADER_CASES = [
      lambda: _patched(blob_of("prf_key"), 0, 7), "backend"),
     ("punctured key backend id", prng.deserialize_punctured,
      lambda: _patched(blob_of("punctured_prf_key"), 0, 7), "backend"),
+    ("punctured key fastmix backend id", prng.deserialize_punctured,
+     lambda: _patched(blob_of("punctured_prf_key"), 0, prng.BACKEND_FASTMIX), "backend id 2"),
     ("merge key sampler mode", merge.deserialize_key,
      lambda: _patched(blob_of("merge_key"), 20, 5), "sampler"),
     ("prp key sampler mode", nsprp.deserialize_key,
@@ -233,6 +241,13 @@ HEADER_CASES = [
      lambda: _patched(blob_of("permuted_prp_key"), 12, 11), "swap z=11"),
     ("permuted prp bit record flag", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(6, 1, 3, 1, lambda flag: 2), "malformed kind-0 record"),
+    # prp_permute permutes only exact keys: a spine with a gauss key in it
+    ("permuted prp kind-1 fastmix child key", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(1, 1, 0, 2, lambda b: _as_fastmix(b, 12)),
+     "permuted PRP key: child key on a fastmix PRF key"),
+    ("permuted prp kind-2 fastmix merge key", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(4, 1, 0, 3, lambda b: _as_fastmix(b, 20)),
+     "permuted PRP key: merge key on a fastmix PRF key"),
     # a fastmix key's sampler mode set to exact
     ("prp key exact sampler on fastmix", nsprp.deserialize_key,
      lambda: _patched(nsprp.serialize_key(nsprp.make_scale_prp_key(b"\x74" * 32, 8)), 12, 0),
