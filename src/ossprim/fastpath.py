@@ -180,7 +180,7 @@ def gauss_draw_general(s: int, sl: int, t: int, r64: int) -> int:
     val = mu + (var ** 0.5) * float(ndtri(u))
     if val != val:  # nan from 0 * inf
         val = mu
-    v = int(np.rint(max(val, 0.0)))
+    v = round(max(val, 0.0))  # half to even, as np.rint
     return max(lo, min(hi, v))
 
 

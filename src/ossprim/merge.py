@@ -8,7 +8,9 @@ node holds the count of 1-leaves below it.  Values are never materialized up
 front; the left child of any node is drawn from the hypergeometric induced by
 its parent (the paper-facing draw is the exact inverse CDF on 128 PRF bits;
 scale keys substitute the gaussian stand-in from ``fastpath``), and the
-right child is derived, never sampled.
+right child is derived, never sampled.  Under a parent that is all of one
+pile (tally 0 or its size) the left tally has a one-point support: on both
+key kinds it takes that point and draws no coins.
 
 Key permutation ("swap outputs z and z+1") punctures the tree PRF on the two
 root-to-leaf paths and hard-codes the values of the paths and their siblings,
@@ -162,13 +164,16 @@ def _trim(values: dict, parent_key: int) -> None:
 def _draw_left(k: MergeKey, parent_key: int, s: int, t: int) -> int:
     """Tally of the left child of a node of size s and tally t."""
     sl = left_size(s)
-    if k.fast_ctx is None:
-        return sample(HypergeomParams(s, t, sl), _prf_r_exact(k, parent_key))
-    if len(k._values) >= _MEMO_MAX:
+    if k.fast_ctx is not None and len(k._values) >= _MEMO_MAX:
         _trim(k._values, parent_key)
     lo, hi = max(0, t - (s - sl)), min(sl, t)
     if lo == hi:
-        return lo  # what the clamp gives; t = 2^64 fits no u64 lane
+        # a one-point support (t = 0 or t = s) draws no coins: the exact
+        # sampler and the gauss clamp both return its point whatever the
+        # coins, and t = 2^64 fits no u64 lane
+        return lo
+    if k.fast_ctx is None:
+        return sample(HypergeomParams(s, t, sl), _prf_r_exact(k, parent_key))
     r64 = _gauss_r64(k, parent_key)
     if s & (s - 1) == 0 and s <= (1 << 64):
         arr = fastpath.gauss_draw_even(sl, np.array([t], dtype=np.uint64),

@@ -97,16 +97,23 @@ def _fast_ctx(k: PrpKey, tag: int, b: int = 0) -> int:
     return prng.mix64(k.fast_ctx, k.prf_key.fast_words()[1] ^ b, tag)
 
 
+def _exact_level(k: PrpKey) -> None:
+    """Fill an exact level's child and merge keys from one descent: the
+    labels half0 and half1 part at their last bit, merge after five."""
+    half0, half1, merge = prng.derive_key(k.prf_key, b"half0", b"half1", b"merge")
+    k._cache.update({("child", 0): PrpKey(half0, k.n0), ("child", 1): PrpKey(half1, k.n1),
+                     "merge": MergeKey(merge, k.n0, k.n1)})
+
+
 def _child_key(k: PrpKey, b: int) -> PrpKey:
-    nb = k.n1 if b else k.n0
     cached = k._cache.get(("child", b))
     if cached is not None:
         return cached
-    if k.fast_ctx is not None:
-        child = PrpKey(k.prf_key, nb, _fast_ctx(k, prng.TAG_CHILD, b))
-        k._cache.pop(("child", 1 - b), None)  # a scale key keeps the path it walked last
-    else:
-        child = PrpKey(prng.derive_key(k.prf_key, b"half%d" % b), nb)
+    if k.fast_ctx is None:
+        _exact_level(k)
+        return k._cache[("child", b)]
+    child = PrpKey(k.prf_key, k.n1 if b else k.n0, _fast_ctx(k, prng.TAG_CHILD, b))
+    k._cache.pop(("child", 1 - b), None)  # a scale key keeps the path it walked last
     k._cache[("child", b)] = child
     return child
 
@@ -115,11 +122,10 @@ def _merge_key(k: PrpKey) -> MergeKey:
     cached = k._cache.get("merge")
     if cached is not None:
         return cached
-    if k.fast_ctx is not None:
-        mk = MergeKey(k.prf_key, k.n0, k.n1, _fast_ctx(k, prng.TAG_MERGE))
-    else:
-        mk = MergeKey(prng.derive_key(k.prf_key, b"merge"), k.n0, k.n1)
-    k._cache["merge"] = mk
+    if k.fast_ctx is None:
+        _exact_level(k)
+        return k._cache["merge"]
+    mk = k._cache["merge"] = MergeKey(k.prf_key, k.n0, k.n1, _fast_ctx(k, prng.TAG_MERGE))
     return mk
 
 

@@ -296,13 +296,29 @@ def bit_stream(key: PrfKey, label: bytes) -> BitStream:
     return BitStream(key, label)
 
 
-def derive_key(key: PrfKey, label: bytes) -> PrfKey:
-    """Child key under a domain label."""
+def derive_key(key: PrfKey, label: bytes, *more: bytes) -> PrfKey | tuple[PrfKey, ...]:
+    """Child key under a domain label; with several labels, their keys as a
+    tuple from one descent, in which each label starts from the seed that
+    the label before it left at their common bit prefix."""
     if key.backend != BACKEND_SHA256:
         raise UnsupportedBackend(_SHA256_ONLY)
-    node = _bytes_to_node(_DERIVE + label)
-    seed = _finalize(_descend(key._derive_prefix, node, _DERIVE_DEPTH), SEED_LEN)
-    return PrfKey(seed, key.domain_tag + b"/" + label)
+    sha256 = hashlib.sha256
+    last = _bytes_to_node(_DERIVE)
+    seeds = [key._derive_prefix]  # down ``last``, one per depth from _DERIVE_DEPTH
+    keys = []
+    for lab in (label, *more):
+        node = _bytes_to_node(_DERIVE + lab)
+        depth = min(node.depth, last.depth)
+        split = (node.path >> (node.depth - depth)) ^ (last.path >> (last.depth - depth))
+        common = depth - split.bit_length()  # the levels node and last share
+        del seeds[common - _DERIVE_DEPTH + 1:]
+        seed = seeds[-1]
+        for branch in node.branches[common:]:
+            seed = sha256(seed + branch).digest()
+            seeds.append(seed)
+        keys.append(PrfKey(_finalize(seed, SEED_LEN), key.domain_tag + b"/" + lab))
+        last = node
+    return tuple(keys) if more else keys[0]
 
 
 def key_from_hex(seed_hex: str) -> PrfKey:

@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from checkout import src_env
 from ossprim import cli, oss, permdecomp as pd, prng
 
 
@@ -22,7 +23,7 @@ def run_cli(argv_str, check=True, timeout=None, dev=False, capped=False):
     # dev: a file-handling command runs under -X dev, which reports unclosed files;
     # capped: the command runs with at most 2 GiB of address space
     proc = subprocess.run([sys.executable] + (["-X", "dev"] if dev else []) + ["-m", "ossprim.cli"]
-                          + shlex.split(argv_str), capture_output=True, timeout=timeout,
+                          + shlex.split(argv_str), capture_output=True, timeout=timeout, env=src_env(),
                           preexec_fn=_cap_address_space if capped else None)
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -35,7 +36,8 @@ def _scipy_loaded_after(code):
     # run in a fresh interpreter: did the code load any scipy module?
     code = ("import sys\n" + code +
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip() == "True"
 

@@ -284,6 +284,36 @@ def test_merge_key_serialization_round_trip():
         [merge.merge_inverse(k, z) for z in range(16)]
 
 
+def test_one_point_supports_draw_no_coins(monkeypatch):
+    # full tables of exact keys and of a permuted key: a tally whose support
+    # is one point takes it without sampling, and each sample hashes its
+    # coins once
+    samples, coins = [], []
+    real_sample, real_coins = merge.sample, merge._prf_r_exact
+
+    def spy_sample(p, r, *args):
+        samples.append(p)
+        return real_sample(p, r, *args)
+
+    def spy_coins(k, parent_key):
+        coins.append(parent_key)
+        return real_coins(k, parent_key)
+
+    monkeypatch.setattr(merge, "sample", spy_sample)
+    monkeypatch.setattr(merge, "_prf_r_exact", spy_coins)
+    keys = [key(n0, n1, tag=60 + i) for i, (n0, n1) in enumerate([(4, 4), (3, 5), (6, 2), (1, 7), (0, 5), (9, 14)])]
+    z = next(z for z in range(22) if merge.merge_inverse(keys[-1], z)[0] != merge.merge_inverse(keys[-1], z + 1)[0])
+    keys.append(merge.merge_permute(keys[-1], z, 1))
+    for k in keys:
+        table = full_table(k)
+        assert sorted(table) == list(range(k.n))
+        for e, out in enumerate(table):
+            b, x = merge.merge_inverse(k, out)
+            assert x + (k.n0 if b else 0) == e
+    assert samples and len(coins) == len(samples)
+    assert all(p.support_max > p.support_min for p in samples)
+
+
 def test_gauss_scalar_agrees_with_batch_merge():
     import numpy as np
 

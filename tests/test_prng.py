@@ -244,6 +244,41 @@ def test_derive_key_hashes_once_per_label_level_and_output_block(sha256_calls, l
     assert sha256_calls(prng.derive_key, k, label) == warm
 
 
+def test_level_labels_share_one_descent(sha256_calls):
+    # half0 and half1 part at their 40th bit, merge leaves them after 5:
+    # 40 + 1 + 35 levels and one output block per key
+    k = PrfKey(b"\x12" * 32, b"count")
+    labels = (b"half0", b"half1", b"merge")
+    assert sha256_calls(prng.derive_key, k, *labels) == 1 + 64 + 76 + 3
+    assert sha256_calls(prng.derive_key, k, *labels) == 76 + 3
+
+
+def test_exact_prp_tables_pinned_hash_count(sha256_calls):
+    # one descent per level for its three keys, no coins at one-point tallies
+    k = nsprp.make_prp_key(b"\x2b" * 32, 256)
+
+    def tables():
+        forward = [nsprp.prp_forward(k, x) for x in range(256)]
+        inverse = [nsprp.prp_inverse(k, z) for z in range(256)]
+        assert [inverse[z] for z in forward] == list(range(256))
+
+    assert sha256_calls(tables) == 50_018
+
+
+@pytest.mark.parametrize("labels", [
+    (b"\x00", b"\xff"),  # no common bit below the derive prefix
+    (b"half0", b"half1", b"merge"),  # a last-bit split, then an early one
+    (b"merge", b"merge", b"half1"),  # a repeated label
+    (b"ab", b"abcd", b"a", b"abc", bytes(range(40))),  # different lengths
+    (b"", b"x", b""),  # the derive prefix itself, twice
+])
+def test_labels_derive_as_one_label_calls(labels):
+    k = PrfKey(b"\x13" * 32, b"shared")
+    want = tuple(prng.derive_key(PrfKey(k.seed, k.domain_tag), label) for label in labels)
+    assert prng.derive_key(k, *labels) == want
+    assert prng.derive_key(k, *labels) == want  # again, from the memoized prefix
+
+
 @pytest.mark.parametrize("generation", [1, 2])  # a root key, then a key derived from it
 @pytest.mark.parametrize("label", [b"", b"m", b"half1", bytes(range(40))])
 def test_derive_key_is_prf_eval_under_the_derive_prefix(generation, label):

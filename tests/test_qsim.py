@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from checkout import src_env
 from ossprim import gf2, oss, qsim
 from ossprim.errors import ContractError, RangeError
 from ossprim.oss import OssParams
@@ -136,7 +137,8 @@ def test_sign_retry_budget_failure_surfaces():
 
 def test_noncollapse_demo_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "noncollapse_demo.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["(n,r,k)", "partial", "full", "2^-(k-r)"]
