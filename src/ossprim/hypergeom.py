@@ -23,10 +23,16 @@ sizes, so they repeat across nodes, levels and keys.
 Every binomial goes through ``binomial``.  Small or lopsided ones come from
 ``math.comb``; large balanced ones are built as a product of prime powers
 (Legendre's formula, after Goetgheluck, "Computing binomial coefficients",
-Amer. Math. Monthly 1987): a sieve lists the primes up to n, each prime's
-exponent in C(n, k) is the sum over its powers q <= n of
-n//q - k//q - (n-k)//q, and the powers are multiplied in a balanced tree.
-Both forms give the same integer, so the choice never changes a draw.
+Amer. Math. Monthly 1987): each prime's exponent in C(n, k) is the sum over
+its powers q <= n of n//q - k//q - (n-k)//q, and the powers are multiplied in
+a balanced tree.  Both forms give the same integer, so the choice never
+changes a draw.  The primes are sliced from one sieve, kept for the life of
+the process: it is built on the first prime-form binomial, grows by doubling
+when a larger n asks for more, and never runs past 2^EXACT_MAX_BITS, the
+widest population ``sample`` accepts.  A pmf weight C(t,x)*C(N-t,s-x) whose
+factors both take the prime form is one product: the exponents of both
+factors are summed per prime, and one balanced tree multiplies them, instead
+of two trees and a final multiply of two large factors.
 """
 
 from __future__ import annotations
@@ -40,13 +46,22 @@ from math import comb, isqrt
 from .errors import RangeError
 
 DEFAULT_KAPPA = 128
+# Exact draws stay feasible up to populations of 2^EXACT_MAX_BITS: the exact
+# keys' width rule (``merge.check_width``) and the cap on ``sample``.
+EXACT_MAX_BITS = 20
+_MAX_N = 1 << EXACT_MAX_BITS
+# The largest kappa ``sample`` accepts.  With kappa >= log2 C(N, s) every
+# threshold is exact, and C(N, s) < 2^N, so this cap leaves that room at every
+# population ``sample`` accepts while keeping 2^kappa to 128 KiB.
+MAX_KAPPA = _MAX_N
 # The window starts _WINDOW_SIGMAS standard deviations (plus 8) below the
-# mode.  Any value gives the same output; it only sets how often the bound
-# cannot decide and the draw falls back to the walk from support_min.  Over
-# the 11,054 windowed draws of 800 seed-2 prp-exact-large ops none fell back
-# at 13, 9, 7 or 5 sigmas, while the steps walked fell from 1.76M at 13 to
-# 1.41M at 9.  9 keeps hypergeom the largest self share of that workload.
-_WINDOW_SIGMAS = 9
+# mode.  Any value gives the same output; it only trades the steps walked
+# against how often the bound cannot decide and the draw falls back to the
+# walk from support_min.  Over the 67,962 draws (11,024 windowed) of 800
+# seed-1 prp-exact-large ops, the walks took 1.41M steps at 9 sigmas and
+# 1.06M at 5, with no fallback at either; 4 fell back 3 times and 3 fell
+# back 96 times.
+_WINDOW_SIGMAS = 5
 # Below this support width the window's isqrt and start weight cost more
 # than the steps they skip, so the walk starts at support_min as it always did.
 _WINDOW_MIN_SUPPORT = 128
@@ -87,10 +102,23 @@ class HypergeomParams:
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), the same integer as ``math.comb(n, k)``."""
+    m = _prime_form(n, k)
+    return comb(n, k) if m < 0 else _prime_power_binomial(n, m)
+
+
+def _prime_form(n: int, k: int) -> int:
+    """min(k, n - k) if C(n, k) is built from prime powers, else -1."""
     m = k if k + k <= n else n - k
-    if m < 0 or m * m < _PRIME_FORM_MIN * n:
-        return comb(n, k)
-    return _prime_power_binomial(n, m)
+    return m if m >= 0 and m * m >= _PRIME_FORM_MIN * n and n <= _MAX_N else -1
+
+
+def _weight(N: int, t: int, s: int, x: int) -> int:
+    """w(x) = C(t, x) * C(N-t, s-x) for x in the support: one prime-power
+    product when both factors take the prime form."""
+    u, v = _prime_form(t, x), _prime_form(N - t, s - x)
+    if u < 0 or v < 0:
+        return binomial(t, x) * binomial(N - t, s - x)
+    return _prime_power_binomial(t, u, N - t, v)
 
 
 @lru_cache(maxsize=1024)
@@ -99,32 +127,54 @@ def _total_weight(N: int, s: int) -> int:
     return binomial(N, s)
 
 
-def _prime_power_binomial(n: int, k: int) -> int:
-    """C(n, k) for 0 <= k <= n - k as a balanced product of prime powers."""
-    j = n - k
-    primes = _primes_to(n)
-    root, top = bisect_right(primes, isqrt(n)), bisect_right(primes, j)
+def _prime_power_binomial(n: int, k: int, n2: int = 0, k2: int = 0) -> int:
+    """C(n, k) * C(n2, k2) for 0 <= k <= n - k and 0 <= k2 <= n2 - k2 (by
+    default C(n, k) alone) as one balanced product of prime powers."""
+    pairs = ((n, k), (n2, k2)) if n2 else ((n, k),)
+    top = max(n, n2)
+    primes = _primes_to(top)
+    root = bisect_right(primes, isqrt(top))
     powers = []
     for p in primes[:root]:
-        e, q = 0, p
-        while q <= n:
-            e += n // q - k // q - j // q
-            q *= p
+        e = 0
+        for a, b in pairs:
+            c, q = a - b, p
+            while q <= a:
+                e += a // q - b // q - c // q
+                q *= p
         if e:
             powers.append(p**e)
-    # above sqrt(n) each exponent is 0 or 1, and it is 1 for every prime above n - k
-    powers += [p for p in primes[root:top] if n // p - k // p - j // p]
-    powers += primes[top:]
+    # above sqrt(a) each exponent in C(a, b) is 0 or 1, and it is 1 for every
+    # prime above a - b; a prime that divides both factors is listed twice
+    for a, b in pairs:
+        c = a - b
+        mid, end = bisect_right(primes, c, root), bisect_right(primes, a, root)
+        powers += [p for p in primes[root:mid] if a // p - b // p - c // p]
+        powers += primes[mid:end]
     while len(powers) > 1:
         odd = powers[-1:] if len(powers) % 2 else []
         powers = [a * b for a, b in zip(powers[::2], powers[1::2])] + odd
     return powers[0] if powers else 1
 
 
+_sieve = [2]  # the primes <= _sieve_top, ascending
+_sieve_top = 2
+
+
 def _primes_to(n: int) -> list[int]:
-    """The primes <= n, from a sieve over the odd numbers."""
-    if n < 2:
-        return []
+    """The primes <= n for n <= 2^EXACT_MAX_BITS, sliced from the shared
+    sieve, which first grows to max(n, twice its reach)."""
+    global _sieve, _sieve_top
+    if n > _sieve_top:
+        if n > _MAX_N:
+            raise RangeError(f"the prime sieve stops at 2^{EXACT_MAX_BITS}, below {n}")
+        top = min(max(n, 2 * _sieve_top), _MAX_N)
+        _sieve, _sieve_top = _odd_sieve(top), top
+    return _sieve[: bisect_right(_sieve, n)]
+
+
+def _odd_sieve(n: int) -> list[int]:
+    """The primes <= n, for n >= 2, from a sieve over the odd numbers."""
     odd = bytearray([1]) * ((n + 1) // 2)  # odd[i] says whether 2i+1 is prime
     odd[0] = 0
     for i in range(1, (isqrt(n) + 1) // 2):
@@ -142,11 +192,7 @@ def pmf_weight(p: HypergeomParams, x: int) -> tuple[int, int]:
     denom = _total_weight(p.population, p.draws)
     if x < p.support_min or x > p.support_max:
         return 0, denom
-    return _numerator(p, x), denom
-
-
-def _numerator(p: HypergeomParams, x: int) -> int:
-    return binomial(p.successes, x) * binomial(p.population - p.successes, p.draws - x)
+    return _weight(p.population, p.successes, p.draws, x), denom
 
 
 def sample(p: HypergeomParams, r: int, kappa: int = DEFAULT_KAPPA) -> int:
@@ -160,9 +206,14 @@ def sample(p: HypergeomParams, r: int, kappa: int = DEFAULT_KAPPA) -> int:
     2^kappa), computed once.  Supports at least ``_WINDOW_MIN_SUPPORT`` wide
     first try ``_window_sample``; narrower ones, and every draw the window
     cannot certify, walk up from support_min.
+
+    Populations above 2^EXACT_MAX_BITS and kappas above ``MAX_KAPPA`` are
+    refused before any work.
     """
-    if kappa < 0:
-        raise RangeError("kappa must be >= 0")
+    if p.population > _MAX_N:
+        raise RangeError(f"exact draws cover populations of at most 2^{EXACT_MAX_BITS}, not {p.population}")
+    if not 0 <= kappa <= MAX_KAPPA:
+        raise RangeError("kappa must be >= 0" if kappa < 0 else f"kappa must be <= {MAX_KAPPA}")
     if not 0 <= r < (1 << kappa):
         raise RangeError("r must be a kappa-bit unsigned integer")
     N, t, s = p.population, p.successes, p.draws
@@ -197,7 +248,7 @@ def _window_sample(N: int, t: int, s: int, lo: int, hi: int, q: int) -> int | No
     rn, rd = a * (N - t - s + a), (t - a + 1) * (s - a + 1)
     if rn >= rd:
         return None
-    term = binomial(t, a) * binomial(N - t, s - a)
+    term = _weight(N, t, s, a)
     tail = -(-term * rn // (rd - rn))
     if tail > q:
         return None
@@ -224,7 +275,7 @@ def sampler_thresholds(p: HypergeomParams, kappa: int) -> list[tuple[int, int]]:
     acc = 0
     prev_cut = 0
     for x in p.support():
-        acc += _numerator(p, x)
+        acc += _weight(p.population, p.successes, p.draws, x)
         # r maps to <= x  iff  r*denom < acc << kappa  iff  r <= ceil(...) - 1
         cut = min(1 << kappa, -(-(acc << kappa) // denom))
         out.append((x, cut - prev_cut))

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fastpath, prng
 from .errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
-from .hypergeom import DEFAULT_KAPPA, HypergeomParams, sample
+from .hypergeom import DEFAULT_KAPPA, EXACT_MAX_BITS, HypergeomParams, sample
 from .prng import GOLDEN, MASK64, NodeId, PrfKey, PuncturedPrfKey
 from .wire import Reader
 
@@ -64,8 +64,8 @@ class MergeKey:
 
 
 # The width rule: exact (SHA-256) keys stay feasible up to 2^EXACT_MAX_BITS
-# points, and wider domains take fastmix keys, which draw the gauss stand-in.
-EXACT_MAX_BITS = 20
+# points (hypergeom's cap on an exact draw), and wider domains take fastmix
+# keys, which draw the gauss stand-in.
 
 
 def exact_fits(n: int) -> bool:

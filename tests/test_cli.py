@@ -171,6 +171,17 @@ def test_hypergeom_negative_kappa_is_a_range_error():
     assert proc.stderr.startswith(b"error: kappa must be >= 0") and b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args,message", [
+    ("--N 1000000000000 --t 500000000000 --s 500000000000 --r 1 --kappa 8", b"error: exact draws cover"),
+    ("--N 12 --t 5 --s 7 --r 1 --kappa 100000000000", b"error: kappa must be <= "),
+])
+def test_hypergeom_beyond_the_exact_caps_is_a_range_error(args, message):
+    # refused before the sieve or 2^kappa is allocated, so 2 GiB of address space is plenty
+    proc = run_cli(f"hypergeom sample {args}", check=False, timeout=120, capped=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr, proc.stderr
+
+
 def test_perm_statement_arity_is_a_contract_error():
     proc = run_cli("perm apply --desc 'swap 8' --x 1", check=False)
     assert proc.returncode == 1

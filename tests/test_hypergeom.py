@@ -328,3 +328,160 @@ def test_cold_exact_prp_at_2_16():
     y = nsprp.prp_forward(nsprp.make_prp_key(b"\x5a" * 32, 1 << 16), 40503)
     assert y == 42533
     assert nsprp.prp_inverse(nsprp.make_prp_key(b"\x5a" * 32, 1 << 16), y) == 40503
+
+
+# -- one product for a pmf weight, the shared sieve, the caps --------------------------
+
+def _weight_pairs():
+    cases = list(_binomial_cases())
+    rng = random.Random("weight-pairs")
+    for n1, k1 in cases:
+        n2, k2 = rng.choice(cases)
+        yield n1, k1, n2, k2
+    yield from ((n, k, n, k) for n, k in cases)
+
+
+def test_one_product_weight_matches_math_comb():
+    for n1, k1, n2, k2 in _weight_pairs():
+        want = comb(n1, k1) * comb(n2, k2)
+        # w(x) = C(t, x) * C(N-t, s-x) with t = n1, x = k1, N = n1 + n2, s = k1 + k2
+        assert hg._weight(n1 + n2, n1, k1 + k2, k1) == want, (n1, k1, n2, k2)
+        assert hg._prime_power_binomial(n1, min(k1, n1 - k1), n2, min(k2, n2 - k2)) == want
+
+
+def _record_prime_products(monkeypatch):
+    """(comb calls, prime-power product calls) that later weights make."""
+    combs, products = [], []
+    product = hg._prime_power_binomial
+    monkeypatch.setattr(hg, "comb", lambda *a: combs.append(a) or comb(*a))
+    monkeypatch.setattr(hg, "_prime_power_binomial", lambda *a: products.append(a) or product(*a))
+    return combs, products
+
+
+@pytest.mark.parametrize("n1,k1,n2,k2,p", [
+    (5000, 2500, 6000, 3000, 4999),  # 4999 > sqrt(6000) divides C(5000, 2500) and C(6000, 3000)
+    (1 << 14, 1 << 13, 1 << 14, (1 << 13) + 1, 16381),
+    (1 << 16, 1 << 15, (1 << 16) - 3, 1 << 15, 65521),
+])
+def test_one_product_weight_squares_a_large_prime_of_both_factors(monkeypatch, n1, k1, n2, k2, p):
+    want = comb(n1, k1) * comb(n2, k2)
+    assert p > isqrt(max(n1, n2)) and comb(n1, k1) % p == 0 and comb(n2, k2) % p == 0
+    assert want % (p * p) == 0
+    combs, products = _record_prime_products(monkeypatch)
+    assert hg._weight(n1 + n2, n1, k1 + k2, k1) == want
+    assert combs == [] and products == [(n1, min(k1, n1 - k1), n2, min(k2, n2 - k2))]
+
+
+@pytest.mark.parametrize("n1,k1,n2,k2", [
+    (1 << 14, 10, 1 << 14, 1 << 13),       # lopsided first factor
+    (1 << 14, 1 << 13, 1 << 16, 1 << 9),   # lopsided second factor
+    (1 << 16, 3, 1 << 16, (1 << 16) - 7),  # both lopsided
+])
+def test_lopsided_weight_factors_stay_on_math_comb(monkeypatch, n1, k1, n2, k2):
+    combs, products = _record_prime_products(monkeypatch)
+    assert hg._weight(n1 + n2, n1, k1 + k2, k1) == comb(n1, k1) * comb(n2, k2)
+    lopsided = [(n, k) for n, k in ((n1, k1), (n2, k2)) if min(k, n - k) ** 2 < hg._PRIME_FORM_MIN * n]
+    assert combs == lopsided
+    assert products == [(n, min(k, n - k)) for n, k in ((n1, k1), (n2, k2)) if (n, k) not in lopsided]
+
+
+def _empty_sieve(monkeypatch):
+    monkeypatch.setattr(hg, "_sieve", [2])
+    monkeypatch.setattr(hg, "_sieve_top", 2)
+
+
+def test_sieve_cold_and_warm_give_the_same_draws(monkeypatch):
+    _empty_sieve(monkeypatch)
+    hg._total_weight.cache_clear()
+    assert _pinned_digest() == PINNED_DIGEST
+    assert hg._sieve_top >= 1 << 16
+    grown = hg._sieve
+    hg._total_weight.cache_clear()
+    assert _pinned_digest() == PINNED_DIGEST
+    assert hg._sieve is grown
+
+
+def _primes_by_trial(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def test_sliced_primes_equal_a_fresh_sieve(monkeypatch):
+    _empty_sieve(monkeypatch)
+    for n in (0, 1, 2, 3, 4, 97, 1000, 999, 5000, 300, 70000, 1 << 16, 2, (1 << 20) - 1, 1 << 20, 77777):
+        assert hg._primes_to(n) == (hg._odd_sieve(n) if n >= 2 else []), n
+        assert hg._sieve_top <= 1 << hg.EXACT_MAX_BITS
+    assert hg._primes_to(3000) == _primes_by_trial(3000)
+
+
+def test_sieve_grows_by_doubling_up_to_its_bound(monkeypatch):
+    _empty_sieve(monkeypatch)
+    tops = []
+    for n in (1000, 1001, 1500, 2001, 5000, 600000, 1 << 20):
+        hg._primes_to(n)
+        tops.append(hg._sieve_top)
+    assert tops == [1000, 2000, 2000, 4000, 8000, 600000, 1 << 20]
+
+
+def test_requests_above_the_bound_leave_the_sieve_as_it_was(monkeypatch):
+    _empty_sieve(monkeypatch)
+    hg._primes_to(5000)
+    before = (hg._sieve, hg._sieve_top, len(hg._sieve))
+    top = 1 << hg.EXACT_MAX_BITS
+    with pytest.raises(RangeError, match="sieve stops at 2\\^20"):
+        hg._primes_to(top + 1)
+    # a binomial above the bound takes math.comb (stubbed here: its value does not matter)
+    calls = []
+    monkeypatch.setattr(hg, "comb", lambda *a: calls.append(a) or 0)
+    assert hg.binomial(top + 2, top // 2 + 1) == 0 and calls == [(top + 2, top // 2 + 1)]
+    with pytest.raises(RangeError, match="populations of at most 2\\^20"):
+        hg.sample(hg.HypergeomParams(top + 1, top // 2, top // 2), 1, 8)
+    assert (hg._sieve, hg._sieve_top, len(hg._sieve)) == before
+
+
+def test_sample_caps_population_and_kappa():
+    top = 1 << hg.EXACT_MAX_BITS
+    with pytest.raises(RangeError, match="populations of at most"):
+        hg.sample(hg.HypergeomParams(10 ** 12, 5 * 10 ** 11, 5 * 10 ** 11), 1, 8)
+    with pytest.raises(RangeError, match=f"kappa must be <= {hg.MAX_KAPPA}"):
+        hg.sample(hg.HypergeomParams(12, 5, 7), 1, hg.MAX_KAPPA + 1)
+    with pytest.raises(RangeError, match="kappa must be <= "):
+        hg.sample(hg.HypergeomParams(12, 5, 7), 1, 10 ** 11)
+    # both caps are inclusive; C(N, s) < 2^N, so kappa = MAX_KAPPA leaves room
+    # for log2 C(N, s) at every accepted population
+    assert hg.MAX_KAPPA >= top
+    p = hg.HypergeomParams(12, 5, 7)
+    assert hg.sample(p, (1 << hg.MAX_KAPPA) - 1, hg.MAX_KAPPA) == p.support_max
+    assert hg.sample(hg.HypergeomParams(top, 3, 5), 0, 8) == 0
+
+
+# -- work counts: the steps the pinned draws walk ----------------------------------------
+
+# The steps walked by all _pinned_draws draws when the window starts 5 sigmas
+# below the mode; a window 9 sigmas deep walks 91,326.
+PINNED_WALK_STEPS = 83_753
+
+
+def test_pinned_draws_walk_from_five_sigmas_within_the_pinned_steps(monkeypatch):
+    walks = []
+    walk = hg._walk
+
+    def recorded(N, t, s, x, *rest):
+        out = walk(N, t, s, x, *rest)
+        walks.append((x, out[0] - x))
+        return out
+
+    monkeypatch.setattr(hg, "_walk", recorded)
+    windows = 0
+    for n, t, s, r in _pinned_draws():
+        p = hg.HypergeomParams(n, t, s)
+        lo = p.support_min
+        m = min(max((s + 1) * (t + 1) // (n + 2), lo), p.support_max)
+        a = m - 5 * isqrt(t * s * (n - t) * (n - s) // (n * n * (n - 1))) - 8
+        first = len(walks)
+        hg.sample(p, r, 128)
+        starts = [x for x, _ in walks[first:]]
+        # the window walks from a; the walk from support_min is the fallback
+        assert starts in ([a], [lo], [a, lo]), (n, t, s, r, starts)
+        windows += starts[0] == a
+    assert windows > 0
+    assert sum(steps for _, steps in walks) <= PINNED_WALK_STEPS

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -304,6 +305,61 @@ def test_permuted_keys_pinned_digest():
 # at nbits 16 and 64, and gaussian draws on edge (half, t, r64) triples,
 # recorded before the lockstep step was rewritten in place
 BATCH_SHA256 = "63cbe4771d8aa2de5a2e5ba853e8461c993e1673b411af0d19bc105018b9ea69"
+
+
+def _permuted_key_bytes_bound(n):
+    """The most bytes serialize_permuted_key writes for a key over n points,
+    read off its wire format.
+
+    The spine has at most d = ceil(log2 n) levels.  The derived keys at level
+    i carry PRF tags of len(PRP_TAG) + 6(i + 1) bytes, one 6-byte "/label"
+    per level.  Each level holds the honest child and merge keys; where the
+    swap lands, the level holds the other child key and the permuted merge
+    key instead.  Its tally tree over at most n points has depth <= d, so at
+    most 2d punctured nodes, 2d copath seeds and 4d hard-coded tallies of at
+    most n each.
+    """
+    d = (n - 1).bit_length()
+    node = 2 + (d + 7) // 8  # u16 depth, path bytes
+    prf = lambda tag: 1 + 2 + tag + prng.SEED_LEN  # backend, u16 tag length, tag, seed
+    sampler = 4 + 1  # u32 kappa, mode byte
+    prp_key = lambda tag: 8 + sampler + prf(tag)  # u64 N-1
+    merge_key = lambda tag: 16 + sampler + prf(tag)  # u64 n0, u64 n1
+    record = 2 + 3 * 4  # kind, flag and three u32 blob lengths
+    tags = [len(nsprp.PRP_TAG) + 6 * (i + 1) for i in range(d)]
+    spine = sum(record + prp_key(tag) + merge_key(tag) for tag in tags)
+    punctured = prf(tags[-1]) - prng.SEED_LEN + 4 + 2 * d * node + 4 + 2 * d * (node + prng.SEED_LEN)
+    tallies = 4 * d * (2 + 8 + 2 + (n.bit_length() + 7) // 8)  # u16 depth, u64 path, u16 length, value
+    permuted_merge = 4 + punctured + 29 + 4 + tallies  # blob length, punctured key, head, tally count
+    return 23 + spine + prp_key(tags[-1]) + permuted_merge  # after the u64/u32/u64/u8/u16 header
+
+
+_widths = random.Random("permuted-widths")
+# exact widths sampled log-uniformly from 2^7 to 2^16, with both ends, and 2^18
+PERMUTED_WIDTHS = sorted({int(2 ** _widths.uniform(7, 16)) for _ in range(9)} | {1 << 7, 1 << 16, 1 << 18})
+
+
+def test_permuted_keys_at_wide_exact_widths():
+    # cold keys at each width: the permuted key walks its deep spine and N-bit hard-coded tallies
+    rng = random.Random("permuted-wide")
+    for i, n in enumerate(PERMUTED_WIDTHS):
+        seed = rng.randbytes(32)
+        k = nsprp.make_prp_key(seed, n)
+        z = (0, n - 2)[i] if i < 2 else rng.randrange(n - 1)
+        c = 1 if i < 2 else rng.randrange(2)
+        pk = nsprp.prp_permute(nsprp.make_prp_key(seed, n), z, c)
+        blob = nsprp.serialize_permuted_key(pk)
+        assert len(blob) <= _permuted_key_bytes_bound(n), (n, len(blob))
+        back = nsprp.deserialize_permuted_key(blob)
+        xs = {nsprp.prp_inverse(k, z), nsprp.prp_inverse(k, z + 1), 0, n - 1}
+        xs.update(rng.randrange(n) for _ in range(16))
+        for x in xs:
+            y = nsprp.prp_forward(k, x)
+            want = pd._tau(n, z, y) if c else y
+            assert nsprp.permuted_prp_forward(pk, x) == want, (n, z, c, x)
+            assert nsprp.permuted_prp_inverse(pk, want) == x, (n, z, c, x)
+            assert nsprp.permuted_prp_forward(back, x) == want
+            assert nsprp.permuted_prp_inverse(back, want) == x
 
 
 def test_batch_outputs_pinned_digest():
