@@ -132,7 +132,8 @@ def test_window_matches_walk_exhaustively_on_small_supports(monkeypatch):
                     assert hg.sample(p, r, 5) == _walk_from_support_min(p, r, 5), (n, t, s, r)
 
 
-@pytest.mark.parametrize("sigmas", [0, hg._WINDOW_SIGMAS])
+# 9 is the wider window used before; it must still give the same x as the default
+@pytest.mark.parametrize("sigmas", sorted({0, 9, hg._WINDOW_SIGMAS}))
 def test_window_matches_walk_on_random_draws(monkeypatch, sigmas):
     # the window width only decides how often the bound falls back, never x
     monkeypatch.setattr(hg, "_WINDOW_MIN_SUPPORT", 1)
