@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from ossprim import nsprp, opprp, permdecomp as pd
+from ossprim import nsprp, opprp, oss, permdecomp as pd
 from ossprim.errors import ContractError, DimensionError, RangeError
 
 
@@ -149,3 +151,49 @@ def test_trigger_malformed_widths():
     prog = opprp.triggered_program(k0, k1, wid, p0, bad_p1, p1a, p2, (0, 0))
     with pytest.raises(DimensionError):
         prog(0)
+
+
+# -- pinned pair tables ----------------------------------------------------------------
+
+def _pair_tables(fwd, inv, n, out_n=None):
+    """Both tables of a forward/inverse pair: fwd over [n], inv over [out_n]."""
+    return repr(([fwd(x) for x in range(n)], [inv(z) for z in range(n if out_n is None else out_n)])).encode()
+
+
+def _spread(n, salt):
+    return [(i * 0x9E3779B97F4A7C15 + salt) % n for i in range(64)]
+
+
+# sha256 over the pairs no other digest covers: op_permute at c = 0 and 1 for a
+# transposition and a composite g, the 8-bit OWP public pair and its reload, the
+# pi of self_reduce and of a realized simulation on tiny instances, a PRP-backed
+# pi and its self-reduction at spread points, and seal_instance's injection with
+# its off-image None values; recorded before the pairs became one type
+PAIRS_SHA256 = "f6b30677b10c303dd63785cb3d472378f0f79982610b3ab7f94daf485fb3b539"
+
+
+def test_pairs_pinned_digest():
+    h = hashlib.sha256()
+    for n in (4, 16):
+        k = key(n, 20 + n)
+        for g in (pd.transposition(n, 0, n - 1), pd.parse_perm(f"transp {n} 1 {n - 2}; add {n} 3")):
+            for c in (0, 1):
+                pk = opprp.op_permute(k, g, c)
+                h.update(_pair_tables(pk.forward, pk.inverse, n))
+    keys = opprp.owp_gen(b"\x44" * 32, 8)
+    for pk in (keys.pk, opprp.deserialize_owp_public(opprp.serialize_owp_public(keys))):
+        h.update(_pair_tables(pk.forward, pk.inverse, 256))
+    tiny = oss.oss_gen(oss.OssParams.tiny(6, 3, 6), b"\x45" * 32)
+    std = oss.oss_gen(oss.OssParams.tiny(6, 3, 6, mode=oss.MODE_STANDARD, d=8), b"\x46" * 32)
+    small = oss.oss_gen(oss.OssParams.tiny(4, 2, 4), b"\x47" * 32)
+    for inst in (oss.self_reduce(tiny, b"\x48" * 32).instance, oss.self_reduce(std, b"\x49" * 32).instance,
+                 oss.realize_simulated(oss.simulate_from_smaller(small, 6, 6))):
+        h.update(_pair_tables(inst.pi.forward, inst.pi.inverse, 64))
+    wide = oss.oss_gen(oss.OssParams.tiny(14, 7, 14), b"\x4a" * 32)
+    for inst in (wide, oss.self_reduce(wide, b"\x4b" * 32).instance):
+        h.update(repr([inst.pi.forward(x) for x in _spread(1 << 14, 1)]).encode())
+        h.update(repr([inst.pi.inverse(z) for z in _spread(1 << 14, 2)]).encode())
+    for inst in (tiny, std):
+        sealed, _ = oss.seal_instance(inst)
+        h.update(_pair_tables(sealed.forward, sealed.inverse, 64, 1 << (inst.params.y_bits + 6)))
+    assert h.hexdigest() == PAIRS_SHA256
