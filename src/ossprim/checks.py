@@ -305,9 +305,9 @@ def crit07_opprp_owp(hybrid_n: int = 16, owp_bits: int = 12,
         g = pd.transposition(n, 0, n - 1)
         for c in (0, 1):
             pk = opprp.op_permute(k, g, c)
-            fwd, inv = opprp.hybrid_walk(k, g, g.length if c else 0)
+            hybrid = nsprp.prp_perm(k).then(g.prefix(g.length if c else 0))
             for x in range(n):
-                if pk.forward(x) != fwd(x):
+                if pk.forward(x) != hybrid.forward(x):
                     return False, f"endpoint mismatch at N={n} c={c}"
                 if pk.inverse(pk.forward(x)) != x:
                     return False, f"sealed inverse wrong at N={n} c={c}"

@@ -38,6 +38,7 @@ import numpy as np
 from . import fastpath, prng
 from .errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA, EXACT_MAX_BITS, HypergeomParams, sample
+from .permdecomp import Perm
 from .prng import GOLDEN, MASK64, NodeId, PrfKey, PuncturedPrfKey
 from .wire import Reader
 
@@ -345,18 +346,16 @@ permuted_merge_eval = merge_forward
 # -- decomposition into neighbor swaps ------------------------------------------
 
 @dataclass(frozen=True)
-class SwapStep:
-    """One neighbor swap (z z+1) in application order, with flat evaluators
-    of the permutation reached after applying it: inputs [0, n0) are pile 0
-    and the rest pile 1."""
+class SwapStep(Perm):
+    """One neighbor swap (z z+1) in application order, as the flat
+    permutation reached after applying it: inputs [0, n0) are pile 0 and the
+    rest pile 1."""
 
     z: int
-    forward: Callable[[int], int]
-    inverse: Callable[[int], int]
 
 
-def _intermediate_evals(k: MergeKey, r: int, mover: int):
-    """Flat evaluators for the stage-(r, mover) intermediate merge.
+def _intermediate_step(k: MergeKey, r: int, mover: int) -> SwapStep:
+    """The swap at ``mover`` reaching the stage-(r, mover) intermediate merge.
 
     Ones sit at the final positions of the first r-1 pile-1 elements, at
     ``mover``, and in the packed block [N - (n1 - r), N).
@@ -390,7 +389,7 @@ def _intermediate_evals(k: MergeKey, r: int, mover: int):
                 lo = mid + 1
         return lo
 
-    return forward, inverse
+    return SwapStep(n, forward, inverse, mover)
 
 
 def merge_decompose(k: MergeKey) -> Iterator[SwapStep]:
@@ -405,7 +404,7 @@ def merge_decompose(k: MergeKey) -> Iterator[SwapStep]:
     for r in range(1, n1 + 1):
         target = merge_forward(k, 1, r - 1)
         for q in range(n - n1 + r - 1, target, -1):
-            yield SwapStep(q - 1, *_intermediate_evals(k, r, q - 1))
+            yield _intermediate_step(k, r, q - 1)
 
 
 # -- serialization ---------------------------------------------------------------

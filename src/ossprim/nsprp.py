@@ -21,6 +21,7 @@ Large power-of-two domains with fastmix keys ride the vectorized path in
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -31,6 +32,7 @@ from . import fastpath, merge as merge_mod, prng
 from .errors import ContractError, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA
 from .merge import MergeKey, PermutedMergeKey, SwapStep
+from .permdecomp import Perm, identity_perm, neighbor_swap
 from .prng import PrfKey
 from .wire import Reader
 
@@ -170,6 +172,11 @@ def prp_inverse(k: PrpKey, z: int) -> int:
     return x + (k.n0 if b else 0)
 
 
+def prp_perm(k: PrpKey | PermutedPrpKey) -> Perm:
+    """The permutation a PRP key, honest or permuted, defines on [N]."""
+    return Perm(k.n, functools.partial(prp_forward, k), functools.partial(prp_inverse, k))
+
+
 def _batch(k: PrpKey, xs, walk) -> np.ndarray:
     """A fastpath lockstep walk over xs, each point checked as prp_forward checks one."""
     if k.fast_ctx is None or k.n & (k.n - 1):
@@ -250,19 +257,21 @@ permuted_prp_inverse = prp_inverse
 
 # -- decomposition ----------------------------------------------------------------
 
-def _lift(n0: int, pile0: tuple, pile1: tuple, outer: tuple) -> tuple:
-    """The flat (forward, inverse) pair over [N] that permutes each pile with
-    its pair, pile 1 acting on the block [n0, N), then applies ``outer``."""
-    (f0, g0), (f1, g1), (fm, gm) = pile0, pile1, outer
+def _piles(p0: Perm, p1: Perm) -> Perm:
+    """p0 on pile 0, [0, n0), beside p1 on pile 1, the block [n0, N)."""
+    n0 = p0.n
 
     def forward(e: int) -> int:
-        return fm(f1(e - n0) + n0 if e >= n0 else f0(e))
+        return p1.forward(e - n0) + n0 if e >= n0 else p0.forward(e)
 
     def inverse(z: int) -> int:
-        e = gm(z)
-        return g1(e - n0) + n0 if e >= n0 else g0(e)
+        return p1.inverse(z - n0) + n0 if z >= n0 else p0.inverse(z)
 
-    return forward, inverse
+    return Perm(n0 + p1.n, forward, inverse)
+
+
+def _swap_step(z: int, p: Perm) -> SwapStep:
+    return SwapStep(p.n, p.forward, p.inverse, z)
 
 
 def prp_decompose(k: PrpKey) -> Iterator[SwapStep]:
@@ -277,19 +286,17 @@ def prp_decompose(k: PrpKey) -> Iterator[SwapStep]:
         return
     if k.n == 2:
         if _xor_bit(k):
-            swap01 = lambda e: 1 - e
-            yield SwapStep(0, swap01, swap01)
+            yield _swap_step(0, neighbor_swap(2, 0))
         return
-    n0, k0, k1 = k.n0, _child_key(k, 0), _child_key(k, 1)
-    identity = (lambda e: e, lambda e: e)
-    built0 = (lambda e: prp_forward(k0, e), lambda z: prp_inverse(k0, z))
-    built1 = (lambda e: prp_forward(k1, e), lambda z: prp_inverse(k1, z))
+    k0, k1 = _child_key(k, 0), _child_key(k, 1)
+    built0, built1 = prp_perm(k0), prp_perm(k1)
+    merged = _piles(built0, built1)
     for st in prp_decompose(k0):
-        yield SwapStep(st.z, *_lift(n0, (st.forward, st.inverse), identity, identity))
+        yield _swap_step(st.z, _piles(st, identity_perm(k.n1)))
     for st in prp_decompose(k1):
-        yield SwapStep(st.z + n0, *_lift(n0, built0, (st.forward, st.inverse), identity))
+        yield _swap_step(st.z + k.n0, _piles(built0, st))
     for st in merge_mod.merge_decompose(_merge_key(k)):
-        yield SwapStep(st.z, *_lift(n0, built0, built1, (st.forward, st.inverse)))
+        yield _swap_step(st.z, merged.then(st))
 
 
 # -- serialization ------------------------------------------------------------------

@@ -15,8 +15,8 @@ from typing import Callable
 
 from . import merge as merge_mod, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
-from .nsprp import PrpKey, prp_forward, prp_inverse
-from .permdecomp import DecomposablePermutation
+from .nsprp import PrpKey, prp_forward, prp_inverse, prp_perm
+from .permdecomp import DecomposablePermutation, Perm
 from .prng import PrfKey
 from .wire import Reader
 
@@ -25,16 +25,13 @@ _OWP_MAGIC = b"OWPK"
 
 
 @dataclass(frozen=True)
-class MockObfuscation:
-    """Correctness-only stand-in for program obfuscation.
+class MockObfuscation(Perm):
+    """Correctness-only stand-in for program obfuscation: a sealed pair.
 
     ``payload`` is whatever reconstructs the program (for key-backed programs,
     the key itself, verbatim); the label rides along in every serialization.
     """
 
-    forward: Callable[[int], int]
-    inverse: Callable[[int], int]
-    n: int
     payload: bytes = b""
     label: bytes = MOCK_LABEL
 
@@ -46,9 +43,11 @@ class MockObfuscation:
         )
 
 
-def _payload(k: PrpKey, c: int) -> bytes:
-    """The mock payload of a program over ``k``: its PRF key, N - 1 and c, verbatim."""
-    return prng.serialize_key(k.prf_key) + struct.pack("<QB", k.n - 1, c)
+def _seal(k: PrpKey, c: int, p: Perm, label: bytes = MOCK_LABEL) -> MockObfuscation:
+    """``p`` sealed with the mock payload of a program over ``k``: its PRF
+    key, N - 1 and c, verbatim."""
+    payload = prng.serialize_key(k.prf_key) + struct.pack("<QB", k.n - 1, c)
+    return MockObfuscation(p.n, p.forward, p.inverse, payload, label)
 
 
 def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> MockObfuscation:
@@ -58,26 +57,7 @@ def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> MockObfuscation
         raise DimensionError("permutation domain != PRP domain")
     if c not in (0, 1):
         raise RangeError("c is a bit")
-    if c == 0:
-        fwd = lambda x: prp_forward(k, x)
-        inv = lambda z: prp_inverse(k, z)
-    else:
-        fwd = lambda x: g.forward(prp_forward(k, x))
-        inv = lambda z: prp_inverse(k, g.inverse(z))
-    return MockObfuscation(fwd, inv, k.n, _payload(k, c))
-
-
-def hybrid_walk(k: PrpKey, g: DecomposablePermutation, t: int) -> tuple[Callable, Callable]:
-    """Functional content of intermediate hybrid t: Gamma_t o Pi and its
-    inverse.  Walking t from 0 to g.length moves between the c=0 and c=1
-    permuted keys one neighbor swap at a time.  Test surface only; this is
-    not part of any security story.
-    """
-    if not 0 <= t <= g.length:
-        raise RangeError("hybrid index outside [0, length]")
-    fwd = lambda x: g.gamma(t, prp_forward(k, x))
-    inv = lambda z: prp_inverse(k, g.gamma_inv(t, z))
-    return fwd, inv
+    return _seal(k, c, prp_perm(k).then(g) if c else prp_perm(k))
 
 
 # -- trapdoor one-way permutation ------------------------------------------------
@@ -107,9 +87,8 @@ def _owp_read_key(what: str, prf_key: PrfKey, bits: int) -> PrpKey:
 
 
 def _owp_public(sk: PrpKey, label: bytes = MOCK_LABEL) -> MockObfuscation:
-    """The sealed forward/inverse pair of ``sk``, carrying the key verbatim."""
-    return MockObfuscation(lambda x: prp_forward(sk, x), lambda z: prp_inverse(sk, z),
-                           sk.n, _payload(sk, 0), label)
+    """The sealed permutation of ``sk``, carrying the key verbatim."""
+    return _seal(sk, 0, prp_perm(sk), label)
 
 
 def owp_gen(seed: bytes, bits: int) -> TrapdoorOwpKeys:

@@ -34,6 +34,7 @@ from . import gf2, nsprp, prng
 from .errors import ContractError, DimensionError, RangeError
 from .gf2 import AffineCoset, BitMatrix, BitVector
 from .opprp import MockObfuscation
+from .permdecomp import Perm
 from .prng import BitStream, PrfKey
 from .wire import Reader
 
@@ -91,17 +92,9 @@ class OssParams:
 
 # -- permutations ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of {0,1}^n_bits as a forward/inverse oracle pair."""
-
-    n_bits: int
-    forward: Callable[[int], int]
-    inverse: Callable[[int], int]
-
-
 def table_perm(table: Iterable[int], n_bits: int) -> Perm:
-    """Explicit permutation table (tiny domains, ground-truth randomness)."""
+    """Explicit permutation table of {0,1}^n_bits (tiny domains, ground-truth
+    randomness)."""
     table = tuple(table)
     if len(table) != 1 << n_bits:
         raise DimensionError("table length != 2^n")
@@ -110,7 +103,7 @@ def table_perm(table: Iterable[int], n_bits: int) -> Perm:
     inv = [0] * len(table)
     for i, v in enumerate(table):
         inv[v] = i
-    return Perm(n_bits, table.__getitem__, tuple(inv).__getitem__)
+    return Perm(len(table), table.__getitem__, tuple(inv).__getitem__)
 
 
 def random_table_perm(n_bits: int, stream: BitStream) -> Perm:
@@ -193,7 +186,7 @@ class OssInstance:
     _solve_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.pi.n_bits != self.params.n:
+        if self.pi.n != 1 << self.params.n:
             raise DimensionError("permutation width != n")
         if self.params.mode == MODE_STANDARD and self.out_perm is None:
             raise ContractError("standard mode needs the outer permutation")
@@ -223,10 +216,9 @@ def _seeded_perm(root: PrfKey, tag: bytes, bits: int, n: int) -> Perm:
     INSECURE-DEMO gauss path."""
     if n <= 12 and bits <= _MAX_TABLE_BITS:
         return random_table_perm(bits, prng.bit_stream(root, tag))
-    key = nsprp.width_key(prng.derive_key(root, tag), bits)
-    # nsprp is looked up at call time, so perfbench's tracer, which swaps this
-    # module's nsprp global after set-up, sees these calls
-    return Perm(bits, lambda x: nsprp.prp_forward(key, x), lambda z: nsprp.prp_inverse(key, z))
+    # perfbench's tracer swaps this module's nsprp global after set-up, but the
+    # Perm holds nsprp's own walks, so it times them as the oss query's self time
+    return nsprp.prp_perm(nsprp.width_key(prng.derive_key(root, tag), bits))
 
 
 def oss_gen(params: OssParams, seed: bytes) -> OssInstance:
@@ -328,7 +320,7 @@ def seal_instance(inst: OssInstance) -> tuple[MockObfuscation, Callable]:
     def dual(packed: int) -> int:
         return oss_d(inst, packed >> p.k, int_to_vec(packed & ((1 << p.k) - 1), p.k))
 
-    sealed = MockObfuscation(fwd, inv, 1 << p.n, payload=b"oss-instance")
+    sealed = MockObfuscation(1 << p.n, fwd, inv, payload=b"oss-instance")
     return sealed, dual
 
 
@@ -351,10 +343,8 @@ def self_reduce(inst: OssInstance, seed: bytes) -> SelfReduction:
     root = PrfKey(seed, b"selfreduce")
     gamma = _seeded_perm(root, b"gamma", p.n, p.n)
     cd = PrfCosetSource(prng.derive_key(root, b"cd"), p.k, p.k, b"cd")
-    pi = inst.pi
-    new_pi = Perm(p.n, lambda x: pi.forward(gamma.forward(x)), lambda z: gamma.inverse(pi.inverse(z)))
     new_src = TransformedCosetSource(inst.coset_source, cd)
-    inst2 = OssInstance(p, new_pi, new_src, inst.out_perm)
+    inst2 = OssInstance(p, gamma.then(inst.pi), new_src, inst.out_perm)
     return SelfReduction(inst2, gamma.forward)
 
 
@@ -446,9 +436,13 @@ def realize_simulated(sim: SimulatedTriple) -> OssInstance:
     """Explicit instance whose honest oracles equal the simulated triple."""
     extra = sim.n - sim.r - sim.s
     mask = (1 << extra) - 1
+
+    def widen(f: Callable[[int], int]) -> Callable[[int], int]:
+        # f on the leading bits; the clear block rides along
+        return lambda x: (f(x >> extra) << extra) | (x & mask)
+
     small_pi = sim.small.pi
-    pi = Perm(sim.n, lambda x: (small_pi.forward(x >> extra) << extra) | (x & mask),
-              lambda w: (small_pi.inverse(w >> extra) << extra) | (w & mask))
+    pi = Perm(1 << sim.n, widen(small_pi.forward), widen(small_pi.inverse))
 
     def src(y: int) -> tuple[BitMatrix, BitVector]:
         # column ints index components directly, so the small-instance block
@@ -670,18 +664,15 @@ def realize_embedded(emb: EmbeddedTriple) -> OssInstance:
     q = emb.q
     n, r, k = emb.n, emb.r, emb.k
 
-    def forward(x: int) -> int:
-        w = emb.gamma.forward(x)
+    def coordinates(w: int) -> int:
+        # w as its hash value and its place in that value's preimage coset
         y = q.evaluate(w)
-        coset = q.preimage_coset(y)
-        j = gf2.solve_coordinates(coset, int_to_vec(w, n))
+        j = gf2.solve_coordinates(q.preimage_coset(y), int_to_vec(w, n))
         return (y << (n - r)) | vec_to_int(j)
 
-    def inverse(val: int) -> int:
+    def point(val: int) -> int:
         y, j = val >> (n - r), val & ((1 << (n - r)) - 1)
-        coset = q.preimage_coset(y)
-        w = coset.point(int_to_vec(j, n - r))
-        return emb.gamma.inverse(vec_to_int(w))
+        return vec_to_int(q.preimage_coset(y).point(int_to_vec(j, n - r)))
 
     def preimage_coset(y: int) -> tuple[BitMatrix, BitVector]:
         coset = q.preimage_coset(y)
@@ -689,4 +680,4 @@ def realize_embedded(emb: EmbeddedTriple) -> OssInstance:
 
     params = OssParams(0, n - r, r, n, k, None, MODE_ORACLE)
     src = TransformedCosetSource(preimage_coset, emb.cd_source)
-    return OssInstance(params, Perm(n, forward, inverse), src)
+    return OssInstance(params, emb.gamma.then(Perm(1 << n, coordinates, point)), src)

@@ -1,5 +1,6 @@
-"""Decomposable permutations: forward/inverse circuits plus neighbor-swap
-decompositions with efficiently evaluable prefixes.
+"""Permutations as forward/inverse pairs (`Perm`, the package's one pair
+type), and decomposable permutations: a `Perm` plus a neighbor-swap
+decomposition with efficiently evaluable prefixes.
 
 A schedule of length T lists swaps z_1..z_T with prefix permutations
 Gamma_0 = identity, Gamma_i = Gamma_{i-1} o tau_{z_i} (tau composed on the
@@ -29,19 +30,38 @@ _STAGE_CAP = 1 << 20  # offset tables beyond this are refused, not guessed
 
 
 @dataclass(frozen=True)
-class DecomposablePermutation:
-    """A permutation of [N] with a neighbor-swap decomposition schedule."""
+class Perm:
+    """A permutation of [n] as a forward/inverse pair of evaluators."""
 
     n: int
-    length: int
     forward: Callable[[int], int]
     inverse: Callable[[int], int]
+
+    def then(self, after: Perm) -> Perm:
+        """self first, then ``after``; the inverse undoes ``after`` first."""
+        if self.n != after.n:
+            raise DimensionError("composed permutations must share a domain")
+        f, g, f_inv, g_inv = self.forward, after.forward, self.inverse, after.inverse
+        return Perm(self.n, lambda x: g(f(x)), lambda z: f_inv(g_inv(z)))
+
+    def table(self) -> list[int]:
+        return [self.forward(x) for x in range(self.n)]
+
+
+@dataclass(frozen=True)
+class DecomposablePermutation(Perm):
+    """A permutation of [N] with a neighbor-swap decomposition schedule."""
+
+    length: int
     step: Callable[[int], Optional[int]]  # 1-indexed; None = skip step
     gamma: Callable[[int, int], int]  # (i, x) -> Gamma_i(x), 0 <= i <= length
     gamma_inv: Callable[[int, int], int]
 
-    def table(self) -> list[int]:
-        return [self.forward(x) for x in range(self.n)]
+    def prefix(self, i: int) -> Perm:
+        """Gamma_i, the permutation after the first i swaps."""
+        if not 0 <= i <= self.length:
+            raise RangeError(f"prefix index {i} outside [0, {self.length}]")
+        return Perm(self.n, functools.partial(self.gamma, i), functools.partial(self.gamma_inv, i))
 
 
 def _tau(n: int, z: int, x: int) -> int:
@@ -208,13 +228,12 @@ def scalar_add(n: int, s: int) -> DecomposablePermutation:
     )
 
 
-def _staged(n: int, forward: Callable[[int], int], inverse: Callable[[int], int],
-            stages: int, stage: Callable[[int], Optional[DecomposablePermutation]],
+def _staged(whole: Perm, stages: int, stage: Callable[[int], Optional[DecomposablePermutation]],
             milestone: Callable[[int, int], int],
             milestone_inv: Callable[[int, int], int]) -> DecomposablePermutation:
-    """Run `stages` sub-schedules back to back.
+    """Run `stages` sub-schedules back to back; together they build `whole`.
 
-    stage(s) is stage s as a permutation of [n] (None when it has no swaps);
+    stage(s) is stage s as a permutation of [whole.n] (None when it has no swaps);
     milestone(s, x) and milestone_inv(s, x) are the prefix after stages
     0..s-1 and its inverse.  Gamma at local index t of stage s is
     milestone(s) o stage(s).Gamma_t.
@@ -252,7 +271,7 @@ def _staged(n: int, forward: Callable[[int], int], inverse: Callable[[int], int]
         return stage(s).gamma_inv(i - offsets[s], milestone_inv(s, x))
 
     return DecomposablePermutation(
-        n=n, length=total, forward=forward, inverse=inverse,
+        n=whole.n, length=total, forward=whole.forward, inverse=whole.inverse,
         step=step, gamma=gamma, gamma_inv=gamma_inv,
     )
 
@@ -281,18 +300,13 @@ def involution(n: int, fwd: Callable[[int], int]) -> DecomposablePermutation:
         y = fwd(x)
         return y if x < s and y < s else x
 
-    return _staged(n, fwd, fwd, n, stage, prefix, prefix)
+    return _staged(Perm(n, fwd, fwd), n, stage, prefix, prefix)
 
 
 def compose(g1: DecomposablePermutation, g2: DecomposablePermutation) -> DecomposablePermutation:
     """Apply g1 first, then g2; schedules concatenate outer-factor-first."""
-    if g1.n != g2.n:
-        raise DimensionError("composed permutations must share a domain")
     return _staged(
-        g1.n,
-        lambda x: g2.forward(g1.forward(x)),
-        lambda x: g1.inverse(g2.inverse(x)),
-        2, (g2, g1).__getitem__,
+        g1.then(g2), 2, (g2, g1).__getitem__,
         lambda s, x: g2.forward(x) if s else x,
         lambda s, x: g2.inverse(x) if s else x,
     )
@@ -354,7 +368,7 @@ def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
         return v * n0 + fams[v].inverse(a)
 
     # after whole stages 0..s-1, exactly the blocks below s are permuted
-    return _staged(n, fwd, inv, n1, blocks.__getitem__,
+    return _staged(Perm(n, fwd, inv), n1, blocks.__getitem__,
                    lambda s, e: fwd(e) if e < s * n0 else e,
                    lambda s, e: inv(e) if e < s * n0 else e)
 
@@ -386,10 +400,7 @@ def conjugate(lam: Callable[[int], int], lam_inv: Callable[[int], int],
         return transposition(n, min(a, b), max(a, b))
 
     return _staged(
-        n,
-        lambda x: lam_inv(g.forward(lam(x))),
-        lambda x: lam_inv(g.inverse(lam(x))),
-        g.length, stage,
+        Perm(n, lam, lam_inv).then(g).then(Perm(n, lam_inv, lam)), g.length, stage,
         lambda i, x: lam_inv(g.gamma(i, lam(x))),
         lambda i, x: lam_inv(g.gamma_inv(i, lam(x))),
     )

@@ -19,7 +19,23 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def run_cli(argv_str, check=True, timeout=None, dev=False, capped=False):
+def run_cli(argv_str, check=True):
+    # cli.main in this process, returned as a finished process: stdout and
+    # stderr as bytes, and a SystemExit (argparse's usage errors) as its code
+    streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True) for _ in range(2)]
+    with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+        try:
+            code = cli.main(shlex.split(argv_str))
+        except SystemExit as e:
+            code = e.code
+    proc = subprocess.CompletedProcess(argv_str, code, *(s.buffer.getvalue() for s in streams))
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def run_process(argv_str, check=True, timeout=None, dev=False, capped=False):
+    # a fresh `python -m ossprim.cli`, for tests of the process itself;
     # dev: a file-handling command runs under -X dev, which reports unclosed files;
     # capped: the command runs with at most 2 GiB of address space
     proc = subprocess.run([sys.executable] + (["-X", "dev"] if dev else []) + ["-m", "ossprim.cli"]
@@ -88,31 +104,31 @@ def test_prp_eval_inverse_consistency_via_cli():
 def test_owp_file_round_trip(tmp_path):
     pk = tmp_path / "pk.bin"
     sk = tmp_path / "sk.bin"
-    run_cli(f"owp gen --bits 10 --seed 0c --out-pk {pk} --out-sk {sk} --format kv", dev=True)
-    y = cli.parse_kv(run_cli(f"owp eval --bits 10 --pk {pk} --x 100 --format kv",
-                             dev=True).stdout.decode())["y"]
-    x = cli.parse_kv(run_cli(f"owp invert --bits 10 --sk {sk} --y {y} --format kv",
-                             dev=True).stdout.decode())["x"]
+    run_process(f"owp gen --bits 10 --seed 0c --out-pk {pk} --out-sk {sk} --format kv", dev=True)
+    y = cli.parse_kv(run_process(f"owp eval --bits 10 --pk {pk} --x 100 --format kv",
+                                 dev=True).stdout.decode())["y"]
+    x = cli.parse_kv(run_process(f"owp invert --bits 10 --sk {sk} --y {y} --format kv",
+                                 dev=True).stdout.decode())["x"]
     assert int(x) == 100
     assert b"MOCK-IO" in pk.read_bytes()
 
 
 def test_owp_secret_key_with_bad_bits_is_a_contract_error(tmp_path):
     sk = tmp_path / "sk.bin"
-    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv", dev=True)
+    run_process(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv", dev=True)
     blob = sk.read_bytes()
     sk.write_bytes(blob[:5] + bytes([blob[5] ^ 0x40]) + blob[6:])  # bits u16: 6 -> 70
-    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False, dev=True)
+    proc = run_process(f"owp invert --sk {sk} --y 3", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
 def test_owp_secret_key_exact_above_20_bits_is_a_contract_error(tmp_path):
     sk = tmp_path / "sk.bin"
-    run_cli(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv", dev=True)
+    run_process(f"owp gen --bits 6 --seed 0c --out-sk {sk} --format kv", dev=True)
     blob = sk.read_bytes()
     sk.write_bytes(blob[:5] + bytes([blob[5] ^ 0x10]) + blob[6:])  # bits u16: 6 -> 22, still exact
-    proc = run_cli(f"owp invert --sk {sk} --y 3", check=False, timeout=30, dev=True)
+    proc = run_process(f"owp invert --sk {sk} --y 3", check=False, timeout=30, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
@@ -132,20 +148,20 @@ def test_owp_gen_above_64_bits_is_an_error():
 
 def test_oss_instance_file_round_trip(tmp_path):
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv", dev=True)
-    y1 = cli.parse_kv(run_cli(f"oss hash --inst {inst} --x 5 --format kv", dev=True).stdout.decode())["y"]
+    run_process(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv", dev=True)
+    y1 = cli.parse_kv(run_process(f"oss hash --inst {inst} --x 5 --format kv", dev=True).stdout.decode())["y"]
     y2 = cli.parse_kv(run_cli("oss hash --tiny 6,3,6 --seed 07 --x 5 --format kv").stdout.decode())["y"]
     assert y1 == y2
-    run_cli(f"oss selfreduce --inst {inst} --seed2 02 --out-inst {tmp_path/'sr.bin'} --format kv",
-            dev=True)
-    run_cli(f"oss p --inst {tmp_path/'sr.bin'} --x 9 --format kv", dev=True)
+    run_process(f"oss selfreduce --inst {inst} --seed2 02 --out-inst {tmp_path/'sr.bin'} --format kv",
+                dev=True)
+    run_process(f"oss p --inst {tmp_path/'sr.bin'} --x 9 --format kv", dev=True)
 
 
 def test_oracle_mode_instance_file_with_d_flag_round_trips(tmp_path):
     # --d only shapes a standard-mode instance: an oracle-mode file records no d
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 8,4,8 --d 10 --seed 07 --out-inst {inst} --format kv", dev=True)
-    y1 = cli.parse_kv(run_cli(f"oss hash --inst {inst} --x 1 --format kv", dev=True).stdout.decode())["y"]
+    run_process(f"oss gen --tiny 8,4,8 --d 10 --seed 07 --out-inst {inst} --format kv", dev=True)
+    y1 = cli.parse_kv(run_process(f"oss hash --inst {inst} --x 1 --format kv", dev=True).stdout.decode())["y"]
     y2 = cli.parse_kv(run_cli("oss hash --tiny 8,4,8 --seed 07 --x 1 --format kv").stdout.decode())["y"]
     assert y1 == y2
 
@@ -153,16 +169,17 @@ def test_oracle_mode_instance_file_with_d_flag_round_trips(tmp_path):
 @pytest.mark.parametrize("d", [64, 40])
 def test_wide_outer_permutation_on_a_small_instance_evaluates(d):
     # a 2^d outer table fits no instance file, so even an n = 8 instance takes a lazy key
-    proc = run_cli(f"oss hash --tiny 8,4,8 --mode standard --d {d} --seed 07 --x 5 --format kv",
-                   check=False, timeout=120, capped=True)
+    proc = run_process(f"oss hash --tiny 8,4,8 --mode standard --d {d} --seed 07 --x 5 --format kv",
+                       check=False, timeout=120, capped=True)
     assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
     assert 0 <= int(cli.parse_kv(proc.stdout.decode())["y"]) < 1 << d
 
 
 def test_exit_codes():
-    assert run_cli("prp eval --bits 4 --seed 00 --x 99", check=False).returncode == 1
-    assert run_cli("prp eval --bits 4", check=False).returncode == 2
-    assert run_cli("definitely-not-a-command", check=False).returncode == 2
+    # the smoke test of `python -m ossprim.cli` itself
+    assert run_process("prp eval --bits 4 --seed 00 --x 99", check=False).returncode == 1
+    assert run_process("prp eval --bits 4", check=False).returncode == 2
+    assert run_process("definitely-not-a-command", check=False).returncode == 2
 
 
 def test_hypergeom_negative_kappa_is_a_range_error():
@@ -177,7 +194,7 @@ def test_hypergeom_negative_kappa_is_a_range_error():
 ])
 def test_hypergeom_beyond_the_exact_caps_is_a_range_error(args, message):
     # refused before the sieve or 2^kappa is allocated, so 2 GiB of address space is plenty
-    proc = run_cli(f"hypergeom sample {args}", check=False, timeout=120, capped=True)
+    proc = run_process(f"hypergeom sample {args}", check=False, timeout=120, capped=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr, proc.stderr
 
@@ -202,9 +219,9 @@ def test_perm_domain_and_point_outside_their_range_are_errors(argv, message):
 
 def test_truncated_instance_file_is_a_contract_error(tmp_path):
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv", dev=True)
+    run_process(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv", dev=True)
     inst.write_bytes(inst.read_bytes()[:40])
-    proc = run_cli(f"oss hash --inst {inst} --x 5", check=False, dev=True)
+    proc = run_process(f"oss hash --inst {inst} --x 5", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: truncated instance file") and b"Traceback" not in proc.stderr
 
@@ -221,18 +238,18 @@ def _duplicated_entry(blob):
 def test_instance_table_not_a_permutation_is_a_contract_error(tmp_path, corrupt):
     # bytes 13..20 hold the first two u32 entries of the 2^4-entry pi table
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv", dev=True)
+    run_process(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv", dev=True)
     blob = inst.read_bytes()
     assert blob[13:17] != blob[17:21]
     inst.write_bytes(corrupt(blob))
-    proc = run_cli(f"oss hash --inst {inst} --x 1", check=False, dev=True)
+    proc = run_process(f"oss hash --inst {inst} --x 1", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: table is not a permutation") and b"Traceback" not in proc.stderr
 
 
 def test_lwe_keygen_writes_its_files(tmp_path):
     pk, td = tmp_path / "pk.bin", tmp_path / "td.bin"
-    run_cli(f"lwe keygen --preset micro --seed 0d --out-pk {pk} --out-td {td} --format kv", dev=True)
+    run_process(f"lwe keygen --preset micro --seed 0d --out-pk {pk} --out-td {td} --format kv", dev=True)
     assert b"INSECURE-DEMO" in pk.read_bytes() and td.read_bytes()
 
 
@@ -301,11 +318,11 @@ def _rank_one_matrix(blob):
 ])
 def test_instance_coset_table_corruption_is_a_contract_error(tmp_path, corrupt, message):
     inst = tmp_path / "inst.bin"
-    run_cli(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv", dev=True)
+    run_process(f"oss gen --tiny 4,2,4 --seed 07 --out-inst {inst} --format kv", dev=True)
     blob = inst.read_bytes()
     assert blob[_COUNT:_COUNT + 4] == struct.pack("<I", 4) and _with_entries(blob, _coset_entries(blob)) == blob
     inst.write_bytes(corrupt(blob))
-    proc = run_cli(f"oss hash --inst {inst} --x 1", check=False, dev=True)
+    proc = run_process(f"oss hash --inst {inst} --x 1", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr
 
@@ -387,7 +404,7 @@ def test_every_subcommand_declares_its_flags():
     ("oss embed-cpf --inst missing.bin", b"--inst"),
 ])
 def test_flags_a_command_never_reads_are_usage_errors(argv, flag):
-    proc = run_cli(argv, check=False, timeout=60)
+    proc = run_cli(argv, check=False)
     assert proc.returncode == 2
     assert b"unrecognized arguments: " + flag in proc.stderr and b"Traceback" not in proc.stderr
 
@@ -420,7 +437,7 @@ def test_qsim_sign_message_verifies_every_bit():
 def test_out_file_holds_the_stdout_bytes(tmp_path):
     out = tmp_path / "out.txt"
     stdout = run_cli("prp eval --bits 8 --seed 00 --x 5").stdout
-    assert run_cli(f"prp eval --bits 8 --seed 00 --x 5 --out {out}", dev=True).stdout == b""
+    assert run_process(f"prp eval --bits 8 --seed 00 --x 5 --out {out}", dev=True).stdout == b""
     assert out.read_bytes() == stdout
 
 
@@ -453,7 +470,7 @@ def test_oracle_inputs_outside_their_range_are_errors(argv, message):
 def test_params_file_missing_keys_is_a_contract_error(tmp_path):
     params = tmp_path / "params.txt"
     params.write_text("u=4\nv=8\n")
-    proc = run_cli(f"lwe keygen --params-file {params} --seed 01", check=False, dev=True)
+    proc = run_process(f"lwe keygen --params-file {params} --seed 01", check=False, dev=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
@@ -531,9 +548,10 @@ DOC_EXAMPLE_SHA256 = {
 
 @pytest.mark.parametrize("example", cli.DOC_EXAMPLES)
 def test_documented_examples_are_deterministic(example):
-    # acceptance criterion: byte-identical machine-readable output across runs
-    first = run_cli(example).stdout
-    second = run_cli(example).stdout
+    # acceptance criterion: byte-identical machine-readable output across runs,
+    # in two processes, whose string-hash seeds differ
+    first = run_process(example).stdout
+    second = run_process(example).stdout
     assert first == second and first
     assert hashlib.sha256(first).hexdigest() == DOC_EXAMPLE_SHA256[example]
     cli.parse_kv(first.decode())  # every documented example is kv-parseable

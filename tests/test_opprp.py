@@ -50,23 +50,22 @@ def test_hybrid_walk_endpoints_and_steps():
     n = 16
     k = key(n, 3)
     g = pd.transposition(n, 2, 9)
-    f0, i0 = opprp.hybrid_walk(k, g, 0)
-    fT, iT = opprp.hybrid_walk(k, g, g.length)
+    hybrid = lambda t: nsprp.prp_perm(k).then(g.prefix(t))  # Gamma_t o Pi
+    h0, hT = hybrid(0), hybrid(g.length)
     pk0 = opprp.op_permute(k, g, 0)
     pk1 = opprp.op_permute(k, g, 1)
     for x in range(n):
-        assert f0(x) == pk0.forward(x)
-        assert fT(x) == pk1.forward(x)
+        assert h0.forward(x) == pk0.forward(x)
+        assert hT.forward(x) == pk1.forward(x)
     for t in range(1, g.length + 1):
-        fa, _ = opprp.hybrid_walk(k, g, t - 1)
-        fb, ib = opprp.hybrid_walk(k, g, t)
-        diff = [x for x in range(n) if fa(x) != fb(x)]
+        ha, hb = hybrid(t - 1), hybrid(t)
+        diff = [x for x in range(n) if ha.forward(x) != hb.forward(x)]
         assert len(diff) <= 2
-        imgs = [fb(x) for x in range(n)]
+        imgs = [hb.forward(x) for x in range(n)]
         assert sorted(imgs) == list(range(n))
-        assert [ib(z) for z in imgs] == list(range(n))
+        assert [hb.inverse(z) for z in imgs] == list(range(n))
     with pytest.raises(RangeError):
-        opprp.hybrid_walk(k, g, g.length + 1)
+        hybrid(g.length + 1)
 
 
 def test_owp_bijection_and_inversion_exhaustive():

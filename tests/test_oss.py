@@ -299,7 +299,7 @@ def test_permutation_rule_keys_on_n_and_scales_past_exact_keys():
     root = prng.PrfKey(bytes([113]) * 32, b"oss")
     for perm, tag, bits in ((std.pi, b"pi", 8), (std.out_perm, b"pi-out", 14)):
         want = oss.random_table_perm(bits, prng.bit_stream(root, tag))
-        assert perm.n_bits == bits
+        assert perm.n == 1 << bits
         assert [perm.forward(x) for x in range(1 << bits)] == [want.forward(x) for x in range(1 << bits)]
         assert all(perm.inverse(perm.forward(x)) == x for x in range(1 << bits))
     # Gamma on 2^80 is a scale key like Pi; an exact key there never finishes a draw

@@ -111,6 +111,7 @@ def test_compose_identity_neutral():
     left = pd.compose(pd.identity_perm(6), g)
     right = pd.compose(g, pd.identity_perm(6))
     assert left.table() == g.table() == right.table()
+    assert pd.identity_perm(6).then(g).table() == g.table() == g.then(pd.identity_perm(6)).table()
     assert_verified(left)
     assert_verified(right)
 
@@ -119,6 +120,12 @@ def test_compose_applies_first_argument_first():
     g = pd.compose(pd.scalar_add(6, 2), pd.transposition(6, 0, 5))
     want = [pd.transposition(6, 0, 5).forward((x + 2) % 6) for x in range(6)]
     assert_verified(g, want)
+    p = pd.scalar_add(6, 2).then(pd.transposition(6, 0, 5))
+    assert p.table() == want
+    assert [p.inverse(y) for y in want] == list(range(6))
+    for join in (pd.compose, pd.Perm.then):
+        with pytest.raises(DimensionError):
+            join(pd.scalar_add(6, 2), pd.scalar_add(4, 1))
 
 
 def test_controlled_brute_force():
