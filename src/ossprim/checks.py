@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
@@ -262,12 +262,11 @@ def _fig5_constructors(n_cap: int) -> list[tuple[str, pd.DecomposablePermutation
     out.append(("compose(add,cycle)", pd.compose(pd.scalar_add(12, 5), pd.linear_cycle(12, 1, 10))))
     out.append(("controlled(4x4)", pd.controlled(4, lambda v: pd.scalar_add(4, v), 4)))
     out.append(("conditional(4@2x3)", pd.conditional(4, pd.transposition(4, 0, 3), 2, 3)))
-    lam = lambda x: (5 * x + 3) % c
-    lam_inv = lambda y: (pow(5, -1, c) * (y - 3)) % c
-    out.append((f"conjugate(affine,add mod {c})", pd.conjugate(lam, lam_inv, pd.scalar_add(c, 3))))
+    lam = pd.Perm(c, lambda x: (5 * x + 3) % c, lambda y: (pow(5, -1, c) * (y - 3)) % c)
+    out.append((f"conjugate(affine,add mod {c})", pd.conjugate(lam, pd.scalar_add(c, 3))))
     out.append(("product(3x8)", pd.product(3, pd.linear_cycle(3, 0, 2), 8, pd.scalar_add(8, 3))))
-    out.append(("ancilla(+1 mod 5)", pd.with_ancilla(5, lambda x: (x + 1) % 5, lambda y: (y - 1) % 5)))
-    out.append(("ancilla(bitflip 4)", pd.with_ancilla(4, lambda x: x ^ 3, lambda y: y ^ 3)))
+    out.append(("ancilla(+1 mod 5)", pd.with_ancilla(pd.Perm(5, lambda x: (x + 1) % 5, lambda y: (y - 1) % 5))))
+    out.append(("ancilla(bitflip 4)", pd.with_ancilla(pd.Perm(4, lambda x: x ^ 3, lambda y: y ^ 3))))
     return [(name, g) for name, g in out if g.n <= c]
 
 
@@ -280,15 +279,10 @@ def crit06_decomposition(n_cap: int = 32) -> tuple[bool, str]:
             return False, f"{name}: {rep.failures[0]}"
         total_steps += rep.checked_steps
     # negative controls: corrupted schedules must fail
-    good = pd.transposition(8, 1, 5)
-    bad = pd.DecomposablePermutation(
-        n=8, length=good.length, forward=good.forward, inverse=good.inverse,
-        step=lambda i: 0, gamma=good.gamma, gamma_inv=good.gamma_inv)
+    bad = replace(pd.transposition(8, 1, 5), swaps=lambda i: 0)
     if pd.verify_decomposition(bad).ok:
         return False, "corrupted schedule passed"
-    empty_bad = pd.DecomposablePermutation(
-        n=8, length=0, forward=lambda x: x ^ 1, inverse=lambda x: x ^ 1,
-        step=lambda i: pd._bad_index(i), gamma=lambda i, x: x, gamma_inv=lambda i, x: x)
+    empty_bad = replace(pd.identity_perm(8), forward=lambda x: x ^ 1, inverse=lambda x: x ^ 1)
     if pd.verify_decomposition(empty_bad).ok:
         return False, "empty schedule with non-identity forward passed"
     return True, f"every family exhaustive at N ≤ {n_cap}; {total_steps} steps; negatives rejected"

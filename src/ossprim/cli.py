@@ -97,6 +97,12 @@ def _tiny_triple(text: str) -> tuple[int, int, int]:
     return n, r, k
 
 
+def _bit_string(text: str) -> str:
+    if not text or text.strip("01"):
+        raise argparse.ArgumentTypeError(f"not a non-empty string of 0s and 1s: {text!r}")
+    return text
+
+
 def _count(text: str) -> int:
     n = int(text)
     if n < 0:
@@ -219,6 +225,8 @@ def _k_vec(val: int, flag: str, k: int):
 
 def cmd_oss(args, out: _Out) -> int:
     if args.sub == "embed-cpf":
+        if args.n > 16:  # validate_cpf's exhaustive limit; refused before the 2^(n/l) table
+            raise ContractError(f"--n above 16 cannot be validated exhaustively, got {args.n}")
         if not 1 <= args.l <= args.n:
             raise ContractError(f"--l must lie in [1, --n = {args.n}], got {args.l}")
         if args.n % args.l:
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = qs("sign")
     s.add_argument("--n", type=int, default=8)
     s.add_argument("--m", type=int, choices=(0, 1), default=0)
-    s.add_argument("--message", default=None, help="bit string; loops one-bit instances")
+    s.add_argument("--message", type=_bit_string, default=None, help="bit string; loops one-bit instances")
 
     va = groups.add_parser("verify-all", parents=[out], help="run the desk-scale invariant suites")
     va.set_defaults(handler=cmd_verify_all)

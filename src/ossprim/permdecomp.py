@@ -10,10 +10,13 @@ because the last-listed swap is applied first.  All cycle identities below
 were re-derived and unit-tested under this convention ("Gamma1 then Gamma2"
 always means apply Gamma1 first).
 
-Schedules are random-access (index -> step) rather than materialized, since T
-may be exponential.  Composite constructors (involutions, compositions,
-controlled families, conjugations) share one staged walk, `_staged`, whose
-cumulative stage-offset table caps them at _STAGE_CAP stages.
+Schedules are random-access (index -> step, index -> prefix `Perm`) rather
+than materialized, since T may be exponential; `step(i)` and `prefix(i)`
+are the one place an index is range-checked.  Every prefix is built from
+`Perm`s with `then` and `inverted`, so no prefix inverse is written by hand.
+Composite constructors (involutions, compositions, controlled families,
+conjugations) share one staged walk, `_staged`, whose cumulative
+stage-offset table caps them at _STAGE_CAP stages.
 """
 
 from __future__ import annotations
@@ -44,24 +47,41 @@ class Perm:
         f, g, f_inv, g_inv = self.forward, after.forward, self.inverse, after.inverse
         return Perm(self.n, lambda x: g(f(x)), lambda z: f_inv(g_inv(z)))
 
+    def inverted(self) -> Perm:
+        return Perm(self.n, self.inverse, self.forward)
+
     def table(self) -> list[int]:
         return [self.forward(x) for x in range(self.n)]
 
 
 @dataclass(frozen=True)
 class DecomposablePermutation(Perm):
-    """A permutation of [N] with a neighbor-swap decomposition schedule."""
+    """A permutation of [N] with a neighbor-swap decomposition schedule.
+
+    `swaps` and `prefixes` assume an index in range; read them through
+    `step` and `prefix`, which check it.
+    """
 
     length: int
-    step: Callable[[int], Optional[int]]  # 1-indexed; None = skip step
-    gamma: Callable[[int, int], int]  # (i, x) -> Gamma_i(x), 0 <= i <= length
-    gamma_inv: Callable[[int, int], int]
+    swaps: Callable[[int], Optional[int]]  # i -> z_i; None = skip step
+    prefixes: Callable[[int], Perm]  # i -> Gamma_i
+
+    def step(self, i: int) -> Optional[int]:
+        """z_i, the i-th swap (1-indexed)."""
+        if not 1 <= i <= self.length:
+            raise RangeError(f"step index {i} outside [1, {self.length}]")
+        return self.swaps(i)
 
     def prefix(self, i: int) -> Perm:
         """Gamma_i, the permutation after the first i swaps."""
         if not 0 <= i <= self.length:
             raise RangeError(f"prefix index {i} outside [0, {self.length}]")
-        return Perm(self.n, functools.partial(self.gamma, i), functools.partial(self.gamma_inv, i))
+        return self.prefixes(i)
+
+
+def _schedule(whole: Perm, length: int, swaps: Callable[[int], Optional[int]],
+              prefixes: Callable[[int], Perm]) -> DecomposablePermutation:
+    return DecomposablePermutation(whole.n, whole.forward, whole.inverse, length, swaps, prefixes)
 
 
 def _tau(n: int, z: int, x: int) -> int:
@@ -74,46 +94,24 @@ def _tau(n: int, z: int, x: int) -> int:
 
 
 def identity_perm(n: int) -> DecomposablePermutation:
-    return DecomposablePermutation(
-        n=n, length=0,
-        forward=lambda x: x, inverse=lambda x: x,
-        step=lambda i: _bad_index(i),
-        gamma=lambda i, x: x, gamma_inv=lambda i, x: x,
-    )
-
-
-def _bad_index(i):
-    raise RangeError(f"schedule index {i} out of range")
+    ident = Perm(n, lambda x: x, lambda x: x)
+    return _schedule(ident, 0, lambda i: None, lambda i: ident)  # no index reaches swaps
 
 
 def neighbor_swap(n: int, z: int) -> DecomposablePermutation:
     """The swap of z and z+1 mod n (z = n-1 wraps around); schedule length 1."""
     if not 0 <= z < n:
         raise RangeError(f"{z} outside [0, {n})")
-    f = lambda x: _tau(n, z, x)
-    return DecomposablePermutation(
-        n=n, length=1, forward=f, inverse=f,
-        step=lambda i: z if i == 1 else _bad_index(i),
-        gamma=lambda i, x: x if i == 0 else f(x),
-        gamma_inv=lambda i, x: x if i == 0 else f(x),
-    )
+    f = functools.partial(_tau, n, z)
+    swap = Perm(n, f, f)
+    return _schedule(swap, 1, lambda i: z, (identity_perm(n), swap).__getitem__)
 
 
-def _cycle(j: int, l: int, x: int) -> int:
-    # linear cycle: j -> l, everything in (j, l] slides down one
-    if x == j:
-        return l
-    if j < x <= l:
-        return x - 1
-    return x
-
-
-def _cycle_inv(j: int, l: int, x: int) -> int:
-    if x == l:
-        return j
-    if j <= x < l:
-        return x + 1
-    return x
+def _cycle(n: int, j: int, l: int) -> Perm:
+    """The linear cycle: j goes to position l, everything in (j, l] slides
+    down one; the identity when j == l."""
+    return Perm(n, lambda x: l if x == j else x - 1 if j < x <= l else x,
+                lambda x: j if x == l else x + 1 if j <= x < l else x)
 
 
 def linear_cycle(n: int, j: int, l: int) -> DecomposablePermutation:
@@ -124,15 +122,7 @@ def linear_cycle(n: int, j: int, l: int) -> DecomposablePermutation:
     """
     if not 0 <= j <= l < n:
         raise RangeError("need 0 <= j <= l < n")
-    T = l - j
-    return DecomposablePermutation(
-        n=n, length=T,
-        forward=lambda x: _cycle(j, l, x),
-        inverse=lambda x: _cycle_inv(j, l, x),
-        step=lambda i: (l - i) if 1 <= i <= T else _bad_index(i),
-        gamma=lambda i, x: _cycle(l - i, l, x),
-        gamma_inv=lambda i, x: _cycle_inv(l - i, l, x),
-    )
+    return _schedule(_cycle(n, j, l), l - j, lambda i: l - i, lambda i: _cycle(n, l - i, l))
 
 
 def transposition(n: int, j: int, l: int) -> DecomposablePermutation:
@@ -142,7 +132,7 @@ def transposition(n: int, j: int, l: int) -> DecomposablePermutation:
         raise RangeError("need 0 <= j < l < n")
     rise = l - 1 - j  # listing: [j .. l-2] (outer inverse-cycle part)
     fall = l - j      # then [l-1 down to j] (inner cycle part)
-    T = rise + fall
+    back = _cycle(n, j, l - 1).inverted()
 
     def fwd(x: int) -> int:
         if x == j:
@@ -151,27 +141,13 @@ def transposition(n: int, j: int, l: int) -> DecomposablePermutation:
             return j
         return x
 
-    def step(i: int) -> int:
-        if not 1 <= i <= T:
-            _bad_index(i)
-        return (j + i - 1) if i <= rise else (l - 1 - (i - rise - 1))
-
-    def gamma(i: int, x: int) -> int:
+    def prefix(i: int) -> Perm:
         if i <= rise:
-            return _cycle_inv(j, j + i, x)
-        t = i - rise
-        return _cycle_inv(j, l - 1, _cycle(l - t, l, x))
+            return _cycle(n, j, j + i).inverted()
+        return _cycle(n, l - (i - rise), l).then(back)
 
-    def gamma_inv(i: int, x: int) -> int:
-        if i <= rise:
-            return _cycle(j, j + i, x)
-        t = i - rise
-        return _cycle_inv(l - t, l, _cycle(j, l - 1, x))
-
-    return DecomposablePermutation(
-        n=n, length=T, forward=fwd, inverse=fwd,
-        step=step, gamma=gamma, gamma_inv=gamma_inv,
-    )
+    return _schedule(Perm(n, fwd, fwd), rise + fall,
+                     lambda i: (j + i - 1) if i <= rise else (l - 1 - (i - rise - 1)), prefix)
 
 
 def scalar_add(n: int, s: int) -> DecomposablePermutation:
@@ -186,94 +162,57 @@ def scalar_add(n: int, s: int) -> DecomposablePermutation:
     s %= n
     if s == 0:
         return identity_perm(n)
-    stages = n - s
-    T = stages * s
 
-    def fwd(x: int) -> int:
-        return (x + s) % n
+    def rotation(w: int) -> Perm:
+        # rotation by s of the window [0, w-1]; identity above
+        return Perm(n, lambda x: x if x >= w else (x + s) % w,
+                    lambda x: x if x >= w else (x - s) % w)
 
-    def inv(x: int) -> int:
-        return (x - s) % n
-
-    def rot_window(m: int, x: int) -> int:
-        # rotation by s of [0, m+s-1]; identity above
-        hi = m + s - 1
-        return x if x > hi else (x + s) % (m + s)
-
-    def rot_window_inv(m: int, x: int) -> int:
-        hi = m + s - 1
-        return x if x > hi else (x - s) % (m + s)
+    def prefix(i: int) -> Perm:
+        m, t = divmod(i, s)
+        return _cycle(n, m + s - t, m + s).then(rotation(m + s))
 
     def step(i: int) -> int:
-        if not 1 <= i <= T:
-            _bad_index(i)
         m, t = divmod(i - 1, s)
         return m + s - 1 - t
 
-    def gamma(i: int, x: int) -> int:
-        m, t = divmod(i, s)
-        if t == 0:
-            return rot_window(m, x)
-        return rot_window(m, _cycle(m + s - t, m + s, x))
-
-    def gamma_inv(i: int, x: int) -> int:
-        m, t = divmod(i, s)
-        if t == 0:
-            return rot_window_inv(m, x)
-        return _cycle_inv(m + s - t, m + s, rot_window_inv(m, x))
-
-    return DecomposablePermutation(
-        n=n, length=T, forward=fwd, inverse=inv,
-        step=step, gamma=gamma, gamma_inv=gamma_inv,
-    )
+    whole = Perm(n, lambda x: (x + s) % n, lambda x: (x - s) % n)
+    return _schedule(whole, (n - s) * s, step, prefix)
 
 
 def _staged(whole: Perm, stages: int, stage: Callable[[int], Optional[DecomposablePermutation]],
-            milestone: Callable[[int, int], int],
-            milestone_inv: Callable[[int, int], int]) -> DecomposablePermutation:
+            milestone: Callable[[int], Perm]) -> DecomposablePermutation:
     """Run `stages` sub-schedules back to back; together they build `whole`.
 
-    stage(s) is stage s as a permutation of [whole.n] (None when it has no swaps);
-    milestone(s, x) and milestone_inv(s, x) are the prefix after stages
-    0..s-1 and its inverse.  Gamma at local index t of stage s is
-    milestone(s) o stage(s).Gamma_t.
+    stage(s) is stage s as a permutation of [whole.n] (None when it has no
+    swaps); milestone(s) is the prefix after stages 0..s-1.  Gamma at local
+    index t of stage s is stage(s).prefix(t), then milestone(s).
     """
     if stages > _STAGE_CAP:
         raise RangeError("schedule offset table above the stage cap")
     # walks visit one stage many times in a row; keep the last one built
     stage = functools.lru_cache(maxsize=1)(stage)
+    ident = identity_perm(whole.n)
     offsets = [0]
     for s in range(stages):
         g = stage(s)
         offsets.append(offsets[-1] + (0 if g is None else g.length))
-    total = offsets[-1]
 
     def locate(i: int) -> int:
         # the stage holding swap i; i - offsets[s] is its 1-indexed place there
-        if not 1 <= i <= total:
-            _bad_index(i)
         return bisect.bisect_left(offsets, i) - 1
 
-    def step(i: int) -> Optional[int]:
+    def swap(i: int) -> Optional[int]:
         s = locate(i)
         return stage(s).step(i - offsets[s])
 
-    def gamma(i: int, x: int) -> int:
+    def prefix(i: int) -> Perm:
         if i == 0:
-            return x
+            return ident
         s = locate(i)
-        return milestone(s, stage(s).gamma(i - offsets[s], x))
+        return stage(s).prefix(i - offsets[s]).then(milestone(s))
 
-    def gamma_inv(i: int, x: int) -> int:
-        if i == 0:
-            return x
-        s = locate(i)
-        return stage(s).gamma_inv(i - offsets[s], milestone_inv(s, x))
-
-    return DecomposablePermutation(
-        n=whole.n, length=total, forward=whole.forward, inverse=whole.inverse,
-        step=step, gamma=gamma, gamma_inv=gamma_inv,
-    )
+    return _schedule(whole, offsets[-1], swap, prefix)
 
 
 def involution(n: int, fwd: Callable[[int], int]) -> DecomposablePermutation:
@@ -294,22 +233,20 @@ def involution(n: int, fwd: Callable[[int], int]) -> DecomposablePermutation:
         j = fwd(i)
         return transposition(n, j, i) if j < i else None
 
-    def prefix(s: int, x: int) -> int:
+    def milestone(s: int) -> Perm:
         # transpositions with both endpoints below s are active; each prefix
         # is an involution, so it is its own inverse
-        y = fwd(x)
-        return y if x < s and y < s else x
+        def f(x: int) -> int:
+            y = fwd(x)
+            return y if x < s and y < s else x
+        return Perm(n, f, f)
 
-    return _staged(Perm(n, fwd, fwd), n, stage, prefix, prefix)
+    return _staged(Perm(n, fwd, fwd), n, stage, milestone)
 
 
 def compose(g1: DecomposablePermutation, g2: DecomposablePermutation) -> DecomposablePermutation:
     """Apply g1 first, then g2; schedules concatenate outer-factor-first."""
-    return _staged(
-        g1.then(g2), 2, (g2, g1).__getitem__,
-        lambda s, x: g2.forward(x) if s else x,
-        lambda s, x: g2.inverse(x) if s else x,
-    )
+    return _staged(g1.then(g2), 2, (g2, g1).__getitem__, (identity_perm(g1.n), g2).__getitem__)
 
 
 def compose_all(gs: Sequence[DecomposablePermutation]) -> DecomposablePermutation:
@@ -326,22 +263,18 @@ def _in_block(g: DecomposablePermutation, v: int, n: int) -> DecomposablePermuta
     """g acting on block v of [n], the elements v*g.n .. v*g.n + g.n - 1."""
     n0, base = g.n, v * g.n
 
-    def lift(f: Callable[[int, int], int]) -> Callable[[int, int], int]:
-        return lambda i, e: base + f(i, e - base) if base <= e < base + n0 else e
+    def lift(p: Perm) -> Perm:
+        def at(f: Callable[[int], int]) -> Callable[[int], int]:
+            return lambda e: base + f(e - base) if base <= e < base + n0 else e
+        return Perm(n, at(p.forward), at(p.inverse))
 
-    def step(i: int) -> Optional[int]:
+    def swap(i: int) -> Optional[int]:
         z = g.step(i)
         if z == n0 - 1:
             raise ContractError("wraparound sub-swap cannot embed in a block")
         return None if z is None else base + z
 
-    gamma, gamma_inv = lift(g.gamma), lift(g.gamma_inv)
-    return DecomposablePermutation(
-        n=n, length=g.length,
-        forward=lambda e: gamma(g.length, e),
-        inverse=lambda e: gamma_inv(g.length, e),
-        step=step, gamma=gamma, gamma_inv=gamma_inv,
-    )
+    return _schedule(lift(g), g.length, swap, lambda i: lift(g.prefix(i)))
 
 
 def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
@@ -367,10 +300,12 @@ def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
         v, a = divmod(e, n0)
         return v * n0 + fams[v].inverse(a)
 
-    # after whole stages 0..s-1, exactly the blocks below s are permuted
-    return _staged(Perm(n, fwd, inv), n1, blocks.__getitem__,
-                   lambda s, e: fwd(e) if e < s * n0 else e,
-                   lambda s, e: inv(e) if e < s * n0 else e)
+    def milestone(s: int) -> Perm:
+        # after whole stages 0..s-1, exactly the blocks below s are permuted
+        cut = s * n0
+        return Perm(n, lambda e: fwd(e) if e < cut else e, lambda e: inv(e) if e < cut else e)
+
+    return _staged(Perm(n, fwd, inv), n1, blocks.__getitem__, milestone)
 
 
 def conditional(n0: int, g: DecomposablePermutation, target: int,
@@ -380,30 +315,27 @@ def conditional(n0: int, g: DecomposablePermutation, target: int,
     return controlled(n0, lambda v: g if v == target else ident, n1)
 
 
-def conjugate(lam: Callable[[int], int], lam_inv: Callable[[int], int],
-              g: DecomposablePermutation) -> DecomposablePermutation:
-    """lam_inv o g o lam for an efficient (not necessarily decomposable) lam.
+def conjugate(lam: Perm, g: DecomposablePermutation) -> DecomposablePermutation:
+    """lam, then g, then lam^-1, for an efficient (not necessarily
+    decomposable) lam.
 
-    Each base swap tau_z conjugates to the transposition of lam_inv(z) and
-    lam_inv(z+1), which is then expanded to neighbor swaps; the milestone
-    after base stage i is lam_inv o Gamma_i o lam, so every prefix keeps a
-    small circuit.  The neighbor-swap schedule is longer than the base one by
-    the expanded transposition lengths.
+    Each base swap tau_z conjugates to the transposition of lam^-1(z) and
+    lam^-1(z+1), which is then expanded to neighbor swaps; the milestone
+    after base stage i is lam, then Gamma_i, then lam^-1, so every prefix
+    keeps a small circuit.  The neighbor-swap schedule is longer than the
+    base one by the expanded transposition lengths.
     """
-    n = g.n
+    n, back = g.n, lam.inverted()
 
     def stage(i: int) -> Optional[DecomposablePermutation]:
         z = g.step(i + 1)
         if z is None:
             return None
-        a, b = lam_inv(z), lam_inv((z + 1) % n)
+        a, b = lam.inverse(z), lam.inverse((z + 1) % n)
         return transposition(n, min(a, b), max(a, b))
 
-    return _staged(
-        Perm(n, lam, lam_inv).then(g).then(Perm(n, lam_inv, lam)), g.length, stage,
-        lambda i, x: lam_inv(g.gamma(i, lam(x))),
-        lambda i, x: lam_inv(g.gamma_inv(i, lam(x))),
-    )
+    return _staged(lam.then(g).then(back), g.length, stage,
+                   lambda i: lam.then(g.prefix(i)).then(back))
 
 
 def product(n0: int, g_high: DecomposablePermutation, n1: int,
@@ -412,9 +344,9 @@ def product(n0: int, g_high: DecomposablePermutation, n1: int,
     if g_high.n != n0 or g_low.n != n1:
         raise DimensionError("component domains do not match")
     low_part = controlled(n1, lambda _v: g_low, n0)
-    sigma = lambda e: (e % n1) * n0 + e // n1      # (x,y) -> (y,x)
-    sigma_inv = lambda e: (e % n0) * n1 + e // n0
-    high_part = conjugate(sigma, sigma_inv, controlled(n0, lambda _v: g_high, n1))
+    sigma = Perm(n0 * n1, lambda e: (e % n1) * n0 + e // n1,  # (x,y) -> (y,x)
+                 lambda e: (e % n0) * n1 + e // n0)
+    high_part = conjugate(sigma, controlled(n0, lambda _v: g_high, n1))
     return compose(low_part, high_part)
 
 
@@ -439,18 +371,19 @@ def affine_gf2(nbits: int, a: gf2.BitMatrix, v: gf2.BitVector) -> DecomposablePe
     return compose_all(parts)
 
 
-def with_ancilla(n: int, gamma_fwd: Callable[[int], int],
-                 gamma_inv: Callable[[int], int]) -> DecomposablePermutation:
-    """Lift an efficiently invertible injective map on [n] to a decomposable
-    permutation of [n*n] acting as (x, 0) -> (gamma(x), 0) on the zero-ancilla
-    plane, via two controlled modular additions and the component swap.
+def with_ancilla(gamma: Perm) -> DecomposablePermutation:
+    """Lift an efficiently invertible injective map gamma on [n] to a
+    decomposable permutation of [n*n] acting as (x, 0) -> (gamma(x), 0) on the
+    zero-ancilla plane, via two controlled modular additions and the
+    component swap.
 
-    gamma_inv must be total on [n] (its value off the image is arbitrary).
+    gamma.inverse must be total on [n] (its value off the image is arbitrary).
     """
-    g1 = controlled(n, lambda x: scalar_add(n, gamma_fwd(x) % n), n)
+    n = gamma.n
+    g1 = controlled(n, lambda x: scalar_add(n, gamma.forward(x) % n), n)
     sigma = lambda e: (e % n) * n + e // n
-    c2 = controlled(n, lambda y: scalar_add(n, (-gamma_inv(y)) % n), n)
-    g2 = conjugate(sigma, sigma, c2)
+    c2 = controlled(n, lambda y: scalar_add(n, (-gamma.inverse(y)) % n), n)
+    g2 = conjugate(Perm(n * n, sigma, sigma), c2)
     g3 = involution(n * n, sigma)
     return compose_all([g1, g2, g3])
 
@@ -488,10 +421,11 @@ def verify_decomposition(g: DecomposablePermutation, budget: int = 1 << 20) -> V
         nsteps = max(1, budget // (4 * max(len(points), 1)))
         steps = sorted({1 + (i * 0x5851F42D4C957F2D) % T for i in range(nsteps)}) if T else []
 
+    first, last = g.prefix(0), g.prefix(T)
     for x in points:
-        if g.gamma(0, x) != x:
+        if first.forward(x) != x:
             rep.fail(f"Gamma_0({x}) != {x}")
-        if g.gamma(T, x) != g.forward(x):
+        if last.forward(x) != g.forward(x):
             rep.fail(f"Gamma_T({x}) != forward({x})")
         if g.inverse(g.forward(x)) != x:
             rep.fail(f"inverse(forward({x})) != {x}")
@@ -499,15 +433,16 @@ def verify_decomposition(g: DecomposablePermutation, budget: int = 1 << 20) -> V
 
     for i in steps:
         zi = g.step(i)
-        cur = [g.gamma(i, x) for x in points]
+        here, before = g.prefix(i), g.prefix(i - 1)
+        cur = [here.forward(x) for x in points]
         if exhaustive and sorted(cur) != list(range(n)):
             rep.fail(f"Gamma_{i} is not a bijection")
         for x, gx in zip(points, cur):
             # Gamma_i must equal Gamma_{i-1} o tau_{z_i} (or Gamma_{i-1} on skips)
-            ref = g.gamma(i - 1, x if zi is None else _tau(n, zi, x))
+            ref = before.forward(x if zi is None else _tau(n, zi, x))
             if gx != ref:
                 rep.fail(f"step {i} (z={zi}) is not the declared neighbor swap at {x}")
-            if g.gamma_inv(i, gx) != x:
+            if here.inverse(gx) != x:
                 rep.fail(f"Gamma_{i}^-1(Gamma_{i}({x})) != {x}")
         rep.checked_steps += 1
         if not rep.ok and len(rep.failures) >= 32:

@@ -338,6 +338,8 @@ def test_instance_coset_table_corruption_is_a_contract_error(tmp_path, corrupt, 
     ("prp decompose --bits -4", b"--bits"),
     ("prp decompose --bits 4 --limit -1", b"--limit"),
     ("perm verify --desc 'cycle 16 2 9' --budget -5", b"--budget"),
+    ("qsim sign --message 1a0", b"--message"),
+    ("qsim sign --message ''", b"--message"),
 ])
 def test_malformed_flags_are_usage_errors(argv, flag):
     proc = run_cli(argv, check=False)
@@ -450,6 +452,14 @@ def test_embed_cpf_slice_count_outside_its_range_is_a_contract_error(argv, messa
     proc = run_cli(argv, check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n", [64, 40])
+def test_embed_cpf_wide_slice_is_refused_before_its_table(n):
+    # a 2^n table overflows (n = 64) or exhausts 2 GiB of address space (n = 40)
+    proc = run_process(f"oss embed-cpf --n {n} --l 1", check=False, timeout=120, capped=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: --n above 16") and b"Traceback" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("argv, message", [

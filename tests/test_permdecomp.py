@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,11 +145,10 @@ def test_conditional_fires_only_on_target():
 
 
 def test_conjugate_matches_composition_and_verifies():
-    lam = lambda x: (5 * x + 3) % 8
-    lam_inv = lambda y: (5 * (y - 3)) % 8
+    lam = pd.Perm(8, lambda x: (5 * x + 3) % 8, lambda y: (5 * (y - 3)) % 8)
     base = pd.scalar_add(8, 3)
-    g = pd.conjugate(lam, lam_inv, base)
-    assert g.table() == [lam_inv(base.forward(lam(x))) for x in range(8)]
+    g = pd.conjugate(lam, base)
+    assert g.table() == [lam.inverse(base.forward(lam.forward(x))) for x in range(8)]
     assert_verified(g)
 
 
@@ -183,7 +183,7 @@ def test_affine_rejects_singular():
 
 
 def test_ancilla_lift_table():
-    g = pd.with_ancilla(3, lambda x: (x + 1) % 3, lambda y: (y - 1) % 3)
+    g = pd.with_ancilla(pd.Perm(3, lambda x: (x + 1) % 3, lambda y: (y - 1) % 3))
     for x in range(3):
         assert g.forward(x * 3 + 0) == ((x + 1) % 3) * 3 + 0
     assert_verified(g)
@@ -193,25 +193,20 @@ def test_step_locality_and_inverse_consistency():
     g = pd.compose(pd.transposition(10, 2, 8), pd.scalar_add(10, 3))
     for i in range(1, g.length + 1):
         zi = g.step(i)
-        diff = [x for x in range(10) if g.gamma(i, x) != g.gamma(i - 1, x)]
+        here, before = g.prefix(i), g.prefix(i - 1)
+        diff = [x for x in range(10) if here.forward(x) != before.forward(x)]
         assert set(diff) <= {zi, (zi + 1) % 10}
         for x in range(10):
-            assert g.gamma_inv(i, g.gamma(i, x)) == x
+            assert here.inverse(here.forward(x)) == x
 
 
 def test_verify_detects_corrupted_schedule():
-    good = pd.transposition(8, 1, 5)
-    bad = pd.DecomposablePermutation(
-        n=8, length=good.length, forward=good.forward, inverse=good.inverse,
-        step=lambda i: 6, gamma=good.gamma, gamma_inv=good.gamma_inv)
+    bad = replace(pd.transposition(8, 1, 5), swaps=lambda i: 6)
     assert not pd.verify_decomposition(bad).ok
 
 
 def test_verify_detects_empty_schedule_with_nonidentity():
-    bad = pd.DecomposablePermutation(
-        n=8, length=0, forward=lambda x: x ^ 1, inverse=lambda x: x ^ 1,
-        step=lambda i: pd._bad_index(i),
-        gamma=lambda i, x: x, gamma_inv=lambda i, x: x)
+    bad = replace(pd.identity_perm(8), forward=lambda x: x ^ 1, inverse=lambda x: x ^ 1)
     assert not pd.verify_decomposition(bad).ok
 
 
@@ -275,12 +270,26 @@ def _schedule_digest(perms):
         h.update(f"{g.n} {g.length}\n".encode())
         h.update(repr([g.step(i) for i in range(1, g.length + 1)]).encode())
         for i in range(g.length + 1):
-            h.update(repr([g.gamma(i, x) for x in range(g.n)]).encode())
-            h.update(repr([g.gamma_inv(i, x) for x in range(g.n)]).encode())
+            p = g.prefix(i)
+            h.update(repr([p.forward(x) for x in range(g.n)]).encode())
+            h.update(repr([p.inverse(x) for x in range(g.n)]).encode())
         total.update(h.hexdigest().encode())
     return total.hexdigest()
 
 
+def _pinned_perms():
+    return [g for _, g in checks._fig5_constructors(32)] + [pd.parse_perm(d) for d in PINNED_DESCS]
+
+
 def test_schedules_match_pinned_digest():
-    perms = [g for _, g in checks._fig5_constructors(32)] + [pd.parse_perm(d) for d in PINNED_DESCS]
-    assert _schedule_digest(perms) == PINNED_SCHEDULES_SHA256
+    assert _schedule_digest(_pinned_perms()) == PINNED_SCHEDULES_SHA256
+
+
+def test_schedule_indices_outside_their_range_are_range_errors():
+    for g in _pinned_perms():
+        for i in (-1, g.length + 1):
+            with pytest.raises(RangeError):
+                g.prefix(i)
+        for i in (0, g.length + 1):
+            with pytest.raises(RangeError):
+                g.step(i)
