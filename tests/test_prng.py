@@ -8,6 +8,7 @@ import pytest
 from ossprim import nsprp, prng
 from ossprim.errors import PunctureError, UnsupportedBackend
 from ossprim.prng import NodeId, PrfKey
+from ossprim.wire import Reader
 
 
 K = PrfKey(b"\x07" * 32, b"prng-tests")
@@ -322,3 +323,42 @@ def test_memoized_seeds_leave_equality_and_hash_unchanged():
     prng.derive_key(a, b"x")
     assert a == b and hash(a) == hash(b) == before
     assert prng.serialize_key(a) == prng.serialize_key(b)
+
+
+def _wire_node(depth, path):
+    """The tree node (depth, path), read back from its serialized form."""
+    return prng._read_node(Reader(struct.pack("<H", depth) + path.to_bytes((depth + 7) // 8 or 1, "big"), "node"))
+
+
+def _depth_path(node):
+    blob = prng._pack_node(node)
+    return struct.unpack("<H", blob[:2])[0], int.from_bytes(blob[2:], "big")
+
+
+# sha256 over tree_eval at depths 0 to 130, the serialized punctured keys of
+# mixed-depth node sets (with and without a floor) and of byte inputs, and
+# punctured_tree_eval at every copath position and a node three levels below
+# it, recorded while tree nodes were (depth, path) objects
+NODE_OUTPUTS_SHA256 = "5319437bce6f123440bb8898b78c365c8b207fede62542c42bcf814a84c97fd7"
+
+
+def test_node_outputs_pinned_digest():
+    key = PrfKey(b"\x14" * 32, b"nodes")
+    rng = random.Random(14)
+    h = hashlib.sha256()
+    for depth in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+        for path in {0, (1 << depth) - 1, rng.getrandbits(depth) if depth else 0}:
+            for out_len in (1, 32, 40):
+                h.update(prng.tree_eval(key, _wire_node(depth, path), out_len))
+    sets = [[], [(0, 0)], [(3, 5), (9, 300)], [(1, 0), (4, 9), (4, 10), (7, 100)],
+            [(2, 3), (8, 0), (8, 255), (8, 254)], [(5, 17), (5, 17), (65, 1 << 64), (130, 3)]]
+    keys = [prng.puncture_nodes(key, [_wire_node(*nd) for nd in nodes], floor_depth=floor)
+            for nodes in sets for floor in (None, 4, 9)]
+    keys += [prng.puncture(key, xs) for xs in ([], [b"\x06"], [b"\x00", b"\xff", b"\x81"], [b"ab", b"cd"])]
+    for pk in keys:
+        h.update(prng.serialize_punctured(pk))
+        for pos, _ in pk.copath:
+            depth, path = _depth_path(pos)
+            h.update(prng.punctured_tree_eval(pk, pos, 16))
+            h.update(prng.punctured_tree_eval(pk, _wire_node(depth + 3, path << 3 | 5), 16))
+    assert h.hexdigest() == NODE_OUTPUTS_SHA256
