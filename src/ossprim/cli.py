@@ -140,6 +140,8 @@ def cmd_merge(args, out: _Out) -> int:
         out.emit("b", b)
         out.emit("x", x)
     elif args.sub == "permute-eval":
+        if not 0 <= args.x < k.n:
+            raise ContractError(f"--x outside [0, {k.n})")
         pmk = merge_mod.merge_permute(k, args.z, args.c)
         if pmk is None:
             out.emit("illegal", 1, "illegal swap (both preimages in one pile)")

@@ -39,7 +39,7 @@ from . import fastpath, prng
 from .errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA, EXACT_MAX_BITS, HypergeomParams, sample
 from .permdecomp import Perm
-from .prng import GOLDEN, MASK64, NodeId, PrfKey, PuncturedPrfKey
+from .prng import GOLDEN, MASK64, PrfKey, PuncturedPrfKey
 from .wire import Reader
 
 
@@ -51,7 +51,7 @@ class MergeKey:
     # pre-mixed context word, set iff the PRF backend is fastmix; keys
     # without one draw exactly, keys with one draw the gaussian stand-in
     fast_ctx: Optional[int] = None
-    # node values and GGM seeds, keyed by the int (1 << depth) | path
+    # node values and GGM seeds, keyed by tree node (prng's heap index)
     _values: dict = field(default_factory=dict, compare=False, repr=False)
     _seeds: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -100,24 +100,21 @@ def left_size(s: int) -> int:
     return (s + 1) // 2
 
 
-def span(n: int, node: NodeId) -> tuple[int, int]:
+def span(n: int, node: int) -> tuple[int, int]:
     """(first leaf, leaf count) of ``node`` in the tree over n leaves."""
     lo, s = 0, n
-    for lvl in range(node.depth):
+    for lvl in range(prng.node_depth(node) - 1, -1, -1):
+        if s < 2:  # a leaf has no children
+            raise RangeError("node outside the tree")
         sl = left_size(s)
-        if node.bit(lvl):
+        if node >> lvl & 1:
             lo, s = lo + sl, s - sl
         else:
             s = sl
-    if s < 1:
-        raise RangeError("node outside the tree")
     return lo, s
 
 
 # -- node values ---------------------------------------------------------------
-#
-# Hot paths address tree nodes by the int key (1 << depth) | path; NodeId
-# objects only appear at the public surface and on cache misses.
 
 def _node_seed(k: MergeKey, nodekey: int) -> bytes:
     seed = k._seeds.get(nodekey)
@@ -183,22 +180,22 @@ def _draw_left(k: MergeKey, parent_key: int, s: int, t: int) -> int:
     return fastpath.gauss_draw_general(s, sl, t, r64)
 
 
-def tally(k: MergeKey, node: NodeId) -> int:
+def tally(k: MergeKey, node: int) -> int:
     """The tally-tree value v(node): count of pile-1 leaves below it."""
     s, t = k.n, k.n1
     nodekey = 1
-    for lvl in range(node.depth):
+    for lvl in range(prng.node_depth(node) - 1, -1, -1):
+        if s < 2:  # a leaf has no children
+            raise RangeError("node outside the tree")
         sl = left_size(s)
         ck = nodekey << 1
         vl = k._values.get(ck)
         if vl is None:
             vl = k._values[ck] = _draw_left(k, nodekey, s, t)
-        if node.bit(lvl) == 0:
+        if node >> lvl & 1 == 0:
             nodekey, s, t = ck, sl, vl
         else:
             nodekey, s, t = ck | 1, s - sl, t - vl
-        if s < 1:
-            raise RangeError("node outside the tree")
     if not 0 <= t <= s:
         raise InvariantViolation("tally outside [0, subtree size]")
     return t
@@ -260,7 +257,7 @@ def merge_forward(k: MergeKey, b: int, x: int) -> int:
 @dataclass(frozen=True)
 class PermutedMergeKey:
     punctured: PuncturedPrfKey
-    hardcoded: dict  # NodeId -> int, both paths plus all their siblings
+    hardcoded: dict  # node -> tally, both paths plus all their siblings
     z: int
     c: int
     n0: int
@@ -272,25 +269,25 @@ class PermutedMergeKey:
     _seeds: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self._values.update(((1 << nd.depth) | nd.path, v) for nd, v in self.hardcoded.items())
-        self._seeds.update(((1 << nd.depth) | nd.path, seed) for nd, seed in self.punctured.copath)
+        self._values.update(self.hardcoded)
+        self._seeds.update(self.punctured.copath)
 
     @property
     def n(self) -> int:
         return self.n0 + self.n1
 
 
-def _path_nodes(n: int, z: int) -> list[NodeId]:
+def _path_nodes(n: int, z: int) -> list[int]:
     """Root-to-leaf path of output z in the size-n tree, root first."""
-    node = prng.ROOT
+    node = 1
     out = [node]
     s, lo = n, 0
     while s > 1:
         sl = left_size(s)
         if z < lo + sl:
-            node, s = node.child(0), sl
+            node, s = node << 1, sl
         else:
-            node, s, lo = node.child(1), s - sl, lo + sl
+            node, s, lo = node << 1 | 1, s - sl, lo + sl
         out.append(node)
     return out
 
@@ -312,11 +309,11 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
     hard = hardcoded_values(k.n, z, c, lambda nd: tally(k, nd))
     # the punctured nodes are the two paths above their leaves: exactly the
     # hard-coded nodes whose children are hard-coded
-    punct = prng.puncture_nodes(k.prf_key, [nd for nd in hard if nd.child(0) in hard])
+    punct = prng.puncture_nodes(k.prf_key, [nd for nd in hard if nd << 1 in hard])
     return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1)
 
 
-def hardcoded_values(n: int, z: int, c: int, value: Callable[[NodeId], int]) -> dict:
+def hardcoded_values(n: int, z: int, c: int, value: Callable[[int], int]) -> dict:
     """The hard-coded tally table of a legal swap at outputs (z, z+1).
 
     It holds both root-to-leaf paths plus all their siblings, valued by
@@ -326,8 +323,8 @@ def hardcoded_values(n: int, z: int, c: int, value: Callable[[NodeId], int]) -> 
     """
     path0 = _path_nodes(n, z)
     path1 = _path_nodes(n, z + 1)
-    hset = {prng.ROOT} | {nd.child(b) for nd in path0[:-1] + path1[:-1] for b in (0, 1)}
-    hard = {nd: value(nd) for nd in sorted(hset, key=NodeId.sort_key)}
+    hset = {1} | {nd << 1 | b for nd in path0[:-1] + path1[:-1] for b in (0, 1)}
+    hard = {nd: value(nd) for nd in sorted(hset)}
     if c == 1:
         zero_path, one_path = (path0, path1) if hard[path0[-1]] == 0 else (path1, path0)
         for nd in set(zero_path) - set(one_path):
@@ -451,11 +448,12 @@ def serialize_permuted(pk: PermutedMergeKey) -> bytes:
     """Punctured-PRF blob + sorted (path, value) list, values length-prefixed."""
     blob = prng.serialize_punctured(pk.punctured)
     head = struct.pack("<QQIBQ", pk.n0, pk.n1, DEFAULT_KAPPA, pk.c, pk.z)
-    items = sorted(pk.hardcoded.items(), key=lambda t: t[0].sort_key())
+    items = sorted(pk.hardcoded.items())
     out = [struct.pack("<I", len(blob)), blob, head, struct.pack("<I", len(items))]
     for node, value in items:
         enc = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-        out.append(struct.pack("<HQ", node.depth, node.path))
+        depth = node.bit_length() - 1
+        out.append(struct.pack("<HQ", depth, node ^ 1 << depth))
         out.append(struct.pack("<H", len(enc)))
         out.append(enc)
     return b"".join(out)
@@ -474,27 +472,27 @@ def deserialize_permuted(data: bytes) -> PermutedMergeKey:
     hard = {}
     for _ in range(count):
         depth, path = r.unpack("<HQ")
-        node = NodeId(depth, r.fits(path, depth, "node path"))
+        node = 1 << depth | r.fits(path, depth, "node path")
         hard[node] = int.from_bytes(r.blob("<H"), "big")
     r.done()
     n = n0 + n1
     if not 0 <= z < n - 1 or c > 1:
         raise ContractError(f"permuted merge key swap z={z}, c={c} outside [0, N-1) x {{0, 1}}")
     spans = hardcoded_values(n, z, 0, lambda nd: span(n, nd)[1])
-    inner = {nd for nd in spans if nd.child(0) in spans}
+    inner = {nd for nd in spans if nd << 1 in spans}
     for got, want, what in [(hard.keys(), spans.keys(), "hard-coded nodes"),
                             (set(punct.punctured), inner, "punctured nodes"),
                             ({pos for pos, _ in punct.copath}, spans.keys() - inner, "copath positions")]:
         if got != want:
             raise ContractError(f"permuted merge key {what} are not those of the swap at z={z}")
     for node in inner:
-        if hard[node] != hard[node.child(0)] + hard[node.child(1)]:
-            raise ContractError(f"hard-coded tally at {node} is not the sum of its children")
+        if hard[node] != hard[node << 1] + hard[node << 1 | 1]:
+            raise ContractError(f"hard-coded tally at {prng.node_name(node)} is not the sum of its children")
     for node, value in hard.items():
         if value > spans[node]:
-            raise ContractError(f"hard-coded tally {value} at {node} outside [0, {spans[node]}]")
-    if hard[prng.ROOT] != n1:
-        raise ContractError(f"permuted merge key root tally {hard[prng.ROOT]} is not n1 = {n1}")
+            raise ContractError(f"hard-coded tally {value} at {prng.node_name(node)} outside [0, {spans[node]}]")
+    if hard[1] != n1:
+        raise ContractError(f"permuted merge key root tally {hard[1]} is not n1 = {n1}")
     if hard[_path_nodes(n, z)[-1]] == hard[_path_nodes(n, z + 1)[-1]]:
         raise ContractError(f"permuted merge key leaves z={z} and z+1 hold the same pile bit")
     return PermutedMergeKey(punct, hard, z, c, n0, n1)

@@ -14,11 +14,13 @@ so test vectors stay portable:
   needs the GGM tree refuses it with ``UnsupportedBackend``.
 
 The same machinery serves two input shapes: classic byte-string inputs (the
-GGM leaf at the input's bit path) and explicit tree node addresses
-(depth, path), which lets a caller evaluate and puncture at *internal*
-positions of the tree.  Internal-node outputs are domain-separated from the
-seeds of their children, so revealing a child seed never reveals the parent's
-output.
+GGM leaf at the input's bit path) and explicit tree nodes, which lets a
+caller evaluate and puncture at *internal* positions of the tree.  A node is
+its heap index, an int >= 1: 1 is the root, ``node << 1 | b`` is child b and
+``node >> 1`` the parent, so the depth is ``node.bit_length() - 1`` and the
+path is the bits below the leading one.  Integer order is (depth, path)
+order.  Internal-node outputs are domain-separated from the seeds of their
+children, so revealing a child seed never reveals the parent's output.
 """
 
 from __future__ import annotations
@@ -71,41 +73,24 @@ def mix64(a: int, b: int, c: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class NodeId:
-    """A position in the GGM binary tree: ``path`` is the top ``depth`` bits."""
-
-    depth: int
-    path: int
-
-    def __post_init__(self):
-        if self.depth < 0 or self.path < 0 or self.path >> self.depth:
-            raise DimensionError("path does not fit in depth bits")
-
-    def child(self, bit: int) -> "NodeId":
-        return NodeId(self.depth + 1, (self.path << 1) | (bit & 1))
-
-    @cached_property
-    def branches(self) -> tuple[bytes, ...]:
-        """The branch byte ``_descend`` appends at each level, root first."""
-        return tuple(map(_BIT_OF.__getitem__, format((1 << self.depth) | self.path, "b")[1:]))
-
-    def bit(self, level: int) -> int:
-        """Bit at tree level ``level`` (0 = first branch below the root)."""
-        return (self.path >> (self.depth - 1 - level)) & 1
-
-    def is_ancestor_of(self, other: "NodeId") -> bool:
-        """Reflexive ancestry in the tree."""
-        return (
-            self.depth <= other.depth
-            and (other.path >> (other.depth - self.depth)) == self.path
-        )
-
-    def sort_key(self):
-        return (self.depth, self.path)
+def node_depth(node: int) -> int:
+    """Depth of a tree node; refuses an int that is no heap index."""
+    if node < 1:
+        raise DimensionError(f"tree node {node} is not a heap index >= 1")
+    return node.bit_length() - 1
 
 
-ROOT = NodeId(0, 0)
+def node_name(node: int) -> str:
+    """A tree node as errors name it, by depth and path."""
+    depth = node.bit_length() - 1
+    return f"node (depth {depth}, path {node ^ 1 << depth})"
+
+
+@lru_cache(maxsize=256)
+def _branches(node: int) -> tuple[bytes, ...]:
+    """The branch byte ``_descend`` appends at each level, root first."""
+    node_depth(node)  # refuses an int below 1
+    return tuple(map(_BIT_OF.__getitem__, format(node, "b")[1:]))
 
 
 @dataclass(frozen=True)
@@ -155,21 +140,20 @@ def _finalize(seed: bytes, out_len: int) -> bytes:
     return b"".join(blocks)[:out_len]
 
 
-@lru_cache(maxsize=256)
-def _bytes_to_node(x: bytes) -> NodeId:
-    """The leaf at x's bit path; repeated inputs share one node and its branches."""
-    return NodeId(8 * len(x), int.from_bytes(x, "big"))
+def _bytes_to_node(x: bytes) -> int:
+    """The leaf at x's bit path."""
+    return 1 << 8 * len(x) | int.from_bytes(x, "big")
 
 
-def _descend(seed: bytes, node: NodeId, from_depth: int = 0) -> bytes:
+def _descend(seed: bytes, node: int, from_depth: int = 0) -> bytes:
     """Seed at ``node``, from ``seed`` at its ancestor of depth ``from_depth``."""
     sha256 = hashlib.sha256
-    for branch in node.branches[from_depth:]:
+    for branch in _branches(node)[from_depth:]:
         seed = sha256(seed + branch).digest()
     return seed
 
 
-def tree_eval(key: PrfKey, node: NodeId, out_len: int) -> bytes:
+def tree_eval(key: PrfKey, node: int, out_len: int) -> bytes:
     """PRF output at an arbitrary tree node (internal nodes allowed)."""
     if out_len < 1:
         raise DimensionError("out_len must be >= 1")
@@ -193,13 +177,13 @@ class PuncturedPrfKey:
     set.
     """
 
-    punctured: tuple[NodeId, ...]
-    copath: tuple[tuple[NodeId, bytes], ...]
+    punctured: tuple[int, ...]
+    copath: tuple[tuple[int, bytes], ...]
     domain_tag: bytes = b""
 
 
 def puncture_nodes(
-    key: PrfKey, nodes: Iterable[NodeId], floor_depth: Optional[int] = None
+    key: PrfKey, nodes: Iterable[int], floor_depth: Optional[int] = None
 ) -> PuncturedPrfKey:
     """Puncture at arbitrary tree nodes (and implicitly their ancestors).
 
@@ -210,23 +194,23 @@ def puncture_nodes(
     """
     if key.backend != BACKEND_SHA256:
         raise UnsupportedBackend(_SHA256_ONLY)
-    pts = sorted(set(nodes), key=NodeId.sort_key)
-    closed = {NodeId(d, p.path >> (p.depth - d)) for p in pts for d in range(p.depth + 1)}
-    copath: list[tuple[NodeId, bytes]] = []
-    if ROOT not in closed:
-        copath.append((ROOT, key.root_seed()))
+    pts = sorted(set(nodes))
+    closed = {p >> up for p in pts for up in range(node_depth(p) + 1)}
+    copath: list[tuple[int, bytes]] = []
+    if not pts:
+        copath.append((1, key.root_seed()))
     else:
         # walk the closure; keep each child that exits it
-        frontier = [(ROOT, key.root_seed())]
+        frontier = [(1, key.root_seed())]
         while frontier:
             node, seed = frontier.pop()
             for bit in (0, 1):
-                ch = node.child(bit)
+                ch = node << 1 | bit
                 if ch in closed:
                     frontier.append((ch, _expand(seed, bit)))
-                elif floor_depth is None or ch.depth <= floor_depth:
+                elif floor_depth is None or ch.bit_length() - 1 <= floor_depth:
                     copath.append((ch, _expand(seed, bit)))
-    copath.sort(key=lambda t: t[0].sort_key())
+    copath.sort()
     return PuncturedPrfKey(tuple(pts), tuple(copath), key.domain_tag)
 
 
@@ -240,11 +224,13 @@ def puncture(key: PrfKey, s: Iterable[bytes]) -> PuncturedPrfKey:
     return puncture_nodes(key, (_bytes_to_node(x) for x in pts), floor_depth=floor)
 
 
-def punctured_tree_eval(pk: PuncturedPrfKey, node: NodeId, out_len: int) -> bytes:
+def punctured_tree_eval(pk: PuncturedPrfKey, node: int, out_len: int) -> bytes:
+    depth = node_depth(node)
     for pos, seed in pk.copath:
-        if pos.is_ancestor_of(node):
-            return _finalize(_descend(seed, node, from_depth=pos.depth), out_len)
-    raise PunctureError(f"node (depth={node.depth}, path={node.path:#x}) is punctured")
+        pos_depth = pos.bit_length() - 1
+        if pos_depth <= depth and node >> depth - pos_depth == pos:
+            return _finalize(_descend(seed, node, from_depth=pos_depth), out_len)
+    raise PunctureError(f"{node_name(node)} is punctured")
 
 
 def punctured_eval(pk: PuncturedPrfKey, x: bytes, out_len: int) -> bytes:
@@ -308,12 +294,13 @@ def derive_key(key: PrfKey, label: bytes, *more: bytes) -> PrfKey | tuple[PrfKey
     keys = []
     for lab in (label, *more):
         node = _bytes_to_node(_DERIVE + lab)
-        depth = min(node.depth, last.depth)
-        split = (node.path >> (node.depth - depth)) ^ (last.path >> (last.depth - depth))
+        node_d, last_d = node.bit_length() - 1, last.bit_length() - 1
+        depth = min(node_d, last_d)
+        split = (node >> (node_d - depth)) ^ (last >> (last_d - depth))
         common = depth - split.bit_length()  # the levels node and last share
         del seeds[common - _DERIVE_DEPTH + 1:]
         seed = seeds[-1]
-        for branch in node.branches[common:]:
+        for branch in _branches(node)[common:]:
             seed = sha256(seed + branch).digest()
             seeds.append(seed)
         keys.append(PrfKey(_finalize(seed, SEED_LEN), key.domain_tag + b"/" + lab))
@@ -346,23 +333,24 @@ def deserialize_key(data: bytes) -> PrfKey:
     return PrfKey(seed, tag, backend)
 
 
-def _pack_node(n: NodeId) -> bytes:
-    return struct.pack("<H", n.depth) + n.path.to_bytes((n.depth + 7) // 8 or 1, "big")
+def _pack_node(node: int) -> bytes:
+    depth = node.bit_length() - 1
+    return struct.pack("<H", depth) + (node ^ 1 << depth).to_bytes((depth + 7) // 8 or 1, "big")
 
 
-def _read_node(r: Reader) -> NodeId:
+def _read_node(r: Reader) -> int:
     (depth,) = r.unpack("<H")
     path = int.from_bytes(r.take((depth + 7) // 8 or 1), "big")
-    return NodeId(depth, r.fits(path, depth, "node path"))
+    return 1 << depth | r.fits(path, depth, "node path")
 
 
 def serialize_punctured(pk: PuncturedPrfKey) -> bytes:
     """algorithm-id (always sha256), sorted punctured points, sorted (position, seed) copath."""
     out = [bytes([BACKEND_SHA256]), struct.pack("<H", len(pk.domain_tag)), pk.domain_tag]
-    pts = sorted(pk.punctured, key=NodeId.sort_key)
+    pts = sorted(pk.punctured)
     out.append(struct.pack("<I", len(pts)))
     out.extend(_pack_node(p) for p in pts)
-    cp = sorted(pk.copath, key=lambda t: t[0].sort_key())
+    cp = sorted(pk.copath, key=lambda t: t[0])
     out.append(struct.pack("<I", len(cp)))
     for pos, seed in cp:
         out.append(_pack_node(pos))

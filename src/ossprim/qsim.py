@@ -10,7 +10,8 @@ The headline experiment: hash a uniform superposition with the coset oracle
 pair, uncompute the input, Hadamard the coset register, and ask the dual
 membership oracle.  A partially measured state (hash value measured, input
 superposition kept) passes with probability exactly 1; a fully measured
-input passes with probability exactly 2^-(k-r).
+input passes with probability exactly 2^-(n-r), one over the size of the
+coset of 2^(n-r) inputs that share its hash value.
 """
 
 from __future__ import annotations

@@ -217,6 +217,14 @@ def test_perm_domain_and_point_outside_their_range_are_errors(argv, message):
     assert proc.stderr.startswith(message) and b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("x", [5, -1])
+def test_merge_permute_eval_point_outside_its_range_is_an_error(x):
+    # --x is a flat index of [0, N), not an index within a pile
+    proc = run_cli(f"merge permute-eval --n0 1 --n1 1 --z 0 --c 1 --x {x}", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: --x outside [0, 2)") and b"Traceback" not in proc.stderr
+
+
 def test_truncated_instance_file_is_a_contract_error(tmp_path):
     inst = tmp_path / "inst.bin"
     run_process(f"oss gen --tiny 6,3,6 --seed 07 --out-inst {inst} --format kv", dev=True)

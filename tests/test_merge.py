@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ossprim import merge, permdecomp as pd, prng
-from ossprim.errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
-from ossprim.prng import NodeId
+from ossprim.errors import ContractError, DimensionError, InvariantViolation, RangeError, UnsupportedBackend
 
 
 def key(n0, n1, tag=0, **kw):
@@ -25,7 +24,7 @@ def materialize_leaves(k):
 
 def test_root_tally_is_n1():
     for (n0, n1) in [(4, 4), (3, 5), (7, 0), (0, 2)]:
-        assert merge.tally(key(n0, n1), prng.ROOT) == n1
+        assert merge.tally(key(n0, n1), 1) == n1
 
 
 def test_no_right_pile_is_identity():
@@ -33,7 +32,7 @@ def test_no_right_pile_is_identity():
     for node_z in range(6):
         assert merge.merge_inverse(k, node_z) == (0, node_z)
         assert merge.merge_forward(k, 0, node_z) == node_z
-    assert all(merge.tally(k, NodeId(1, b)) == 0 for b in (0, 1))
+    assert all(merge.tally(k, 0b10 | b) == 0 for b in (0, 1))
 
 
 def test_no_left_pile_is_identity_on_right():
@@ -48,7 +47,7 @@ def test_two_leaf_enumeration():
     seen = set()
     for tag in range(40):
         k = key(1, 1, tag)
-        leaves = (merge.tally(k, NodeId(1, 0)), merge.tally(k, NodeId(1, 1)))
+        leaves = (merge.tally(k, 0b10), merge.tally(k, 0b11))
         assert leaves in {(0, 1), (1, 0)}
         seen.add(leaves)
     assert seen == {(0, 1), (1, 0)}
@@ -108,17 +107,36 @@ def test_range_errors():
         merge.merge_forward(k, 0, 3)
 
 
+def test_a_node_below_a_leaf_is_outside_the_tree():
+    # a leaf has no children, not even the left one, which has its leaf count
+    k = key(1, 1)
+    for node in (0b100, 0b101, 0b110, 0b111, 0b100000):
+        with pytest.raises(RangeError, match="node outside the tree"):
+            merge.span(2, node)
+        with pytest.raises(RangeError, match="node outside the tree"):
+            merge.tally(k, node)
+    assert set(k._values) <= {0b10, 0b11}
+
+
+@pytest.mark.parametrize("node", [0, -1, -6])
+def test_an_int_below_one_is_no_tally_node(node):
+    # node 0 would otherwise read as the root: span(6, 0) would be (0, 6)
+    for refused in [lambda: merge.tally(key(3, 3), node), lambda: merge.span(6, node)]:
+        with pytest.raises(DimensionError, match=f"tree node {node} is not a heap index"):
+            refused()
+
+
 def test_parent_consistency_exact():
     k = key(9, 11, tag=5)
     for depth in range(1, 4):
         for path in range(1 << (depth - 1)):
-            parent = NodeId(depth - 1, path)
+            parent = 1 << (depth - 1) | path
             try:
-                merge.span(k.n, parent.child(0))
+                merge.span(k.n, parent << 1)
             except RangeError:
                 continue
             assert merge.tally(k, parent) == (
-                merge.tally(k, parent.child(0)) + merge.tally(k, parent.child(1)))
+                merge.tally(k, parent << 1) + merge.tally(k, parent << 1 | 1))
 
 
 # -- key permutation ------------------------------------------------------------
@@ -160,8 +178,8 @@ def test_hardcoded_set_is_paths_plus_siblings():
     path_nodes = set(merge._path_nodes(16, z)) | set(merge._path_nodes(16, z + 1))
     expected = set(path_nodes)
     for nd in path_nodes:
-        if nd.depth:
-            expected.add(NodeId(nd.depth, nd.path ^ 1))
+        if nd > 1:
+            expected.add(nd ^ 1)
     assert set(pmk.hardcoded) == expected
     punctured = set(pmk.punctured.punctured)
     leaves = {merge._path_nodes(16, z)[-1], merge._path_nodes(16, z + 1)[-1]}
@@ -181,7 +199,8 @@ def test_c_flip_changes_exactly_leaves_and_disjoint_chains():
     # the changed set splits into the two disjoint ancestor chains below the
     # common ancestor; each chain's values move by exactly +-1
     for nd in changed:
-        assert nd.is_ancestor_of(leaf0) != nd.is_ancestor_of(leaf1)
+        assert (leaf0 >> (leaf0.bit_length() - nd.bit_length()) == nd) != (
+            leaf1 >> (leaf1.bit_length() - nd.bit_length()) == nd)
         assert abs(p0.hardcoded[nd] - p1.hardcoded[nd]) == 1
 
 
@@ -193,7 +212,7 @@ def test_permuted_parent_consistency():
         pmk = merge.merge_permute(k, z, c)
         hard = pmk.hardcoded
         for nd, v in hard.items():
-            c0, c1 = nd.child(0), nd.child(1)
+            c0, c1 = nd << 1, nd << 1 | 1
             if c0 in hard and c1 in hard:
                 assert v == hard[c0] + hard[c1]
 
@@ -207,7 +226,7 @@ def test_permuted_key_never_consults_punctured_nodes():
         merge.permuted_merge_inverse(pmk, zz)  # must not raise
     # corrupting the hard-coded table exposes the invariant violation
     broken = dict(pmk.hardcoded)
-    victim = next(nd for nd in broken if nd.depth == 1)
+    victim = next(nd for nd in broken if nd.bit_length() == 2)
     del broken[victim]
     bad = merge.PermutedMergeKey(pmk.punctured, broken, pmk.z, pmk.c, pmk.n0, pmk.n1)
     with pytest.raises(InvariantViolation):
@@ -545,9 +564,9 @@ def test_gauss_parent_consistency_at_2_40():
     for _ in range(25):
         depth = int(rng.integers(0, 39))
         path = int(rng.integers(0, 1 << depth)) if depth else 0
-        parent = NodeId(depth, path)
+        parent = 1 << depth | path
         v = merge.tally(k, parent)
-        assert v == merge.tally(k, parent.child(0)) + merge.tally(k, parent.child(1))
+        assert v == merge.tally(k, parent << 1) + merge.tally(k, parent << 1 | 1)
         assert 0 <= v <= merge.span(k.n, parent)[1]
 
 

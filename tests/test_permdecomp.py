@@ -205,6 +205,13 @@ def test_verify_detects_corrupted_schedule():
     assert not pd.verify_decomposition(bad).ok
 
 
+def test_verify_reports_a_wraparound_block_swap_as_a_failed_step():
+    # a member's wraparound swap (3 0) is no neighbor swap inside its block
+    rep = pd.verify_decomposition(pd.controlled(4, lambda v: pd.neighbor_swap(4, 3), 2))
+    assert not rep.ok
+    assert rep.failures == [f"step {i}: wraparound sub-swap cannot embed in a block" for i in (1, 2)]
+
+
 def test_verify_detects_empty_schedule_with_nonidentity():
     bad = replace(pd.identity_perm(8), forward=lambda x: x ^ 1, inverse=lambda x: x ^ 1)
     assert not pd.verify_decomposition(bad).ok

@@ -6,8 +6,8 @@ import struct
 import pytest
 
 from ossprim import nsprp, prng
-from ossprim.errors import PunctureError, UnsupportedBackend
-from ossprim.prng import NodeId, PrfKey
+from ossprim.errors import DimensionError, PunctureError, UnsupportedBackend
+from ossprim.prng import PrfKey
 from ossprim.wire import Reader
 
 
@@ -64,8 +64,8 @@ def test_nested_puncture_copath_shape():
     # puncturing the half-domain {00,01} of a 2-bit tree keeps one seed
     # for subtree 1 and nothing under 0
     key = PrfKey(b"\x08" * 32, b"tree")
-    pk = prng.puncture_nodes(key, [NodeId(2, 0b00), NodeId(2, 0b01)], floor_depth=2)
-    assert [pos for pos, _ in pk.copath] == [NodeId(1, 1)]
+    pk = prng.puncture_nodes(key, [0b100, 0b101], floor_depth=2)
+    assert [pos for pos, _ in pk.copath] == [0b11]
 
 
 def test_ggm_correctness_randomized_sets_10bit():
@@ -102,7 +102,7 @@ def test_copath_positions_pairwise_non_ancestral():
     key = PrfKey(b"\x0b" * 32, b"anc")
     pk = prng.puncture(key, [b"\x00", b"\xff", b"\x81"])
     for (a, _), (b, _) in itertools.permutations(pk.copath, 2):
-        assert not a.is_ancestor_of(b)
+        assert all(b >> up != a for up in range(b.bit_length()))
 
 
 def test_bit_stream_deterministic_and_balanced():
@@ -146,7 +146,7 @@ def test_fastmix_keys_refuse_the_prf_stream_derivation_and_puncturing():
     k = PrfKey(b"\x0d" * 32, b"fast", prng.BACKEND_FASTMIX)
     assert k.fast_words() == struct.unpack("<QQ", k.root_seed()[:16])
     for refused in [lambda: prng.prf_eval(k, b"x", 8), lambda: prng.derive_key(k, b"x"),
-                    lambda: prng.bit_stream(k, b"x"), lambda: prng.puncture_nodes(k, [NodeId(1, 0)])]:
+                    lambda: prng.bit_stream(k, b"x"), lambda: prng.puncture_nodes(k, [0b10])]:
         with pytest.raises(UnsupportedBackend, match="fastmix keys supply key words only"):
             refused()
 
@@ -164,11 +164,11 @@ def test_descend_matches_stepwise_expand():
     rng = random.Random(6)
     for _ in range(300):
         depth = rng.randint(0, 130)
-        node = NodeId(depth, rng.getrandbits(depth) if depth else 0)
+        node = 1 << depth | (rng.getrandbits(depth) if depth else 0)
         seed = rng.randbytes(32)
         walk = [seed]
         for lvl in range(depth):
-            walk.append(prng._expand(walk[-1], (node.path >> (depth - 1 - lvl)) & 1))
+            walk.append(prng._expand(walk[-1], (node >> (depth - 1 - lvl)) & 1))
         for from_depth in range(depth + 1):
             assert prng._descend(walk[from_depth], node, from_depth) == walk[depth]
 
@@ -176,8 +176,8 @@ def test_descend_matches_stepwise_expand():
 def test_node_branches_are_the_path_bits_root_first():
     rng = random.Random(7)
     for depth in list(range(10)) + [rng.randint(10, 300) for _ in range(50)]:
-        node = NodeId(depth, rng.getrandbits(depth) if depth else 0)
-        assert node.branches == tuple(prng._BIT[node.bit(lvl)] for lvl in range(depth))
+        node = 1 << depth | (rng.getrandbits(depth) if depth else 0)
+        assert prng._branches(node) == tuple(prng._BIT[node >> (depth - 1 - lvl) & 1] for lvl in range(depth))
 
 
 def _finalize_reference(seed, out_len):
@@ -192,12 +192,24 @@ def test_finalize_matches_the_multi_block_stream():
         assert prng._finalize(seed, out_len) == _finalize_reference(seed, out_len)
 
 
-def test_bytes_to_node_memo_is_bounded():
-    size = prng._bytes_to_node.cache_info().maxsize
+def test_node_branches_memo_is_bounded():
+    size = prng._branches.cache_info().maxsize
+    assert size == 256
     for i in range(size + 50):
-        assert prng._bytes_to_node(i.to_bytes(4, "big")) == NodeId(32, i)
-    assert prng._bytes_to_node.cache_info().currsize <= size
-    assert prng._bytes_to_node(b"\x02xorbit") is prng._bytes_to_node(b"\x02xorbit")
+        node = prng._bytes_to_node(i.to_bytes(4, "big"))
+        assert node == 1 << 32 | i and prng._branches(node)[-1] == prng._BIT[i & 1]
+    assert prng._branches.cache_info().currsize <= size
+    node = prng._bytes_to_node(b"\x02xorbit")
+    assert prng._branches(node) is prng._branches(node)
+
+
+@pytest.mark.parametrize("node", [0, -1, -6])
+def test_an_int_below_one_is_no_tree_node(node):
+    pk = prng.puncture_nodes(K, [5])
+    for refused in [lambda: prng.tree_eval(K, node, 8), lambda: prng.puncture_nodes(K, [3, node]),
+                    lambda: prng.punctured_tree_eval(pk, node, 8)]:
+        with pytest.raises(DimensionError, match=f"tree node {node} is not a heap index"):
+            refused()
 
 
 class _CountingHashlib:

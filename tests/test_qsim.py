@@ -135,16 +135,26 @@ def test_sign_retry_budget_failure_surfaces():
         qsim.oss_sign_demo(inst, 1, np.random.default_rng(0), max_retries=0)
 
 
-def test_noncollapse_demo_script():
+def _noncollapse_demo_rows(*args):
+    """The demo script's rows, once its header and every row's numbers check."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "noncollapse_demo.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120,
-                          env=src_env())
+    proc = subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True,
+                          timeout=120, env=src_env())
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["(n,r,k)", "partial", "full", "2^-(k-r)"]
-    assert len(rows) == 4
+    assert header.split() == ["(n,r,k)", "partial", "full", "2^-(n-r)"]
     for row in rows:
         shape, partial, full, gap = row.split()
-        _, r, k = (int(v) for v in shape.split(","))
+        n, r, _ = (int(v) for v in shape.split(","))
         assert partial == "1.000000000"
-        assert float(full) == float(gap) == 2.0 ** -(k - r)
+        assert float(full) == float(gap) == 2.0 ** -(n - r)
+    return rows
+
+
+def test_noncollapse_demo_script():
+    assert len(_noncollapse_demo_rows()) == 4
+
+
+def test_noncollapse_demo_script_with_k_above_n():
+    # the default shapes all have n = k; these tell 2^-(n-r) from 2^-(k-r)
+    assert len(_noncollapse_demo_rows("--shapes", "4,2,6;3,1,5")) == 2

@@ -10,7 +10,7 @@ import pytest
 
 from ossprim import gf2, lwehash as lh, merge, nsprp, opprp, oss, prng, wire
 from ossprim.errors import ContractError
-from ossprim.prng import NodeId, PrfKey, bit_stream
+from ossprim.prng import PrfKey, bit_stream
 
 KEY = PrfKey(b"\x71" * 32, b"wire-tests")
 
@@ -35,7 +35,7 @@ def _lwe_keys():
 # name -> (object factory, serialize, deserialize)
 ARTIFACTS = {
     "prf_key": (lambda: KEY, prng.serialize_key, prng.deserialize_key),
-    "punctured_prf_key": (lambda: prng.puncture_nodes(KEY, {NodeId(3, 5), NodeId(9, 300)}),
+    "punctured_prf_key": (lambda: prng.puncture_nodes(KEY, {1 << 3 | 5, 1 << 9 | 300}),
                           prng.serialize_punctured, prng.deserialize_punctured),
     "merge_key": (_merge_key, merge.serialize_key, merge.deserialize_key),
     "permuted_merge_key": (_permuted_merge_key, merge.serialize_permuted,
@@ -89,7 +89,7 @@ def _edited_permuted_merge_blob(tallies=None, punctured=lambda p: p):
     tally (0, 0): 6, (1, 0): 3, (1, 1): 3, (2, 0): 2, (2, 1): 1, (3, 0): 1,
     (3, 1): 1, (4, 0): 1, (4, 1): 0."""
     pmk = _permuted_merge_key()
-    hard = {**pmk.hardcoded, **{NodeId(*nd): v for nd, v in (tallies or {}).items()}}
+    hard = {**pmk.hardcoded, **{1 << depth | path: v for (depth, path), v in (tallies or {}).items()}}
     return merge.serialize_permuted(merge.PermutedMergeKey(
         punctured(pmk.punctured), hard, pmk.z, pmk.c, pmk.n0, pmk.n1))
 
@@ -107,16 +107,16 @@ def _sha256_owp_public_blob_22():
 
 def _wide_punctured_path_blob():
     blob = blob_of("punctured_prf_key")
-    at = blob.index(b"\x03\x00\x05") + 2  # NodeId(3, 5): depth u16, one path byte
+    at = blob.index(b"\x03\x00\x05") + 2  # node (depth 3, path 5): depth u16, one path byte
     return _patched(blob, at, 0xFF)
 
 
 def _wide_hardcoded_path_blob():
     pmk = _permuted_merge_key()
     blob = merge.serialize_permuted(pmk)
-    first = min(pmk.hardcoded, key=NodeId.sort_key)
+    first = min(pmk.hardcoded)
     at = 4 + len(prng.serialize_punctured(pmk.punctured)) + 29 + 4 + 2  # first node's path u64
-    return blob[:at] + (first.path | 1 << first.depth).to_bytes(8, "little") + blob[at + 8:]
+    return blob[:at] + first.to_bytes(8, "little") + blob[at + 8:]
 
 
 def _permuted_prp_blob(n, z, c):
@@ -214,7 +214,7 @@ HEADER_CASES = [
      "permuted merge key copath positions are not those of the swap at z=0"),
     ("permuted merge tally above its span", merge.deserialize_permuted,
      lambda: _edited_permuted_merge_blob({(0, 0): 9, (1, 1): 6}),
-     "hard-coded tally 6 at NodeId(depth=1, path=1) outside [0, 5]"),
+     "hard-coded tally 6 at node (depth 1, path 1) outside [0, 5]"),
     ("permuted merge root tally", merge.deserialize_permuted,
      lambda: _edited_permuted_merge_blob({(0, 0): 5, (1, 1): 2}),
      "permuted merge key root tally 5 is not n1 = 6"),
