@@ -64,15 +64,6 @@ def _seed(i: int) -> bytes:
     return prng.prf_eval(prng.PrfKey(b"\x5a" * 32, b"checks"), i.to_bytes(8, "big"), 32)
 
 
-def _merge_table(k: merge_mod.MergeKey) -> list[int]:
-    out = [0] * k.n
-    for b in (0, 1):
-        nb = k.n1 if b else k.n0
-        for x in range(nb):
-            out[x + (k.n0 if b else 0)] = merge_mod.merge_forward(k, b, x)
-    return out
-
-
 # -- criterion 1 --------------------------------------------------------------------
 
 @_timed("CRIT-01 merge correctness", budget=60, quick=dict(n_max=64, keys_per_n=5))
@@ -84,19 +75,15 @@ def crit01_merge_correctness(n_max: int = 256, keys_per_n: int = 50) -> tuple[bo
     for n in range(1, n_max + 1):
         for i in range(keys_per_n):
             n0 = split_stream.randbelow(n + 1)
-            k = merge_mod.make_merge_key(_seed(n * 1000 + i), n0, n - n0)
-            img = []
-            for b in (0, 1):
-                nb = k.n1 if b else k.n0
-                pile = [merge_mod.merge_forward(k, b, x) for x in range(nb)]
+            perm = merge_mod.merge_perm(merge_mod.make_merge_key(_seed(n * 1000 + i), n0, n - n0))
+            img = perm.table()
+            for b, pile in enumerate((img[:n0], img[n0:])):
                 if pile != sorted(pile):
                     return False, f"order violated at N={n} key {i} pile {b}"
-                img.extend(pile)
             if sorted(img) != list(range(n)):
                 return False, f"not a bijection at N={n} key {i}"
             for z in range(n):
-                b, x = merge_mod.merge_inverse(k, z)
-                if merge_mod.merge_forward(k, b, x) != z:
+                if img[perm.inverse(z)] != z:
                     return False, f"round trip failed at N={n} key {i} z={z}"
             checked += 1
     return True, f"{checked} keys, N ≤ {n_max}, every point"
@@ -135,7 +122,7 @@ def crit03_merge_neighbor_swap(n_max: int = 64) -> tuple[bool, str]:
     for n in range(2, n_max + 1):
         n0 = split_stream.randbelow(n + 1)
         k = merge_mod.make_merge_key(_seed(30_000 + n), n0, n - n0)
-        base = _merge_table(k)
+        base = merge_mod.merge_perm(k).table()
         for z in range(n - 1):
             same_pile = merge_mod.merge_inverse(k, z)[0] == merge_mod.merge_inverse(k, z + 1)[0]
             for c in (0, 1):
@@ -144,14 +131,13 @@ def crit03_merge_neighbor_swap(n_max: int = 64) -> tuple[bool, str]:
                     return False, f"legality wrong at N={n} z={z}"
                 if pmk is None:
                     continue
-                got = [merge_mod.permuted_merge_eval(pmk, 1 if e >= n0 else 0, e - n0 if e >= n0 else e)
-                       for e in range(n)]
+                perm = merge_mod.merge_perm(pmk)
+                got = perm.table()
                 want = [pd._tau(n, z, w) for w in base] if c else base
                 if got != want:
                     return False, f"permuted eval wrong at N={n} z={z} c={c}"
                 for zz in range(n):
-                    b, x = merge_mod.permuted_merge_inverse(pmk, zz)
-                    if got[x + (n0 if b else 0)] != zz:
+                    if got[perm.inverse(zz)] != zz:
                         return False, f"permuted inverse wrong at N={n} z={z} c={c}"
                 checked += 1
     return True, f"{checked} legal (z, c) pairs, every point, N ≤ {n_max}"
@@ -221,13 +207,13 @@ def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 
         base = [nsprp.prp_forward(k, x) for x in range(n)]
         for z in range(n - 1):
             for c in (0, 1):
-                pk = nsprp.prp_permute(k, z, c)  # totality: must never fail
-                got = [nsprp.permuted_prp_forward(pk, x) for x in range(n)]
+                perm = nsprp.prp_perm(nsprp.prp_permute(k, z, c))  # totality: must never fail
+                got = perm.table()
                 want = [pd._tau(n, z, w) for w in base] if c else base
                 if got != want:
                     return False, f"permuted eval wrong at N={n} z={z} c={c}"
                 for zz in range(n):
-                    if nsprp.permuted_prp_inverse(pk, zz) != got.index(zz):
+                    if perm.inverse(zz) != got.index(zz):
                         return False, f"permuted inverse wrong at N={n} z={z} c={c}"
                 pairs += 1
     return True, f"round trips N ≤ {round_max}; chi2={stat:.1f} < {threshold:.1f}; {pairs} permuted keys total"

@@ -119,8 +119,7 @@ def cmd_prp(args, out: _Out) -> int:
     elif args.sub == "inv":
         out.emit("x", nsprp.prp_inverse(k, args.z))
     elif args.sub == "permute-eval":
-        pk = nsprp.prp_permute(k, args.z, args.c)
-        out.emit("y", nsprp.permuted_prp_forward(pk, args.x))
+        out.emit("y", nsprp.prp_forward(nsprp.prp_permute(k, args.z, args.c), args.x))
     elif args.sub == "decompose":
         for i, st in enumerate(nsprp.prp_decompose(k)):
             if i >= args.limit:
@@ -146,8 +145,7 @@ def cmd_merge(args, out: _Out) -> int:
         if pmk is None:
             out.emit("illegal", 1, "illegal swap (both preimages in one pile)")
             return 1
-        b = 1 if args.x >= args.n0 else 0
-        out.emit("z", merge_mod.permuted_merge_eval(pmk, b, args.x - args.n0 if b else args.x))
+        out.emit("z", merge_mod.merge_perm(pmk).forward(args.x))
     return 0
 
 

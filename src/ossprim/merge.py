@@ -40,7 +40,7 @@ from .errors import ContractError, InvariantViolation, RangeError, UnsupportedBa
 from .hypergeom import DEFAULT_KAPPA, EXACT_MAX_BITS, HypergeomParams, sample
 from .permdecomp import Perm
 from .prng import GOLDEN, MASK64, PrfKey, PuncturedPrfKey
-from .wire import Reader
+from .wire import Reader, u64
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,8 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
     The swap is illegal exactly when both preimages come from the same pile
     (the order-preserving property would be violated).
     """
+    if isinstance(k, PermutedMergeKey):
+        raise ContractError("key permutation takes an honest key")
     if not 0 <= z < k.n - 1:
         raise RangeError("need 0 <= z < N-1")
     if c not in (0, 1):
@@ -336,8 +338,25 @@ def hardcoded_values(n: int, z: int, c: int, value: Callable[[int], int]) -> dic
 
 # The c=1 +-1 adjustments keep every hard-coded parent the sum of its
 # children, so the honest walk's right = parent - left holds on permuted keys.
+# Nothing in the package calls these aliases; perfbench's workloads and
+# tracer look them up by name.
 permuted_merge_inverse = merge_inverse
 permuted_merge_eval = merge_forward
+
+
+def merge_perm(k: MergeKey | PermutedMergeKey) -> Perm:
+    """The merge a key, honest or permuted, defines on [N]: inputs [0, n0)
+    are pile 0 and the rest pile 1."""
+    n0 = k.n0
+
+    def forward(e: int) -> int:
+        return merge_forward(k, 1, e - n0) if e >= n0 else merge_forward(k, 0, e)
+
+    def inverse(z: int) -> int:
+        b, x = merge_inverse(k, z)
+        return x + n0 if b else x
+
+    return Perm(k.n, forward, inverse)
 
 
 # -- decomposition into neighbor swaps ------------------------------------------
@@ -351,40 +370,31 @@ class SwapStep(Perm):
     z: int
 
 
-def _intermediate_step(k: MergeKey, r: int, mover: int) -> SwapStep:
+def _intermediate_step(k: MergeKey, r: int, target: int, mover: int) -> SwapStep:
     """The swap at ``mover`` reaching the stage-(r, mover) intermediate merge.
 
-    Ones sit at the final positions of the first r-1 pile-1 elements, at
-    ``mover``, and in the packed block [N - (n1 - r), N).
+    Below ``target``, the final place of pile-1 element r-1, it is the final
+    merge.  From ``target`` up, element r-1 sits at ``mover``, elements r,
+    r+1, ... fill the block [N - (n1 - r), N) and pile 0 fills the other
+    places in order.
     """
-    n, n0, n1 = k.n, k.n0, k.n1
-    block = n - (n1 - r)
+    final, n, n0, block = merge_perm(k), k.n, k.n0, k.n - (k.n1 - r)
+    below = target - (r - 1)  # the pile-0 elements placed below target
 
-    def placed(z: int) -> tuple[int, int]:
-        """(the bit at z, the ones strictly before z) in the intermediate."""
-        b, x = merge_inverse(k, z)  # x counts the final ones before z iff b
-        ones = min(x if b else z - x, r - 1) + (mover < z) + max(0, z - block)
-        return int(z == mover or z >= block or (b == 1 and x < r - 1)), ones
+    # the final merge's evaluators also refuse a point outside [0, N)
+    def forward(e: int) -> int:
+        if e < below or n0 <= e < n0 + r - 1 or e >= n:
+            return final.forward(e)
+        if e < n0:
+            return e + r - 1 + (e + r - 1 >= mover)
+        return mover if e == n0 + r - 1 else block + (e - n0 - r)
 
     def inverse(z: int) -> int:
-        bit, ones = placed(z)
-        return n0 + ones if bit else z - ones
-
-    def forward(e: int) -> int:
-        x = e - n0
-        if x >= 0:
-            if x < r - 1:
-                return merge_forward(k, 1, x)
-            return mover if x == r - 1 else block + (x - r)
-        lo, hi = 0, n - 1  # the e-th zero by bisection over the monotone zero count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            bit, ones = placed(mid)
-            if mid - ones + (1 - bit) > e:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        if z < target or z >= n:
+            return final.inverse(z)
+        if z == mover:
+            return n0 + r - 1
+        return n0 + r + (z - block) if z >= block else z - (r - 1) - (z > mover)
 
     return SwapStep(n, forward, inverse, mover)
 
@@ -394,14 +404,14 @@ def merge_decompose(k: MergeKey) -> Iterator[SwapStep]:
 
     Streamed lazily in application order: folding ``swap z`` onto the current
     permutation (tau_z after it) through the whole schedule reproduces the
-    merge exactly.  At most n1 * N steps; each step's evaluators run in
-    O(log^2 N) via the original key's prefix counts.
+    merge exactly.  At most n1 * N steps; each evaluation of a step's
+    ``forward`` or ``inverse`` makes at most one tree walk.
     """
     n, n1 = k.n, k.n1
     for r in range(1, n1 + 1):
         target = merge_forward(k, 1, r - 1)
         for q in range(n - n1 + r - 1, target, -1):
-            yield _intermediate_step(k, r, q - 1)
+            yield _intermediate_step(k, r, target, q - 1)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -435,7 +445,7 @@ def read_sampler_key(r: Reader) -> PrfKey:
 
 
 def serialize_key(k: MergeKey) -> bytes:
-    return struct.pack("<QQ", k.n0, k.n1) + sampler_key_bytes(k.prf_key)
+    return struct.pack("<QQ", u64(k.n0, "merge key n0"), u64(k.n1, "merge key n1")) + sampler_key_bytes(k.prf_key)
 
 
 def deserialize_key(data: bytes) -> MergeKey:

@@ -34,7 +34,7 @@ from .hypergeom import DEFAULT_KAPPA
 from .merge import MergeKey, PermutedMergeKey, SwapStep
 from .permdecomp import Perm, identity_perm, neighbor_swap
 from .prng import PrfKey
-from .wire import Reader
+from .wire import Reader, u64
 
 
 class _Piles:
@@ -225,6 +225,8 @@ def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
     same-pile pair is adjacent inside its pile (order preservation) and the
     swap recurses there.
     """
+    if isinstance(k, PermutedPrpKey):
+        raise ContractError("key permutation takes an honest key")
     if not 0 <= z < k.n - 1:
         raise RangeError("need 0 <= z < N-1")
     if c not in (0, 1):
@@ -250,7 +252,9 @@ def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
     return pk
 
 
-# A permuted key is a pre-seeded key: the honest walk evaluates it.
+# A permuted key is a pre-seeded key: the honest walk evaluates it.  Nothing
+# in the package calls these aliases; perfbench's workloads and tracer look
+# them up by name.
 permuted_prp_forward = prp_forward
 permuted_prp_inverse = prp_inverse
 
@@ -306,7 +310,7 @@ def prp_decompose(k: PrpKey) -> Iterator[SwapStep]:
 # swap recurses into, the other child key and the honest merge key.
 
 def serialize_key(k: PrpKey) -> bytes:
-    return struct.pack("<Q", k.n - 1) + merge_mod.sampler_key_bytes(k.prf_key)
+    return struct.pack("<Q", u64(k.n - 1, "PRP key N - 1")) + merge_mod.sampler_key_bytes(k.prf_key)
 
 
 def deserialize_key(data: bytes) -> PrpKey:

@@ -18,7 +18,7 @@ from .errors import ContractError, DimensionError, RangeError
 from .nsprp import PrpKey, prp_forward, prp_inverse, prp_perm
 from .permdecomp import DecomposablePermutation, Perm
 from .prng import PrfKey
-from .wire import Reader
+from .wire import Reader, u64
 
 MOCK_LABEL = b"MOCK-IO: FUNCTIONAL ONLY, NO HIDING"
 _OWP_MAGIC = b"OWPK"
@@ -39,20 +39,22 @@ class MockObfuscation(Perm):
         # the domain size is stored as n-1 so 2^64 fits in the u64 field
         return (
             struct.pack("<H", len(self.label)) + self.label
-            + struct.pack("<QI", self.n - 1, len(self.payload)) + self.payload
+            + struct.pack("<QI", u64(self.n - 1, "sealed domain N - 1"), len(self.payload)) + self.payload
         )
 
 
 def _seal(k: PrpKey, c: int, p: Perm, label: bytes = MOCK_LABEL) -> MockObfuscation:
     """``p`` sealed with the mock payload of a program over ``k``: its PRF
     key, N - 1 and c, verbatim."""
-    payload = prng.serialize_key(k.prf_key) + struct.pack("<QB", k.n - 1, c)
+    payload = prng.serialize_key(k.prf_key) + struct.pack("<QB", u64(k.n - 1, "PRP key N - 1"), c)
     return MockObfuscation(p.n, p.forward, p.inverse, payload, label)
 
 
 def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> MockObfuscation:
     """Deterministic permuted key: the sealed pair computing Gamma^c o Pi(k, .)
     and its inverse Pi^-1(k, Gamma^-c(.)); it composes g on the output iff c=1."""
+    if isinstance(k, nsprp.PermutedPrpKey):
+        raise ContractError("key permutation takes an honest key")
     if g.n != k.n:
         raise DimensionError("permutation domain != PRP domain")
     if c not in (0, 1):

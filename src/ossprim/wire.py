@@ -3,14 +3,15 @@
 Contract: a deserializer reads its blob front to back through a ``Reader``
 and finishes with ``done()``, so truncated, overlong or mislabelled input
 raises ``ContractError`` and never a lower-level exception or a silently
-misread object.  Serializers write with ``struct.pack`` directly.
+misread object.  Serializers write with ``struct.pack`` directly, passing
+a u64 field that a wide key can overflow through ``u64``.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .errors import ContractError
+from .errors import ContractError, RangeError
 
 
 class Reader:
@@ -53,3 +54,11 @@ class Reader:
     def done(self) -> None:
         if self._off != len(self._data):
             raise ContractError(f"{len(self._data) - self._off} trailing bytes after {self.what}")
+
+
+def u64(value: int, field: str) -> int:
+    """``value`` for a serializer's u64 field, refused before packing if it
+    needs more than 64 bits."""
+    if value >> 64:
+        raise RangeError(f"{field} {value} does not fit its 64-bit field")
+    return value

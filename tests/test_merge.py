@@ -9,15 +9,6 @@ def key(n0, n1, tag=0, **kw):
     return merge.make_merge_key(bytes([tag % 256]) * 32, n0, n1, **kw)
 
 
-def flat_forward(k, e):
-    b = 1 if e >= k.n0 else 0
-    return merge.merge_forward(k, b, e - k.n0 if b else e)
-
-
-def full_table(k):
-    return [flat_forward(k, e) for e in range(k.n)]
-
-
 def materialize_leaves(k):
     return [merge.merge_inverse(k, z)[0] for z in range(k.n)]
 
@@ -67,14 +58,14 @@ def test_inverse_matches_bruteforce_reconstruction():
 def test_round_trip_and_order_sweep():
     for n in range(1, 65):
         k = key(n // 3, n - n // 3, tag=n)
-        table = full_table(k)
+        perm = merge.merge_perm(k)
+        table = perm.table()
         assert sorted(table) == list(range(n))
         piles = [table[: k.n0], table[k.n0 :]]
         for pile in piles:
             assert pile == sorted(pile)
         for z in range(n):
-            b, x = merge.merge_inverse(k, z)
-            assert merge.merge_forward(k, b, x) == z
+            assert table[perm.inverse(z)] == z
 
 
 def merge_forward_bsearch(k, b, x):
@@ -153,21 +144,18 @@ def test_permuted_eval_c0_and_c1_exhaustive():
     for tag in range(3):
         for (n0, n1) in [(4, 4), (3, 5), (6, 2)]:
             k = key(n0, n1, tag + 9)
-            base = full_table(k)
+            base = merge.merge_perm(k).table()
             for z in range(k.n - 1):
                 for c in (0, 1):
                     pmk = merge.merge_permute(k, z, c)
                     if pmk is None:
                         continue
-                    got = []
-                    for e in range(k.n):
-                        b = 1 if e >= n0 else 0
-                        got.append(merge.permuted_merge_eval(pmk, b, e - n0 if b else e))
+                    perm = merge.merge_perm(pmk)
+                    got = perm.table()
                     want = [pd._tau(k.n, z, w) for w in base] if c else base
                     assert got == want
                     for zz in range(k.n):
-                        b, x = merge.permuted_merge_inverse(pmk, zz)
-                        assert got[x + (n0 if b else 0)] == zz
+                        assert got[perm.inverse(zz)] == zz
 
 
 def test_hardcoded_set_is_paths_plus_siblings():
@@ -238,23 +226,25 @@ def test_permuted_serialization_round_trip():
     # a deserialized key rebuilds its memos from the parsed table and copath
     for tag, (n0, n1) in enumerate([(4, 4), (3, 4), (5, 6)], start=8):
         k = key(n0, n1, tag)
-        base = full_table(k)
+        base = merge.merge_perm(k).table()
         for z in range(k.n - 1):
             for c in (0, 1):
                 pmk = merge.merge_permute(k, z, c)
                 if pmk is None:
                     continue
-                back = merge.deserialize_permuted(merge.serialize_permuted(pmk))
+                perm = merge.merge_perm(pmk)
+                back = merge.merge_perm(merge.deserialize_permuted(merge.serialize_permuted(pmk)))
                 want = [pd._tau(k.n, z, w) for w in base] if c else base
-                for e in range(k.n):
-                    b = 1 if e >= n0 else 0
-                    x = e - n0 if b else e
-                    assert (merge.permuted_merge_eval(back, b, x)
-                            == merge.permuted_merge_eval(pmk, b, x) == want[e])
+                assert back.table() == perm.table() == want
                 for zz in range(k.n):
-                    b, x = merge.permuted_merge_inverse(back, zz)
-                    assert (b, x) == merge.permuted_merge_inverse(pmk, zz)
-                    assert want[x + (n0 if b else 0)] == zz
+                    assert want[back.inverse(zz)] == zz == want[perm.inverse(zz)]
+
+
+def test_permute_refuses_a_permuted_key():
+    k = key(4, 4, tag=9)
+    z = next(z for z in range(7) if merge.merge_inverse(k, z)[0] != merge.merge_inverse(k, z + 1)[0])
+    with pytest.raises(ContractError, match="honest key"):
+        merge.merge_permute(merge.merge_permute(k, z, 1), z, 1)
 
 
 def test_permute_requires_exact_sampler():
@@ -269,10 +259,18 @@ def test_decompose_identity_when_no_right_pile():
     assert list(merge.merge_decompose(key(5, 0))) == []
 
 
+def _decompose_keys():
+    """Honest keys of several shapes, and a permuted key."""
+    shapes = [(2, 2), (4, 4), (3, 5), (5, 3), (1, 6), (6, 1), (1, 1), (7, 9)]
+    keys = [key(n0, n1, tag + 20) for tag, (n0, n1) in enumerate(shapes)]
+    k = keys[-1]
+    z = next(z for z in range(k.n - 1) if merge.merge_inverse(k, z)[0] != merge.merge_inverse(k, z + 1)[0])
+    return keys + [merge.merge_permute(k, z, 1)]
+
+
 def test_decompose_composes_and_intermediates_order_preserving():
-    for tag, (n0, n1) in enumerate([(2, 2), (4, 4), (3, 5), (5, 3)]):
-        k = key(n0, n1, tag + 20)
-        n = n0 + n1
+    for k in _decompose_keys():
+        n0, n1, n = k.n0, k.n1, k.n
         cur = list(range(n))
         steps = 0
         for st in merge.merge_decompose(k):
@@ -282,11 +280,29 @@ def test_decompose_composes_and_intermediates_order_preserving():
             assert got == cur
             for zz in range(n):
                 assert cur[st.inverse(zz)] == zz
+            for f in (st.forward, st.inverse):
+                for v in (-1, n):
+                    with pytest.raises(RangeError):
+                        f(v)
             # order preservation of the intermediate within each pile
             assert got[:n0] == sorted(got[:n0])
             assert got[n0:] == sorted(got[n0:])
-        assert cur == full_table(k)
+        assert cur == merge.merge_perm(k).table()
         assert steps <= n1 * n
+
+
+def test_step_evaluation_walks_the_tree_at_most_once(monkeypatch):
+    walks = []
+    for name in ("merge_forward", "merge_inverse"):
+        real = getattr(merge, name)
+        monkeypatch.setattr(merge, name, lambda *a, real=real: walks.append(a) or real(*a))
+    for k in _decompose_keys():
+        for st in merge.merge_decompose(k):
+            for f in (st.forward, st.inverse):
+                for v in range(k.n):
+                    walks.clear()
+                    f(v)
+                    assert len(walks) <= 1, (k.n0, k.n1, st.z, v)
 
 
 def test_decompose_small_schedule_bound():
@@ -301,6 +317,13 @@ def test_merge_key_serialization_round_trip():
     back = merge.deserialize_key(merge.serialize_key(k))
     assert [merge.merge_inverse(back, z) for z in range(16)] == \
         [merge.merge_inverse(k, z) for z in range(16)]
+
+
+@pytest.mark.parametrize("n0, n1", [(1 << 64, 3), (3, 1 << 64)])
+def test_key_serialization_refuses_a_pile_above_64_bits(n0, n1):
+    k = merge.make_merge_key(b"\x01" * 32, n0, n1, backend=prng.BACKEND_FASTMIX)
+    with pytest.raises(RangeError, match="64-bit"):
+        merge.serialize_key(k)
 
 
 def test_one_point_supports_draw_no_coins(monkeypatch):
@@ -324,11 +347,11 @@ def test_one_point_supports_draw_no_coins(monkeypatch):
     z = next(z for z in range(22) if merge.merge_inverse(keys[-1], z)[0] != merge.merge_inverse(keys[-1], z + 1)[0])
     keys.append(merge.merge_permute(keys[-1], z, 1))
     for k in keys:
-        table = full_table(k)
+        perm = merge.merge_perm(k)
+        table = perm.table()
         assert sorted(table) == list(range(k.n))
         for e, out in enumerate(table):
-            b, x = merge.merge_inverse(k, out)
-            assert x + (k.n0 if b else 0) == e
+            assert perm.inverse(out) == e
     assert samples and len(coins) == len(samples)
     assert all(p.support_max > p.support_min for p in samples)
 

@@ -263,6 +263,19 @@ def test_permute_rejects_fastmix_key():
                 nsprp.prp_permute(k, z, c)
 
 
+def test_permute_refuses_a_permuted_key():
+    # a permuted key's z and c name one swap, and its file holds one swap
+    pk = nsprp.prp_permute(key(12, 7), 4, 1)
+    with pytest.raises(ContractError, match="honest key"):
+        nsprp.prp_permute(pk, 4, 1)
+
+
+@pytest.mark.parametrize("bits", [65, 80])
+def test_key_serialization_refuses_n_minus_1_above_64_bits(bits):
+    with pytest.raises(RangeError, match="64-bit"):
+        nsprp.serialize_key(nsprp.make_scale_prp_key(b"\x2f" * 32, bits))
+
+
 def test_key_serialization_round_trip():
     for k in (key(20, 5), nsprp.make_scale_prp_key(b"\x2f" * 32, 16)):
         k2 = nsprp.deserialize_key(nsprp.serialize_key(k))

@@ -46,6 +46,22 @@ def test_op_permute_domain_mismatch():
         opprp.op_permute(key(8), pd.neighbor_swap(16, 0), 0)
 
 
+def test_op_permute_refuses_a_permuted_key():
+    pk = nsprp.prp_permute(key(8), 2, 1)
+    with pytest.raises(ContractError, match="honest key"):
+        opprp.op_permute(pk, pd.neighbor_swap(8, 0), 1)
+
+
+def test_sealed_domains_above_64_bits_are_refused():
+    # the paper preset's P/P^-1 covers 2^80 points, and N - 1 is a u64 field
+    sealed, _ = oss.seal_instance(oss.oss_gen(oss.OssParams.paper_preset(2), b"\x07" * 32))
+    with pytest.raises(RangeError, match="64-bit"):
+        sealed.serialize()
+    k = nsprp.make_scale_prp_key(b"\x07" * 32, 65)
+    with pytest.raises(RangeError, match="64-bit"):
+        opprp.op_permute(k, pd.identity_perm(k.n), 0)
+
+
 def test_hybrid_walk_endpoints_and_steps():
     n = 16
     k = key(n, 3)
