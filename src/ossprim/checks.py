@@ -187,7 +187,7 @@ def crit04_puncture_statistics(n_max: int = 8) -> tuple[bool, str]:
 def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 64) -> tuple[bool, str]:
     for n in range(1, round_max + 1):
         k = nsprp.make_prp_key(_seed(40_000 + n), n)
-        img = [nsprp.prp_forward(k, x) for x in range(n)]
+        img = nsprp.prp_perm(k).table()
         if sorted(img) != list(range(n)):
             return False, f"not a bijection at N={n}"
         for x in range(n):
@@ -197,14 +197,14 @@ def crit05_prp(round_max: int = 256, chi_keys: int = 24_000, permute_max: int = 
     counts = np.zeros(24, dtype=np.int64)
     for i in range(chi_keys):
         k = nsprp.make_prp_key(_seed(50_000 + i), 4)
-        counts[perms[tuple(nsprp.prp_forward(k, x) for x in range(4))]] += 1
+        counts[perms[tuple(nsprp.prp_perm(k).table())]] += 1
     stat, threshold = _chi2_uniform(counts)
     if stat >= threshold:
         return False, f"chi2={stat:.1f} >= {threshold:.1f}"
     pairs = 0
     for n in range(2, permute_max + 1):
         k = nsprp.make_prp_key(_seed(60_000 + n), n)
-        base = [nsprp.prp_forward(k, x) for x in range(n)]
+        base = nsprp.prp_perm(k).table()
         for z in range(n - 1):
             for c in (0, 1):
                 perm = nsprp.prp_perm(nsprp.prp_permute(k, z, c))  # totality: must never fail
@@ -268,7 +268,7 @@ def crit06_decomposition(n_cap: int = 32) -> tuple[bool, str]:
     bad = replace(pd.transposition(8, 1, 5), swaps=lambda i: 0)
     if pd.verify_decomposition(bad).ok:
         return False, "corrupted schedule passed"
-    empty_bad = replace(pd.identity_perm(8), forward=lambda x: x ^ 1, inverse=lambda x: x ^ 1)
+    empty_bad = replace(pd.identity_perm(8), fwd=lambda x: x ^ 1, inv=lambda x: x ^ 1)
     if pd.verify_decomposition(empty_bad).ok:
         return False, "empty schedule with non-identity forward passed"
     return True, f"every family exhaustive at N ≤ {n_cap}; {total_steps} steps; negatives rejected"
@@ -285,20 +285,18 @@ def crit07_opprp_owp(hybrid_n: int = 16, owp_bits: int = 12,
         g = pd.transposition(n, 0, n - 1)
         for c in (0, 1):
             pk = opprp.op_permute(k, g, c)
-            hybrid = nsprp.prp_perm(k).then(g.prefix(g.length if c else 0))
-            for x in range(n):
-                if pk.forward(x) != hybrid.forward(x):
-                    return False, f"endpoint mismatch at N={n} c={c}"
-                if pk.inverse(pk.forward(x)) != x:
-                    return False, f"sealed inverse wrong at N={n} c={c}"
-        img = sorted(pk.forward(x) for x in range(n))
-        if img != list(range(n)):
+            img = pk.table()
+            if img != nsprp.prp_perm(k).then(g.prefix(g.length if c else 0)).table():
+                return False, f"endpoint mismatch at N={n} c={c}"
+            if any(pk.inverse(img[x]) != x for x in range(n)):
+                return False, f"sealed inverse wrong at N={n} c={c}"
+        if sorted(img) != list(range(n)):
             return False, f"permuted image != [N] at N={n}"
     keys = opprp.owp_gen(_seed(71_000), owp_bits)
-    img = [opprp.owp_forward(keys.pk, x) for x in range(1 << owp_bits)]
+    img = keys.pk.table()
     if sorted(img) != list(range(1 << owp_bits)):
         return False, "owp not a bijection"
-    if any(opprp.owp_invert(keys.sk, img[x]) != x for x in range(1 << owp_bits)):
+    if any(nsprp.prp_inverse(keys.sk, img[x]) != x for x in range(1 << owp_bits)):
         return False, "owp inversion failed"
     if opprp.MOCK_LABEL not in opprp.serialize_owp_public(keys):
         return False, "public key missing the mock warning label"
@@ -315,7 +313,7 @@ def crit07_opprp_owp(hybrid_n: int = 16, owp_bits: int = 12,
         return False, "scale round trip failed"
     # the batch path must agree with the scalar owp evaluator
     for i in range(8):
-        if opprp.owp_forward(keys64.pk, int(xs[i])) != int(ys[i]):
+        if keys64.pk.forward(int(xs[i])) != int(ys[i]):
             return False, "batch/scalar disagreement"
     if dt > scale_budget:
         return False, f"scale round trips took {dt:.2f}s > {scale_budget}s"

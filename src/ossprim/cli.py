@@ -193,11 +193,11 @@ def cmd_owp(args, out: _Out) -> int:
     elif args.sub == "eval":
         pk = (opprp.deserialize_owp_public(Path(args.pk).read_bytes()) if args.pk
               else opprp.owp_gen(args.seed, args.bits).pk)
-        out.emit("y", opprp.owp_forward(pk, args.x))
+        out.emit("y", pk.forward(args.x))
     elif args.sub == "invert":
         keys = (opprp.deserialize_owp_secret(Path(args.sk).read_bytes()) if args.sk
                 else opprp.owp_gen(args.seed, args.bits))
-        out.emit("x", opprp.owp_invert(keys.sk, args.y))
+        out.emit("x", nsprp.prp_inverse(keys.sk, args.y))
     return 0
 
 

@@ -381,17 +381,16 @@ def _intermediate_step(k: MergeKey, r: int, target: int, mover: int) -> SwapStep
     final, n, n0, block = merge_perm(k), k.n, k.n0, k.n - (k.n1 - r)
     below = target - (r - 1)  # the pile-0 elements placed below target
 
-    # the final merge's evaluators also refuse a point outside [0, N)
     def forward(e: int) -> int:
-        if e < below or n0 <= e < n0 + r - 1 or e >= n:
-            return final.forward(e)
+        if e < below or n0 <= e < n0 + r - 1:
+            return final.fwd(e)
         if e < n0:
             return e + r - 1 + (e + r - 1 >= mover)
         return mover if e == n0 + r - 1 else block + (e - n0 - r)
 
     def inverse(z: int) -> int:
-        if z < target or z >= n:
-            return final.inverse(z)
+        if z < target:
+            return final.inv(z)
         if z == mover:
             return n0 + r - 1
         return n0 + r + (z - block) if z >= block else z - (r - 1) - (z > mover)

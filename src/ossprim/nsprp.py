@@ -266,16 +266,16 @@ def _piles(p0: Perm, p1: Perm) -> Perm:
     n0 = p0.n
 
     def forward(e: int) -> int:
-        return p1.forward(e - n0) + n0 if e >= n0 else p0.forward(e)
+        return p1.fwd(e - n0) + n0 if e >= n0 else p0.fwd(e)
 
     def inverse(z: int) -> int:
-        return p1.inverse(z - n0) + n0 if z >= n0 else p0.inverse(z)
+        return p1.inv(z - n0) + n0 if z >= n0 else p0.inv(z)
 
     return Perm(n0 + p1.n, forward, inverse)
 
 
 def _swap_step(z: int, p: Perm) -> SwapStep:
-    return SwapStep(p.n, p.forward, p.inverse, z)
+    return SwapStep(p.n, p.fwd, p.inv, z)
 
 
 def prp_decompose(k: PrpKey) -> Iterator[SwapStep]:

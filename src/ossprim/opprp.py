@@ -47,7 +47,7 @@ def _seal(k: PrpKey, c: int, p: Perm, label: bytes = MOCK_LABEL) -> MockObfuscat
     """``p`` sealed with the mock payload of a program over ``k``: its PRF
     key, N - 1 and c, verbatim."""
     payload = prng.serialize_key(k.prf_key) + struct.pack("<QB", u64(k.n - 1, "PRP key N - 1"), c)
-    return MockObfuscation(p.n, p.forward, p.inverse, payload, label)
+    return MockObfuscation(p.n, p.fwd, p.inv, payload, label)
 
 
 def op_permute(k: PrpKey, g: DecomposablePermutation, c: int) -> MockObfuscation:
@@ -101,18 +101,6 @@ def owp_gen(seed: bytes, bits: int) -> TrapdoorOwpKeys:
     """
     sk = _owp_key(seed, bits)
     return TrapdoorOwpKeys(_owp_public(sk), sk, bits)
-
-
-def owp_forward(pk: MockObfuscation, x: int) -> int:
-    if not 0 <= x < pk.n:
-        raise RangeError("input outside domain")
-    return pk.forward(x)
-
-
-def owp_invert(sk: PrpKey, y: int) -> int:
-    if not 0 <= y < sk.n:
-        raise RangeError("output outside domain")
-    return prp_inverse(sk, y)
 
 
 def serialize_owp_public(keys: TrapdoorOwpKeys) -> bytes:

@@ -306,7 +306,9 @@ def seal_instance(inst: OssInstance) -> tuple[MockObfuscation, Callable]:
     """Mock-obfuscation wrapping of (P, P^-1) plus D.
 
     Returns (sealed P/P^-1 pair, sealed D); the pair carries the warning label.  Packed encoding: P maps x
-    to (y << k) | u; P^-1 of a packed pair returns x or None.
+    to (y << k) | u; P^-1 of a packed pair returns x or None off the image.  The pair is the one injection
+    held in a `Perm`: its n is the packed range 2^(y_bits + k), so both directions refuse a point outside
+    it, and P refuses x >= 2^n as oss_p does.
     """
     p = inst.params
 
@@ -320,7 +322,7 @@ def seal_instance(inst: OssInstance) -> tuple[MockObfuscation, Callable]:
     def dual(packed: int) -> int:
         return oss_d(inst, packed >> p.k, int_to_vec(packed & ((1 << p.k) - 1), p.k))
 
-    sealed = MockObfuscation(1 << p.n, fwd, inv, payload=b"oss-instance")
+    sealed = MockObfuscation(1 << (p.y_bits + p.k), fwd, inv, payload=b"oss-instance")
     return sealed, dual
 
 
@@ -408,8 +410,7 @@ def simulate_from_smaller(small: OssInstance, n: int, k: int) -> SimulatedTriple
     mask = (1 << extra) - 1
 
     def p(x: int) -> tuple[int, BitVector]:
-        if not 0 <= x < (1 << n):
-            raise RangeError("input outside {0,1}^n")
+        # oss_p refuses x_bar, and with it x, outside its domain
         x_bar, x_til = x >> extra, x & mask
         y, u_bar = oss_p(small, x_bar)
         return y, int_to_vec((vec_to_int(u_bar) << extra) | x_til, k)
@@ -442,7 +443,7 @@ def realize_simulated(sim: SimulatedTriple) -> OssInstance:
         return lambda x: (f(x >> extra) << extra) | (x & mask)
 
     small_pi = sim.small.pi
-    pi = Perm(1 << sim.n, widen(small_pi.forward), widen(small_pi.inverse))
+    pi = Perm(1 << sim.n, widen(small_pi.fwd), widen(small_pi.inv))
 
     def src(y: int) -> tuple[BitMatrix, BitVector]:
         # column ints index components directly, so the small-instance block
@@ -570,8 +571,6 @@ def embed_cpf(q: CosetPartitionFunction, k: int, seed: bytes,
     cd = PrfCosetSource(prng.derive_key(root, b"cd"), k, n, b"cd")
 
     def p(x: int) -> tuple[int, BitVector]:
-        if not 0 <= x < (1 << n):
-            raise RangeError("input outside {0,1}^n")
         w = gamma.forward(x)
         y = q.evaluate(w)
         c, d = cd(y)

@@ -34,24 +34,40 @@ _STAGE_CAP = 1 << 20  # offset tables beyond this are refused, not guessed
 
 @dataclass(frozen=True)
 class Perm:
-    """A permutation of [n] as a forward/inverse pair of evaluators."""
+    """A permutation of [n] as a forward/inverse pair of evaluators.
+
+    ``forward`` and ``inverse`` are the one domain check: each refuses a
+    point outside [0, n) with `RangeError`.  The fields ``fwd`` and ``inv``
+    assume a point in range; `then`, `inverted` and `table` build on them,
+    so a composite or a table pays one check per call, not one per factor.
+    """
 
     n: int
-    forward: Callable[[int], int]
-    inverse: Callable[[int], int]
+    fwd: Callable[[int], int]
+    inv: Callable[[int], int]
+
+    def forward(self, x: int) -> int:
+        if not 0 <= x < self.n:
+            raise RangeError(f"point {x} outside [0, {self.n})")
+        return self.fwd(x)
+
+    def inverse(self, z: int) -> int:
+        if not 0 <= z < self.n:
+            raise RangeError(f"point {z} outside [0, {self.n})")
+        return self.inv(z)
 
     def then(self, after: Perm) -> Perm:
         """self first, then ``after``; the inverse undoes ``after`` first."""
         if self.n != after.n:
             raise DimensionError("composed permutations must share a domain")
-        f, g, f_inv, g_inv = self.forward, after.forward, self.inverse, after.inverse
+        f, g, f_inv, g_inv = self.fwd, after.fwd, self.inv, after.inv
         return Perm(self.n, lambda x: g(f(x)), lambda z: f_inv(g_inv(z)))
 
     def inverted(self) -> Perm:
-        return Perm(self.n, self.inverse, self.forward)
+        return Perm(self.n, self.inv, self.fwd)
 
     def table(self) -> list[int]:
-        return [self.forward(x) for x in range(self.n)]
+        return list(map(self.fwd, range(self.n)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +97,7 @@ class DecomposablePermutation(Perm):
 
 def _schedule(whole: Perm, length: int, swaps: Callable[[int], Optional[int]],
               prefixes: Callable[[int], Perm]) -> DecomposablePermutation:
-    return DecomposablePermutation(whole.n, whole.forward, whole.inverse, length, swaps, prefixes)
+    return DecomposablePermutation(whole.n, whole.fwd, whole.inv, length, swaps, prefixes)
 
 
 def _tau(n: int, z: int, x: int) -> int:
@@ -266,7 +282,7 @@ def _in_block(g: DecomposablePermutation, v: int, n: int) -> DecomposablePermuta
     def lift(p: Perm) -> Perm:
         def at(f: Callable[[int], int]) -> Callable[[int], int]:
             return lambda e: base + f(e - base) if base <= e < base + n0 else e
-        return Perm(n, at(p.forward), at(p.inverse))
+        return Perm(n, at(p.fwd), at(p.inv))
 
     def swap(i: int) -> Optional[int]:
         z = g.step(i)
@@ -294,11 +310,11 @@ def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
 
     def fwd(e: int) -> int:
         v, a = divmod(e, n0)
-        return v * n0 + fams[v].forward(a)
+        return v * n0 + fams[v].fwd(a)
 
     def inv(e: int) -> int:
         v, a = divmod(e, n0)
-        return v * n0 + fams[v].inverse(a)
+        return v * n0 + fams[v].inv(a)
 
     def milestone(s: int) -> Perm:
         # after whole stages 0..s-1, exactly the blocks below s are permuted

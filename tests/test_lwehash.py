@@ -316,3 +316,29 @@ def _pinned_outputs() -> bytes:
 
 def test_pinned_outputs_digest():
     assert hashlib.sha256(_pinned_outputs()).hexdigest() == PINNED_SHA256
+
+
+# sha256 over hashl_invert's preimage lists, in order and off-image points
+# included: every range point of the twelve MICRO keys (seeds 5 and 6 take the
+# Z_q^u grid path) and image and random points of three INSECURE_DEMO keys,
+# recorded before the inversion screen changes
+INVERT_SHA256 = "e09e1090a3199e2881e15acbb5a2d07b975c5510fee1f723b1ef28e12da675a4"
+
+
+def _preimage_lists(pk, ys) -> bytes:
+    return repr([[(t.tolist(), f.tolist(), b) for t, f, b in lh.hashl_invert(pk, y)] for y in ys]).encode()
+
+
+def test_inversion_pinned_digest():
+    h = hashlib.sha256()
+    p = lh.MICRO
+    for seed in range(12):
+        pk, _ = lh.hashl_keygen(p, bit_stream(PrfKey(bytes([seed]) * 32, b"enum"), b"lwe"))
+        h.update(_preimage_lists(pk, [lh.unpack_range(p, y) for y in range(1 << p.range_bits)]))
+    for tag in (b"inv0", b"inv1", b"inv2"):
+        pk, _ = keys(tag)
+        st = stream(tag)
+        ys = [lh.unpack_range(P, lh.hashl_eval_packed(pk, st.bits(P.domain_bits))) for _ in range(32)]
+        ys += [lh.unpack_range(P, st.bits(P.range_bits)) for _ in range(32)]
+        h.update(_preimage_lists(pk, ys))
+    assert h.hexdigest() == INVERT_SHA256

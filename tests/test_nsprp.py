@@ -458,6 +458,33 @@ def test_decompositions_pinned_digest():
     assert h.hexdigest() == DECOMP_SHA256
 
 
+# sha256 over the forward and inverse tables alone, no serialized bytes, of
+# every permuted PRP key PERMUTED_SHA256 covers and every permuted merge key
+# DECOMP_SHA256 covers, recorded before the permuted-key formats change
+PERMUTED_EVALS_SHA256 = "9d361babe4f5b30651045801d6ab24bbffc39211e9622f23796495d4b14ebdd5"
+
+
+def test_permuted_key_evaluations_pinned_digest():
+    h = hashlib.sha256()
+    for n in range(2, 41):
+        k = nsprp.make_prp_key(bytes([n]) * 32, n)
+        for z in range(n - 1):
+            for c in (0, 1):
+                p = nsprp.prp_perm(nsprp.prp_permute(k, z, c))
+                h.update(repr((p.table(), [p.inverse(w) for w in range(n)])).encode())
+    for i, (n0, n1) in enumerate(DECOMP_MERGE_SHAPES):
+        k = merge.make_merge_key(bytes([0x70 + i]) * 32, n0, n1)
+        for z in range(k.n - 1):
+            for c in (0, 1):
+                pmk = merge.merge_permute(k, z, c)
+                if pmk is None:
+                    h.update(b"illegal")
+                    continue
+                p = merge.merge_perm(pmk)
+                h.update(repr((p.table(), [p.inverse(w) for w in range(k.n)])).encode())
+    assert h.hexdigest() == PERMUTED_EVALS_SHA256
+
+
 def test_exact_prp_keys_stop_at_2_20_points():
     # the width rule: exact keys cover at most 2^20 points
     assert nsprp.make_prp_key(b"\x2a" * 32, 1 << 20).n == 1 << 20

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from ossprim import nsprp, opprp, oss, permdecomp as pd
+from ossprim import checks, nsprp, opprp, oss, permdecomp as pd
 from ossprim.errors import ContractError, DimensionError, RangeError
 
 
@@ -84,12 +84,33 @@ def test_hybrid_walk_endpoints_and_steps():
         hybrid(g.length + 1)
 
 
+def test_hybrid_chain_steps_are_permuted_keys():
+    # hybrid i is "Pi, then Gamma_i"; hybrids i-1 and i are one program: the
+    # key permuted at (z_i, c), then Gamma_{i-1}, at c = 0 and c = 1
+    skipped, pairs = [], 0
+    for name, g in checks._fig5_constructors(8):
+        steps = [g.step(i) for i in range(1, g.length + 1)]
+        if g.n - 1 in steps:  # a wraparound swap has no permuted key
+            skipped.append(name)
+            continue
+        k = key(g.n, g.n)
+        for i, z in enumerate(steps, 1):
+            for c in (0, 1):
+                got = nsprp.prp_perm(nsprp.prp_permute(k, z, c)).then(g.prefix(i - 1))
+                want = nsprp.prp_perm(k).then(g.prefix(i - 1 + c))
+                assert got.table() == want.table(), (name, i, c)
+                assert got.inverted().table() == want.inverted().table(), (name, i, c)
+                pairs += 1
+    assert skipped == ["swap(3,2)-wrap", "swap(8,7)-wrap"]
+    assert pairs == 556
+
+
 def test_owp_bijection_and_inversion_exhaustive():
     keys = opprp.owp_gen(b"\x41" * 32, 10)
-    img = [opprp.owp_forward(keys.pk, x) for x in range(1 << 10)]
+    img = keys.pk.table()
     assert sorted(img) == list(range(1 << 10))
     for x in range(0, 1 << 10, 7):
-        assert opprp.owp_invert(keys.sk, img[x]) == x
+        assert nsprp.prp_inverse(keys.sk, img[x]) == x
 
 
 def test_owp_deterministic_across_reloads():
@@ -99,9 +120,9 @@ def test_owp_deterministic_across_reloads():
     pk2 = opprp.deserialize_owp_public(blob_pk)
     sk2 = opprp.deserialize_owp_secret(blob_sk)
     for x in (0, 1, 100, 255):
-        y = opprp.owp_forward(keys.pk, x)
+        y = keys.pk.forward(x)
         assert pk2.forward(x) == y
-        assert opprp.owp_invert(sk2.sk, y) == x
+        assert nsprp.prp_inverse(sk2.sk, y) == x
 
 
 def test_owp_public_blob_carries_warning_label():

@@ -213,7 +213,7 @@ def test_verify_reports_a_wraparound_block_swap_as_a_failed_step():
 
 
 def test_verify_detects_empty_schedule_with_nonidentity():
-    bad = replace(pd.identity_perm(8), forward=lambda x: x ^ 1, inverse=lambda x: x ^ 1)
+    bad = replace(pd.identity_perm(8), fwd=lambda x: x ^ 1, inv=lambda x: x ^ 1)
     assert not pd.verify_decomposition(bad).ok
 
 

@@ -339,9 +339,8 @@ EVALUATE = {
     "permuted_merge_key": _merge_points,
     "prp_key": _prp_points,
     "permuted_prp_key": _prp_points,
-    "owp_public": lambda pk: [opprp.owp_forward(pk, x) for x in _spread(pk.n)],
-    "owp_secret": lambda keys: [opprp.owp_invert(keys.sk, opprp.owp_forward(keys.pk, x))
-                                for x in _spread(keys.sk.n)],
+    "owp_public": lambda pk: [pk.forward(x) for x in _spread(pk.n)],
+    "owp_secret": lambda keys: [nsprp.prp_inverse(keys.sk, keys.pk.forward(x)) for x in _spread(keys.sk.n)],
     "gf2_matrix": lambda m: [gf2.mat_mul_vec(m, gf2.BitVector(x, m.ncols))
                              for x in _spread(1 << m.ncols)],
     "lwe_key": lambda pk: [lh.hashl_eval_packed(pk, x) for x in _spread(1 << pk.params.domain_bits)],
