@@ -268,6 +268,9 @@ PINNED_DESCS = [
 # Gamma_i and Gamma_i^-1 table: the schedules themselves are the contract,
 # not only the verification oracle's verdict on them.
 PINNED_SCHEDULES_SHA256 = "8309b4f19cfe362e011f4c7324f43ea99e62cd20865c314c3fd76086ffde83f8"
+# the same digest over the 42 of them that no wraparound `swap N N-1` builds:
+# all but the four `-wrap` families and the description that starts `swap 8 7`
+UNWRAPPED_SCHEDULES_SHA256 = "b5c4df93afc6fc1eed6d4d3e1d60bdae1753163bbc1be7a9abaf3cd040a5f0e5"
 
 
 def _schedule_digest(perms):
@@ -290,6 +293,12 @@ def _pinned_perms():
 
 def test_schedules_match_pinned_digest():
     assert _schedule_digest(_pinned_perms()) == PINNED_SCHEDULES_SHA256
+
+
+def test_unwrapped_schedules_match_pinned_digest():
+    perms = [g for name, g in checks._fig5_constructors(32) if not name.endswith("-wrap")]
+    perms += [pd.parse_perm(d) for d in PINNED_DESCS if not d.startswith("swap 8 7")]
+    assert _schedule_digest(perms) == UNWRAPPED_SCHEDULES_SHA256
 
 
 def test_schedule_indices_outside_their_range_are_range_errors():
