@@ -110,16 +110,24 @@ def _count(text: str) -> int:
     return n
 
 
+def _point(val: int, flag: str, n: int) -> int:
+    """A point flag's value, refused outside [0, n) with the flag's name."""
+    if not 0 <= val < n:
+        raise ContractError(f"{flag} outside [0, {n})")
+    return val
+
+
 # -- prp ----------------------------------------------------------------------------
 
 def cmd_prp(args, out: _Out) -> int:
     k = nsprp.width_key(prng.PrfKey(args.seed, nsprp.PRP_TAG), args.bits)
     if args.sub == "eval":
-        out.emit("y", nsprp.prp_forward(k, args.x))
+        out.emit("y", nsprp.prp_forward(k, _point(args.x, "--x", k.n)))
     elif args.sub == "inv":
-        out.emit("x", nsprp.prp_inverse(k, args.z))
+        out.emit("x", nsprp.prp_inverse(k, _point(args.z, "--z", k.n)))
     elif args.sub == "permute-eval":
-        out.emit("y", nsprp.prp_forward(nsprp.prp_permute(k, args.z, args.c), args.x))
+        pk = nsprp.prp_permute(k, _point(args.z, "--z", k.n - 1), args.c)
+        out.emit("y", nsprp.prp_forward(pk, _point(args.x, "--x", k.n)))
     elif args.sub == "decompose":
         for i, st in enumerate(nsprp.prp_decompose(k)):
             if i >= args.limit:
@@ -133,19 +141,18 @@ def cmd_prp(args, out: _Out) -> int:
 def cmd_merge(args, out: _Out) -> int:
     k = merge_mod.make_merge_key(args.seed, args.n0, args.n1)
     if args.sub == "eval":
-        out.emit("z", merge_mod.merge_forward(k, args.b, args.x))
+        out.emit("z", merge_mod.merge_forward(k, args.b, _point(args.x, "--x", k.n1 if args.b else k.n0)))
     elif args.sub == "inv":
-        b, x = merge_mod.merge_inverse(k, args.z)
+        b, x = merge_mod.merge_inverse(k, _point(args.z, "--z", k.n))
         out.emit("b", b)
         out.emit("x", x)
     elif args.sub == "permute-eval":
-        if not 0 <= args.x < k.n:
-            raise ContractError(f"--x outside [0, {k.n})")
+        x = _point(args.x, "--x", k.n)
         pmk = merge_mod.merge_permute(k, args.z, args.c)
         if pmk is None:
             out.emit("illegal", 1, "illegal swap (both preimages in one pile)")
             return 1
-        out.emit("z", merge_mod.merge_perm(pmk).forward(args.x))
+        out.emit("z", merge_mod.merge_perm(pmk).forward(x))
     return 0
 
 
@@ -154,9 +161,7 @@ def cmd_merge(args, out: _Out) -> int:
 def cmd_perm(args, out: _Out) -> int:
     g = pd.parse_perm(args.desc)
     if args.sub == "apply":
-        if not 0 <= args.x < g.n:
-            raise ContractError(f"--x outside [0, {g.n})")
-        out.emit("y", g.forward(args.x))
+        out.emit("y", g.forward(_point(args.x, "--x", g.n)))
     elif args.sub == "verify":
         rep = pd.verify_decomposition(g, budget=args.budget)
         out.emit("ok", 1 if rep.ok else 0)
@@ -193,11 +198,11 @@ def cmd_owp(args, out: _Out) -> int:
     elif args.sub == "eval":
         pk = (opprp.deserialize_owp_public(Path(args.pk).read_bytes()) if args.pk
               else opprp.owp_gen(args.seed, args.bits).pk)
-        out.emit("y", pk.forward(args.x))
+        out.emit("y", pk.forward(_point(args.x, "--x", pk.n)))
     elif args.sub == "invert":
         keys = (opprp.deserialize_owp_secret(Path(args.sk).read_bytes()) if args.sk
                 else opprp.owp_gen(args.seed, args.bits))
-        out.emit("x", nsprp.prp_inverse(keys.sk, args.y))
+        out.emit("x", nsprp.prp_inverse(keys.sk, _point(args.y, "--y", keys.sk.n)))
     return 0
 
 
@@ -234,7 +239,7 @@ def cmd_oss(args, out: _Out) -> int:
         stream = prng.bit_stream(prng.PrfKey(args.seed, b"2to1"), b"h")
         h = oss_mod.random_two_to_one(args.n // args.l, stream)
         q = oss_mod.cpf_from_two_to_one(h, args.n // args.l, args.l)
-        emb = oss_mod.embed_cpf(q, args.k or args.n, args.seed, validate=True)
+        emb = oss_mod.embed_cpf(q, args.k or args.n, args.seed)
         y, u = emb.p(args.x)
         out.emit("y", y)
         out.emit("u", oss_mod.vec_to_int(u))

@@ -555,16 +555,16 @@ class EmbeddedTriple:
     back_map: Callable[[int], int]
 
 
-def embed_cpf(q: CosetPartitionFunction, k: int, seed: bytes,
-              validate: bool = False) -> EmbeddedTriple:
-    """Simulate (P, P^-1) from forward queries to a coset partition function."""
+def embed_cpf(q: CosetPartitionFunction, k: int, seed: bytes) -> EmbeddedTriple:
+    """Simulate (P, P^-1) from forward queries to a coset partition function,
+    refusing one that `validate_cpf` rejects."""
     n = q.n_bits
     r = q.m_bits
     if k < n:
         raise DimensionError("need k >= n for a full-column-rank embedding")
     if q.ell != n - r:
         raise ContractError("need an (n, r, n-r) coset partition function")
-    if validate and not validate_cpf(q):
+    if not validate_cpf(q):
         raise ContractError("supplied function is not a coset partition function")
     root = PrfKey(seed, b"embed")
     gamma = random_table_perm(n, prng.bit_stream(root, b"gamma"))

@@ -72,18 +72,17 @@ class Perm:
 
 @dataclass(frozen=True)
 class DecomposablePermutation(Perm):
-    """A permutation of [N] with a neighbor-swap decomposition schedule.
-
-    `swaps` and `prefixes` assume an index in range; read them through
-    `step` and `prefix`, which check it.
+    """A permutation of [N] with a schedule of neighbor swaps (z, z+1),
+    0 <= z < N-1.  `swaps` and `prefixes` assume an index in range; read
+    them through `step` and `prefix`, which check it.
     """
 
     length: int
-    swaps: Callable[[int], Optional[int]]  # i -> z_i; None = skip step
+    swaps: Callable[[int], int]  # i -> z_i
     prefixes: Callable[[int], Perm]  # i -> Gamma_i
 
-    def step(self, i: int) -> Optional[int]:
-        """z_i, the i-th swap (1-indexed)."""
+    def step(self, i: int) -> int:
+        """z_i, the i-th swap (1-indexed): z_i and z_i + 1 trade places."""
         if not 1 <= i <= self.length:
             raise RangeError(f"step index {i} outside [1, {self.length}]")
         return self.swaps(i)
@@ -95,30 +94,29 @@ class DecomposablePermutation(Perm):
         return self.prefixes(i)
 
 
-def _schedule(whole: Perm, length: int, swaps: Callable[[int], Optional[int]],
+def _schedule(whole: Perm, length: int, swaps: Callable[[int], int],
               prefixes: Callable[[int], Perm]) -> DecomposablePermutation:
     return DecomposablePermutation(whole.n, whole.fwd, whole.inv, length, swaps, prefixes)
 
 
-def _tau(n: int, z: int, x: int) -> int:
-    zp = (z + 1) % n
+def _tau(z: int, x: int) -> int:
     if x == z:
-        return zp
-    if x == zp:
+        return z + 1
+    if x == z + 1:
         return z
     return x
 
 
 def identity_perm(n: int) -> DecomposablePermutation:
     ident = Perm(n, lambda x: x, lambda x: x)
-    return _schedule(ident, 0, lambda i: None, lambda i: ident)  # no index reaches swaps
+    return _schedule(ident, 0, ().__getitem__, lambda i: ident)  # no index reaches swaps
 
 
 def neighbor_swap(n: int, z: int) -> DecomposablePermutation:
-    """The swap of z and z+1 mod n (z = n-1 wraps around); schedule length 1."""
-    if not 0 <= z < n:
-        raise RangeError(f"{z} outside [0, {n})")
-    f = functools.partial(_tau, n, z)
+    """The swap of z and z+1, for 0 <= z < n-1; schedule length 1."""
+    if not 0 <= z < n - 1:
+        raise RangeError(f"swap {z} outside [0, {n - 1})")
+    f = functools.partial(_tau, z)
     swap = Perm(n, f, f)
     return _schedule(swap, 1, lambda i: z, (identity_perm(n), swap).__getitem__)
 
@@ -149,13 +147,7 @@ def transposition(n: int, j: int, l: int) -> DecomposablePermutation:
     rise = l - 1 - j  # listing: [j .. l-2] (outer inverse-cycle part)
     fall = l - j      # then [l-1 down to j] (inner cycle part)
     back = _cycle(n, j, l - 1).inverted()
-
-    def fwd(x: int) -> int:
-        if x == j:
-            return l
-        if x == l:
-            return j
-        return x
+    fwd = lambda x: l if x == j else j if x == l else x
 
     def prefix(i: int) -> Perm:
         if i <= rise:
@@ -218,7 +210,7 @@ def _staged(whole: Perm, stages: int, stage: Callable[[int], Optional[Decomposab
         # the stage holding swap i; i - offsets[s] is its 1-indexed place there
         return bisect.bisect_left(offsets, i) - 1
 
-    def swap(i: int) -> Optional[int]:
+    def swap(i: int) -> int:
         s = locate(i)
         return stage(s).step(i - offsets[s])
 
@@ -284,13 +276,7 @@ def _in_block(g: DecomposablePermutation, v: int, n: int) -> DecomposablePermuta
             return lambda e: base + f(e - base) if base <= e < base + n0 else e
         return Perm(n, at(p.fwd), at(p.inv))
 
-    def swap(i: int) -> Optional[int]:
-        z = g.step(i)
-        if z == n0 - 1:
-            raise ContractError("wraparound sub-swap cannot embed in a block")
-        return None if z is None else base + z
-
-    return _schedule(lift(g), g.length, swap, lambda i: lift(g.prefix(i)))
+    return _schedule(lift(g), g.length, lambda i: base + g.step(i), lambda i: lift(g.prefix(i)))
 
 
 def controlled(n0: int, gammas: Callable[[int], DecomposablePermutation],
@@ -343,11 +329,9 @@ def conjugate(lam: Perm, g: DecomposablePermutation) -> DecomposablePermutation:
     """
     n, back = g.n, lam.inverted()
 
-    def stage(i: int) -> Optional[DecomposablePermutation]:
+    def stage(i: int) -> DecomposablePermutation:
         z = g.step(i + 1)
-        if z is None:
-            return None
-        a, b = lam.inverse(z), lam.inverse((z + 1) % n)
+        a, b = lam.inverse(z), lam.inverse(z + 1)
         return transposition(n, min(a, b), max(a, b))
 
     return _staged(lam.then(g).then(back), g.length, stage,
@@ -448,18 +432,17 @@ def verify_decomposition(g: DecomposablePermutation, budget: int = 1 << 20) -> V
         rep.checked_points += 1
 
     for i in steps:
-        try:
-            zi = g.step(i)
-        except ContractError as e:  # a step with no neighbor swap of [n] to name
-            rep.fail(f"step {i}: {e}")
+        zi = g.step(i)
+        if not 0 <= zi < n - 1:
+            rep.fail(f"step {i}: z={zi} is no neighbor swap of [0, {n})")
             continue
         here, before = g.prefix(i), g.prefix(i - 1)
         cur = [here.forward(x) for x in points]
         if exhaustive and sorted(cur) != list(range(n)):
             rep.fail(f"Gamma_{i} is not a bijection")
         for x, gx in zip(points, cur):
-            # Gamma_i must equal Gamma_{i-1} o tau_{z_i} (or Gamma_{i-1} on skips)
-            ref = before.forward(x if zi is None else _tau(n, zi, x))
+            # Gamma_i must equal Gamma_{i-1} o tau_{z_i}
+            ref = before.forward(_tau(zi, x))
             if gx != ref:
                 rep.fail(f"step {i} (z={zi}) is not the declared neighbor swap at {x}")
             if here.inverse(gx) != x:
@@ -481,6 +464,7 @@ def parse_perm(desc: str) -> DecomposablePermutation:
     Statements separated by ';' compose left to right (leftmost applied
     first): ``swap N z`` | ``transp N j l`` | ``cycle N j l`` | ``add N s`` |
     ``affine n <hexA> <hexv>`` (A row-major, bit i*n+j of the hex integer).
+    ``swap N N-1`` swaps the ends, N-1 and 0: it is ``transp N 0 N-1``.
     """
     parts = [p.strip() for p in desc.split(";") if p.strip()]
     if not parts:
@@ -492,7 +476,8 @@ def parse_perm(desc: str) -> DecomposablePermutation:
         if op in _PERM_ARITY and len(toks) != 1 + _PERM_ARITY[op]:
             raise ContractError(f"{op!r} takes {_PERM_ARITY[op]} arguments, got {len(toks) - 1}")
         if op == "swap":
-            gs.append(neighbor_swap(int(toks[1]), int(toks[2])))
+            n, z = int(toks[1]), int(toks[2])
+            gs.append(transposition(n, 0, z) if 0 < z == n - 1 else neighbor_swap(n, z))
         elif op == "transp":
             gs.append(transposition(int(toks[1]), int(toks[2]), int(toks[3])))
         elif op == "cycle":

@@ -210,6 +210,16 @@ def test_perm_statement_arity_is_a_contract_error():
     ("perm apply --desc 'add -3 1' --x 1", b"error: domain size -3 must be >= 1"),
     ("perm apply --desc 'swap 8 3' --x 99", b"error: --x outside [0, 8)"),
     ("perm apply --desc 'swap 8 3' --x -1", b"error: --x outside [0, 8)"),
+    ("perm apply --desc 'swap 1 0' --x 0", b"error: swap 0 outside [0, 0)"),
+    ("prp eval --bits 4 --seed 00 --x 16", b"error: --x outside [0, 16)"),
+    ("prp inv --bits 4 --seed 00 --z -1", b"error: --z outside [0, 16)"),
+    ("prp permute-eval --bits 4 --seed 0a --z 15 --c 1 --x 9", b"error: --z outside [0, 15)"),
+    ("prp permute-eval --bits 4 --seed 0a --z 6 --c 1 --x 16", b"error: --x outside [0, 16)"),
+    ("merge eval --n0 3 --n1 5 --seed 0b --b 0 --x 3", b"error: --x outside [0, 3)"),
+    ("merge eval --n0 3 --n1 5 --seed 0b --b 1 --x -1", b"error: --x outside [0, 5)"),
+    ("merge inv --n0 3 --n1 5 --seed 0b --z 8", b"error: --z outside [0, 8)"),
+    ("owp eval --bits 8 --seed 0c --x 256", b"error: --x outside [0, 256)"),
+    ("owp invert --bits 8 --seed 0c --y -1", b"error: --y outside [0, 256)"),
 ])
 def test_perm_domain_and_point_outside_their_range_are_errors(argv, message):
     proc = run_cli(argv, check=False)

@@ -152,7 +152,7 @@ def test_permuted_eval_c0_and_c1_exhaustive():
                         continue
                     perm = merge.merge_perm(pmk)
                     got = perm.table()
-                    want = [pd._tau(k.n, z, w) for w in base] if c else base
+                    want = [pd._tau(z, w) for w in base] if c else base
                     assert got == want
                     for zz in range(k.n):
                         assert got[perm.inverse(zz)] == zz
@@ -234,7 +234,7 @@ def test_permuted_serialization_round_trip():
                     continue
                 perm = merge.merge_perm(pmk)
                 back = merge.merge_perm(merge.deserialize_permuted(merge.serialize_permuted(pmk)))
-                want = [pd._tau(k.n, z, w) for w in base] if c else base
+                want = [pd._tau(z, w) for w in base] if c else base
                 assert back.table() == perm.table() == want
                 for zz in range(k.n):
                     assert want[back.inverse(zz)] == zz == want[perm.inverse(zz)]
@@ -274,7 +274,7 @@ def test_decompose_composes_and_intermediates_order_preserving():
         cur = list(range(n))
         steps = 0
         for st in merge.merge_decompose(k):
-            cur = [pd._tau(n, st.z, v) for v in cur]
+            cur = [pd._tau(st.z, v) for v in cur]
             steps += 1
             got = [st.forward(e) for e in range(n)]
             assert got == cur

@@ -61,7 +61,7 @@ def test_permute_totality_and_correctness():
             for c in (0, 1):
                 pk = nsprp.prp_permute(k, z, c)  # never illegal
                 got = [nsprp.permuted_prp_forward(pk, x) for x in range(n)]
-                want = [pd._tau(n, z, w) for w in base] if c else base
+                want = [pd._tau(z, w) for w in base] if c else base
                 assert got == want
                 for zz in range(n):
                     assert got[nsprp.permuted_prp_inverse(pk, zz)] == zz
@@ -79,7 +79,7 @@ def test_decompose_composes_exhaustively():
         k = key(n, n + 80)
         cur = list(range(n))
         for st in nsprp.prp_decompose(k):
-            cur = [pd._tau(n, st.z, v) for v in cur]
+            cur = [pd._tau(st.z, v) for v in cur]
             got = [st.forward(e) for e in range(n)]
             assert got == cur
             assert sorted(got) == list(range(n))  # every prefix is a bijection
@@ -368,7 +368,7 @@ def test_permuted_keys_at_wide_exact_widths():
         xs.update(rng.randrange(n) for _ in range(16))
         for x in xs:
             y = nsprp.prp_forward(k, x)
-            want = pd._tau(n, z, y) if c else y
+            want = pd._tau(z, y) if c else y
             assert nsprp.permuted_prp_forward(pk, x) == want, (n, z, c, x)
             assert nsprp.permuted_prp_inverse(pk, want) == x, (n, z, c, x)
             assert nsprp.permuted_prp_forward(back, x) == want

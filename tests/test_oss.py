@@ -181,7 +181,7 @@ def test_cpf_validation_rejects_non_coset_partitions():
     crooked = oss.CosetPartitionFunction(4, 2, 2, lambda x: table[x], None)
     assert not oss.validate_cpf(crooked)
     with pytest.raises(ContractError):
-        oss.embed_cpf(crooked, 4, b"\x66" * 32, validate=True)
+        oss.embed_cpf(crooked, 4, b"\x66" * 32)
 
 
 def test_embedded_pair_coherent_and_collisions_map():

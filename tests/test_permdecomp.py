@@ -24,9 +24,17 @@ def test_neighbor_swap_basics():
 
 
 def test_neighbor_swap_wraparound():
-    g = pd.neighbor_swap(5, 4)
+    # every step is a swap (z, z+1) with z < n-1; the language's wraparound
+    # `swap 5 4` is the transposition (0 4) of such swaps
+    for z in (-1, 4):
+        with pytest.raises(RangeError):
+            pd.neighbor_swap(5, z)
+    g = pd.parse_perm("swap 5 4")
     assert g.table() == [4, 1, 2, 3, 0]
+    assert [g.step(i) for i in range(1, g.length + 1)] == [0, 1, 2, 3, 2, 1, 0]
     assert_verified(g)
+    with pytest.raises(RangeError):
+        pd.parse_perm("swap 1 0")
 
 
 def test_transposition_frozen_schedule():
@@ -195,7 +203,7 @@ def test_step_locality_and_inverse_consistency():
         zi = g.step(i)
         here, before = g.prefix(i), g.prefix(i - 1)
         diff = [x for x in range(10) if here.forward(x) != before.forward(x)]
-        assert set(diff) <= {zi, (zi + 1) % 10}
+        assert set(diff) <= {zi, zi + 1}
         for x in range(10):
             assert here.inverse(here.forward(x)) == x
 
@@ -206,10 +214,13 @@ def test_verify_detects_corrupted_schedule():
 
 
 def test_verify_reports_a_wraparound_block_swap_as_a_failed_step():
-    # a member's wraparound swap (3 0) is no neighbor swap inside its block
-    rep = pd.verify_decomposition(pd.controlled(4, lambda v: pd.neighbor_swap(4, 3), 2))
+    # `swap 4 3` is the transposition (0 3), whose swaps embed in each block
+    g = pd.controlled(4, lambda v: pd.parse_perm("swap 4 3"), 2)
+    assert_verified(g)
+    # a step naming the wraparound swap (7 0) of [8] is no neighbor swap
+    rep = pd.verify_decomposition(replace(g, swaps=lambda i: 7))
     assert not rep.ok
-    assert rep.failures == [f"step {i}: wraparound sub-swap cannot embed in a block" for i in (1, 2)]
+    assert rep.failures == [f"step {i}: z=7 is no neighbor swap of [0, 8)" for i in range(1, 11)]
 
 
 def test_verify_detects_empty_schedule_with_nonidentity():
@@ -224,7 +235,7 @@ def test_random_compositions_verify(n, data):
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(["swap", "transp", "cycle", "add"]))
         if kind == "swap":
-            parts.append(pd.neighbor_swap(n, data.draw(st.integers(0, n - 1))))
+            parts.append(pd.neighbor_swap(n, data.draw(st.integers(0, n - 2))))
         elif kind == "transp":
             j = data.draw(st.integers(0, n - 2))
             parts.append(pd.transposition(n, j, data.draw(st.integers(j + 1, n - 1))))
@@ -267,7 +278,7 @@ PINNED_DESCS = [
 # sha256 over every pinned permutation's size, length, steps and every
 # Gamma_i and Gamma_i^-1 table: the schedules themselves are the contract,
 # not only the verification oracle's verdict on them.
-PINNED_SCHEDULES_SHA256 = "8309b4f19cfe362e011f4c7324f43ea99e62cd20865c314c3fd76086ffde83f8"
+PINNED_SCHEDULES_SHA256 = "5d4250aa67ba6b99f07bbd2bd840cf9265d4ca197e1dc6f195bc2b26e49fef3e"
 # the same digest over the 42 of them that no wraparound `swap N N-1` builds:
 # all but the four `-wrap` families and the description that starts `swap 8 7`
 UNWRAPPED_SCHEDULES_SHA256 = "b5c4df93afc6fc1eed6d4d3e1d60bdae1753163bbc1be7a9abaf3cd040a5f0e5"
@@ -292,7 +303,10 @@ def _pinned_perms():
 
 
 def test_schedules_match_pinned_digest():
-    assert _schedule_digest(_pinned_perms()) == PINNED_SCHEDULES_SHA256
+    perms = _pinned_perms()
+    for g in perms:  # every step is a neighbor swap (z, z+1) of [n], none skipped or wrapping
+        assert all(type(z) is int and 0 <= z < g.n - 1 for z in map(g.step, range(1, g.length + 1)))
+    assert _schedule_digest(perms) == PINNED_SCHEDULES_SHA256
 
 
 def test_unwrapped_schedules_match_pinned_digest():
