@@ -148,7 +148,7 @@ def cmd_merge(args, out: _Out) -> int:
         out.emit("x", x)
     elif args.sub == "permute-eval":
         x = _point(args.x, "--x", k.n)
-        pmk = merge_mod.merge_permute(k, args.z, args.c)
+        pmk = merge_mod.merge_permute(k, _point(args.z, "--z", k.n - 1), args.c)
         if pmk is None:
             out.emit("illegal", 1, "illegal swap (both preimages in one pile)")
             return 1
@@ -240,7 +240,7 @@ def cmd_oss(args, out: _Out) -> int:
         h = oss_mod.random_two_to_one(args.n // args.l, stream)
         q = oss_mod.cpf_from_two_to_one(h, args.n // args.l, args.l)
         emb = oss_mod.embed_cpf(q, args.k or args.n, args.seed)
-        y, u = emb.p(args.x)
+        y, u = emb.p(_point(args.x, "--x", 1 << args.n))
         out.emit("y", y)
         out.emit("u", oss_mod.vec_to_int(u))
         return 0
@@ -256,13 +256,13 @@ def cmd_oss(args, out: _Out) -> int:
         return 0
     inst = _oss_instance(args)
     if args.sub == "hash":
-        out.emit("y", oss_mod.oss_hash(inst, args.x))
+        out.emit("y", oss_mod.oss_hash(inst, _point(args.x, "--x", 1 << inst.params.n)))
     elif args.sub == "p":
-        y, u = oss_mod.oss_p(inst, args.x)
+        y, u = oss_mod.oss_p(inst, _point(args.x, "--x", 1 << inst.params.n))
         out.emit("y", y)
         out.emit("u", oss_mod.vec_to_int(u))
     elif args.sub == "pinv":
-        x = oss_mod.oss_p_inv(inst, args.y, _k_vec(args.u, "--u", inst.params.k))
+        x = oss_mod.oss_p_inv(inst, _point(args.y, "--y", 1 << inst.params.y_bits), _k_vec(args.u, "--u", inst.params.k))
         out.emit("x", "bottom" if x is None else x)
     elif args.sub == "selfreduce":
         sr = oss_mod.self_reduce(inst, args.seed2)
@@ -273,7 +273,7 @@ def cmd_oss(args, out: _Out) -> int:
         out.emit("gamma_of_0", sr.back_map(0))
     elif args.sub == "bloat":
         dp = oss_mod.bloat_dual(inst, args.s)
-        out.emit("accept", dp(args.y, _k_vec(args.v, "--v", inst.params.k)))
+        out.emit("accept", dp(_point(args.y, "--y", 1 << inst.params.y_bits), _k_vec(args.v, "--v", inst.params.k)))
     return 0
 
 
@@ -304,10 +304,10 @@ def cmd_lwe(args, out: _Out) -> int:
         out.emit("insecure_demo", 1 if lwehash.INSECURE_DEMO_MAGIC in pk_blob else 0)
     elif args.sub == "eval":
         p, pk, td = _lwe_keys(args)
-        out.emit("y", lwehash.hashl_eval_packed(pk, args.x))
+        out.emit("y", lwehash.hashl_eval_packed(pk, _point(args.x, "--x", 1 << p.domain_bits)))
     elif args.sub == "invert":
         p, pk, _ = _lwe_keys(args)
-        pre = lwehash.hashl_invert(pk, lwehash.unpack_range(p, args.y))
+        pre = lwehash.hashl_invert(pk, lwehash.unpack_range(p, _point(args.y, "--y", 1 << p.range_bits)))
         out.emit("count", len(pre))
         for i, (t, f, b) in enumerate(pre):
             out.emit(f"preimage{i}", lwehash.pack_domain(p, t, f, b))

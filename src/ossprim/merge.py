@@ -16,8 +16,8 @@ Key permutation ("swap outputs z and z+1") punctures the tree PRF on the two
 root-to-leaf paths and hard-codes the values of the paths and their siblings,
 with the c=1 variant adjusting the two disjoint ancestor chains by +-1.
 Permuted keys share the honest walk: each carries its own node-value and seed
-memos, seeded from the hard-coded table and the punctured key's copath, and
-never the honest key or its memos.
+memos, seeded from the hard-coded table and the copath seeds, and never the
+honest key or its memos.  It keeps no c: a swap's two key files have one length.
 
 Keys are immutable and evaluation is pure.  Exact keys memoize every node
 value and seed they reach, at most the 2N - 1 nodes of their tree.  A
@@ -39,7 +39,7 @@ from . import fastpath, prng
 from .errors import ContractError, InvariantViolation, RangeError, UnsupportedBackend
 from .hypergeom import DEFAULT_KAPPA, EXACT_MAX_BITS, HypergeomParams, sample
 from .permdecomp import Perm
-from .prng import GOLDEN, MASK64, PrfKey, PuncturedPrfKey
+from .prng import GOLDEN, MASK64, PrfKey
 from .wire import Reader, u64
 
 
@@ -256,10 +256,9 @@ def merge_forward(k: MergeKey, b: int, x: int) -> int:
 
 @dataclass(frozen=True)
 class PermutedMergeKey:
-    punctured: PuncturedPrfKey
+    copath: dict  # node -> GGM seed, at each hard-coded node that is not punctured
     hardcoded: dict  # node -> tally, both paths plus all their siblings
     z: int
-    c: int
     n0: int
     n1: int
     fast_ctx = None  # a class attribute: permuted keys always draw exactly
@@ -270,7 +269,7 @@ class PermutedMergeKey:
 
     def __post_init__(self):
         self._values.update(self.hardcoded)
-        self._seeds.update(self.punctured.copath)
+        self._seeds.update(self.copath)
 
     @property
     def n(self) -> int:
@@ -312,7 +311,7 @@ def merge_permute(k: MergeKey, z: int, c: int) -> Optional[PermutedMergeKey]:
     # the punctured nodes are the two paths above their leaves: exactly the
     # hard-coded nodes whose children are hard-coded
     punct = prng.puncture_nodes(k.prf_key, [nd for nd in hard if nd << 1 in hard])
-    return PermutedMergeKey(punct, hard, z, c, k.n0, k.n1)
+    return PermutedMergeKey(dict(punct.copath), hard, z, k.n0, k.n1)
 
 
 def hardcoded_values(n: int, z: int, c: int, value: Callable[[int], int]) -> dict:
@@ -453,55 +452,49 @@ def deserialize_key(data: bytes) -> MergeKey:
     return _root_key(read_sampler_key(r), n0, n1)
 
 
+PERMUTED_MAGIC = b"PMK1"
+PERMUTED_HEAD = "<QQIQ"  # n0, n1, kappa, z
+
+
+def _tally_width(s: int) -> int:
+    return (s.bit_length() + 7) // 8
+
+
 def serialize_permuted(pk: PermutedMergeKey) -> bytes:
-    """Punctured-PRF blob + sorted (path, value) list, values length-prefixed."""
-    blob = prng.serialize_punctured(pk.punctured)
-    head = struct.pack("<QQIBQ", pk.n0, pk.n1, DEFAULT_KAPPA, pk.c, pk.z)
-    items = sorted(pk.hardcoded.items())
-    out = [struct.pack("<I", len(blob)), blob, head, struct.pack("<I", len(items))]
-    for node, value in items:
-        enc = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-        depth = node.bit_length() - 1
-        out.append(struct.pack("<HQ", depth, node ^ 1 << depth))
-        out.append(struct.pack("<H", len(enc)))
-        out.append(enc)
+    """The magic, the head, the copath seeds and every hard-coded tally, in
+    node order, each tally as wide as its span needs.  The reader takes the
+    nodes from (N, z), so the file names no node and no c."""
+    out = [PERMUTED_MAGIC, struct.pack(PERMUTED_HEAD, pk.n0, pk.n1, DEFAULT_KAPPA, pk.z)]
+    out += [pk.copath[nd] for nd in sorted(pk.copath)]
+    out += [v.to_bytes(_tally_width(span(pk.n, nd)[1]), "big") for nd, v in sorted(pk.hardcoded.items())]
     return b"".join(out)
 
 
 def deserialize_permuted(data: bytes) -> PermutedMergeKey:
-    """The permuted merge key of a blob whose tables are those ``merge_permute``
-    builds for its swap; any other table is refused, so every loaded key
-    evaluates."""
+    """The permuted merge key of a blob whose tallies are a table that
+    ``merge_permute`` can build for its swap; any other table is refused, so
+    every loaded key evaluates."""
     r = Reader(data, "permuted merge key")
-    punct = prng.deserialize_punctured(r.blob("<I"))
-    n0, n1, kappa, c, z = r.unpack("<QQIBQ")
+    if r.take(len(PERMUTED_MAGIC)) != PERMUTED_MAGIC:
+        raise ContractError("not a permuted merge key file")
+    n0, n1, kappa, z = r.unpack(PERMUTED_HEAD)
     check_width(prng.BACKEND_SHA256, n0 + n1)  # permuted keys always draw exactly
     check_kappa(kappa)
-    (count,) = r.unpack("<I")
-    hard = {}
-    for _ in range(count):
-        depth, path = r.unpack("<HQ")
-        node = 1 << depth | r.fits(path, depth, "node path")
-        hard[node] = int.from_bytes(r.blob("<H"), "big")
-    r.done()
     n = n0 + n1
-    if not 0 <= z < n - 1 or c > 1:
-        raise ContractError(f"permuted merge key swap z={z}, c={c} outside [0, N-1) x {{0, 1}}")
+    if not 0 <= z < n - 1:
+        raise ContractError(f"permuted merge key swap z={z} outside [0, N-1)")
     spans = hardcoded_values(n, z, 0, lambda nd: span(n, nd)[1])
-    inner = {nd for nd in spans if nd << 1 in spans}
-    for got, want, what in [(hard.keys(), spans.keys(), "hard-coded nodes"),
-                            (set(punct.punctured), inner, "punctured nodes"),
-                            ({pos for pos, _ in punct.copath}, spans.keys() - inner, "copath positions")]:
-        if got != want:
-            raise ContractError(f"permuted merge key {what} are not those of the swap at z={z}")
-    for node in inner:
-        if hard[node] != hard[node << 1] + hard[node << 1 | 1]:
-            raise ContractError(f"hard-coded tally at {prng.node_name(node)} is not the sum of its children")
+    # the punctured nodes, the two paths above their leaves, have hard-coded children
+    copath = {nd: r.take(prng.SEED_LEN) for nd in spans if nd << 1 not in spans}
+    hard = {nd: int.from_bytes(r.take(_tally_width(s)), "big") for nd, s in spans.items()}
+    r.done()
     for node, value in hard.items():
+        if node not in copath and value != hard[node << 1] + hard[node << 1 | 1]:
+            raise ContractError(f"hard-coded tally at {prng.node_name(node)} is not the sum of its children")
         if value > spans[node]:
             raise ContractError(f"hard-coded tally {value} at {prng.node_name(node)} outside [0, {spans[node]}]")
     if hard[1] != n1:
         raise ContractError(f"permuted merge key root tally {hard[1]} is not n1 = {n1}")
     if hard[_path_nodes(n, z)[-1]] == hard[_path_nodes(n, z + 1)[-1]]:
         raise ContractError(f"permuted merge key leaves z={z} and z+1 hold the same pile bit")
-    return PermutedMergeKey(punct, hard, z, c, n0, n1)
+    return PermutedMergeKey(copath, hard, z, n0, n1)

@@ -213,7 +213,6 @@ class PermutedPrpKey(_Piles):
 
     n: int
     z: int
-    c: int
     _cache: dict = field(default_factory=dict, repr=False)
     fast_ctx = None  # a class attribute: permuted keys always draw exactly
 
@@ -233,7 +232,7 @@ def prp_permute(k: PrpKey, z: int, c: int) -> PermutedPrpKey:
         raise RangeError("c is a bit")
     if k.fast_ctx is not None:
         raise UnsupportedBackend("key permutation needs sha256 GGM keys, which draw exactly")
-    pk = PermutedPrpKey(k.n, z, c)
+    pk = PermutedPrpKey(k.n, z)
     if k.n == 2:  # z == 0: the swap flips the key bit
         pk._cache["xor"] = _xor_bit(k) ^ c
         return pk
@@ -304,10 +303,13 @@ def prp_decompose(k: PrpKey) -> Iterator[SwapStep]:
 
 
 # -- serialization ------------------------------------------------------------------
-# Mirrors the merge module's framing; permuted keys carry a level-count
-# header followed by one record per spine level: kind 0 holds the N=2 bit,
-# kind 1 the two child keys and the permuted merge key, kind 2 the pile the
-# swap recurses into, the other child key and the honest merge key.
+# A permuted key file is its magic, its head and one record per spine level:
+# kind 0 holds the N=2 bit, kind 1 the two child keys and the permuted merge
+# key, kind 2 the pile the swap recurses into, the other child key and the
+# honest merge key.  No field names c: a swap's two key files have one length.
+PERMUTED_MAGIC = b"PPK1"
+PERMUTED_HEAD = "<QIQH"  # N - 1, kappa, z, record count
+
 
 def serialize_key(k: PrpKey) -> bytes:
     return struct.pack("<Q", u64(k.n - 1, "PRP key N - 1")) + merge_mod.sampler_key_bytes(k.prf_key)
@@ -333,7 +335,7 @@ def _spine_records(pk: PermutedPrpKey) -> list[tuple]:
 
 def serialize_permuted_key(pk: PermutedPrpKey) -> bytes:
     records = _spine_records(pk)
-    out = [struct.pack("<QIQBH", pk.n - 1, DEFAULT_KAPPA, pk.z, pk.c, len(records))]
+    out = [PERMUTED_MAGIC, struct.pack(PERMUTED_HEAD, pk.n - 1, DEFAULT_KAPPA, pk.z, len(records))]
     for kind, flag, b1, b2, b3 in records:
         out.append(struct.pack("<BB", kind, flag))
         for blob in (b1, b2, b3):
@@ -362,16 +364,18 @@ def _level_key(blob: bytes, n: int) -> PrpKey:
 
 def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
     r = Reader(data, "permuted PRP key")
-    n_minus_1, kappa, z, c, count = r.unpack("<QIQBH")
+    if r.take(len(PERMUTED_MAGIC)) != PERMUTED_MAGIC:
+        raise ContractError("not a permuted PRP key file")
+    n_minus_1, kappa, z, count = r.unpack(PERMUTED_HEAD)
     merge_mod.check_kappa(kappa)
     records = [(*r.unpack("<BB"), r.blob("<I"), r.blob("<I"), r.blob("<I")) for _ in range(count)]
     r.done()
     kinds = [rec[0] for rec in records]
     if not kinds or kinds[-1] not in (0, 1) or set(kinds[:-1]) - {2}:
         raise ContractError("permuted PRP key records do not form a spine")
-    if not 0 <= z < n_minus_1 or c > 1:
-        raise ContractError(f"permuted PRP key swap z={z}, c={c} outside [0, N-1) x {{0, 1}}")
-    top = pk = PermutedPrpKey(n_minus_1 + 1, z, c)
+    if not 0 <= z < n_minus_1:
+        raise ContractError(f"permuted PRP key swap z={z} outside [0, N-1)")
+    top = pk = PermutedPrpKey(n_minus_1 + 1, z)
     for kind, flag, b1, b2, b3 in records:
         if (kind == 0) != (pk.n == 2):
             raise ContractError(f"permuted PRP key has a kind-{kind} record at a level over N={pk.n}")
@@ -386,14 +390,14 @@ def deserialize_permuted_key(data: bytes) -> PermutedPrpKey:
                     "merge key")
         _check_level("merge key (n0, n1)", (mk.n0, mk.n1), sizes)
         if kind == 1:
-            _check_level("merge swap (z, c)", (mk.z, mk.c), (pk.z, c))
+            _check_level("merge swap z", mk.z, pk.z)
             kids = [_level_key(b1, sizes[0]), _level_key(b2, sizes[1])]
         else:
             (p0, y0), (p1, _) = merge_mod.merge_inverse(mk, pk.z), merge_mod.merge_inverse(mk, pk.z + 1)
             if p0 != flag or p1 != flag:
                 raise ContractError(f"permuted PRP key swap z={pk.z} does not land in pile {flag}")
             kids = [None, None]
-            kids[flag] = PermutedPrpKey(sizes[flag], y0, c)
+            kids[flag] = PermutedPrpKey(sizes[flag], y0)
             kids[1 - flag] = _level_key(b1, sizes[1 - flag])
         pk._cache.update({("child", 0): kids[0], ("child", 1): kids[1], "merge": mk})
         pk = kids[flag]  # the next level; a kind-1 record is the last

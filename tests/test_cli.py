@@ -484,10 +484,15 @@ def test_embed_cpf_wide_slice_is_refused_before_its_table(n):
     ("oss pinv --tiny 8,4,8 --seed 07 --y 3 --u 272", b"error: --u outside [0, 2^8)"),
     ("oss pinv --tiny 8,4,8 --seed 07 --y 3 --u -1", b"error: --u outside [0, 2^8)"),
     ("oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 3 --v 256", b"error: --v outside [0, 2^8)"),
-    ("oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 99 --v 129", b"error: y outside its range"),
-    ("lwe eval --preset micro --seed 0d --x 145", b"error: domain point 145 outside [0, 2^7)"),
-    ("lwe eval --preset micro --seed 0d --x -111", b"error: domain point -111 outside [0, 2^7)"),
-    ("lwe invert --preset micro --seed 0d --y 9999", b"error: range point 9999 outside [0, 2^9)"),
+    ("oss bloat --tiny 8,4,8 --seed 07 --s 2 --y 99 --v 129", b"error: --y outside [0, 16)"),
+    ("oss pinv --tiny 8,4,8 --seed 07 --y 16 --u 3", b"error: --y outside [0, 16)"),
+    ("oss hash --tiny 6,3,6 --seed 07 --x 999", b"error: --x outside [0, 64)"),
+    ("oss p --tiny 6,3,6 --seed 07 --x -1", b"error: --x outside [0, 64)"),
+    ("oss embed-cpf --seed 01 --x 999", b"error: --x outside [0, 256)"),
+    ("lwe eval --preset micro --seed 0d --x 145", b"error: --x outside [0, 128)"),
+    ("lwe eval --preset micro --seed 0d --x -111", b"error: --x outside [0, 128)"),
+    ("lwe invert --preset micro --seed 0d --y 9999", b"error: --y outside [0, 512)"),
+    ("merge permute-eval --n0 3 --n1 5 --seed 0b --z 7 --c 1 --x 0", b"error: --z outside [0, 7)"),
 ])
 def test_oracle_inputs_outside_their_range_are_errors(argv, message):
     proc = run_cli(argv, check=False)

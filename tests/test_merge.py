@@ -169,9 +169,11 @@ def test_hardcoded_set_is_paths_plus_siblings():
         if nd > 1:
             expected.add(nd ^ 1)
     assert set(pmk.hardcoded) == expected
-    punctured = set(pmk.punctured.punctured)
+    # the copath is the rest once the paths above their leaves are punctured,
+    # each seed the honest key's GGM seed there
     leaves = {merge._path_nodes(16, z)[-1], merge._path_nodes(16, z + 1)[-1]}
-    assert punctured == path_nodes - leaves
+    assert set(pmk.copath) == expected - (path_nodes - leaves)
+    assert all(seed == merge._node_seed(k, nd) for nd, seed in pmk.copath.items())
 
 
 def test_c_flip_changes_exactly_leaves_and_disjoint_chains():
@@ -216,7 +218,7 @@ def test_permuted_key_never_consults_punctured_nodes():
     broken = dict(pmk.hardcoded)
     victim = next(nd for nd in broken if nd.bit_length() == 2)
     del broken[victim]
-    bad = merge.PermutedMergeKey(pmk.punctured, broken, pmk.z, pmk.c, pmk.n0, pmk.n1)
+    bad = merge.PermutedMergeKey(pmk.copath, broken, pmk.z, pmk.n0, pmk.n1)
     with pytest.raises(InvariantViolation):
         for zz in range(16):
             merge.permuted_merge_inverse(bad, zz)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -296,9 +297,9 @@ def test_permuted_key_serialization_round_trip():
             assert nsprp.permuted_prp_inverse(back, x) == nsprp.permuted_prp_inverse(pk, x)
 
 
-# sha256 over every permuted key's blob and tables for N = 2..40, recorded
-# before permuted keys became pre-seeded keys of the honest walk
-PERMUTED_SHA256 = "4b75a453ca1fd81fd8fd3cf9d0c8ff664f4318cc8479b8cdbe06782122533af3"
+# sha256 over every permuted key's blob and tables for N = 2..40, re-pinned
+# when the permuted-key files dropped c, node lists and length prefixes
+PERMUTED_SHA256 = "18341162081eaf81bc035ca010c9d582c044482ffcc338d59f7e2049b390296b"
 
 
 def test_permuted_keys_pinned_digest():
@@ -329,22 +330,19 @@ def _permuted_key_bytes_bound(n):
     per level.  Each level holds the honest child and merge keys; where the
     swap lands, the level holds the other child key and the permuted merge
     key instead.  Its tally tree over at most n points has depth <= d, so at
-    most 2d punctured nodes, 2d copath seeds and 4d hard-coded tallies of at
-    most n each.
+    most 2d copath seeds and 4d hard-coded tallies, each at most as wide as n.
     """
     d = (n - 1).bit_length()
-    node = 2 + (d + 7) // 8  # u16 depth, path bytes
     prf = lambda tag: 1 + 2 + tag + prng.SEED_LEN  # backend, u16 tag length, tag, seed
     sampler = 4 + 1  # u32 kappa, mode byte
     prp_key = lambda tag: 8 + sampler + prf(tag)  # u64 N-1
     merge_key = lambda tag: 16 + sampler + prf(tag)  # u64 n0, u64 n1
+    head = lambda fmt: len(fmt.PERMUTED_MAGIC) + struct.calcsize(fmt.PERMUTED_HEAD)
     record = 2 + 3 * 4  # kind, flag and three u32 blob lengths
     tags = [len(nsprp.PRP_TAG) + 6 * (i + 1) for i in range(d)]
     spine = sum(record + prp_key(tag) + merge_key(tag) for tag in tags)
-    punctured = prf(tags[-1]) - prng.SEED_LEN + 4 + 2 * d * node + 4 + 2 * d * (node + prng.SEED_LEN)
-    tallies = 4 * d * (2 + 8 + 2 + (n.bit_length() + 7) // 8)  # u16 depth, u64 path, u16 length, value
-    permuted_merge = 4 + punctured + 29 + 4 + tallies  # blob length, punctured key, head, tally count
-    return 23 + spine + prp_key(tags[-1]) + permuted_merge  # after the u64/u32/u64/u8/u16 header
+    permuted_merge = head(merge) + 2 * d * prng.SEED_LEN + 4 * d * ((n.bit_length() + 7) // 8)
+    return head(nsprp) + spine + prp_key(tags[-1]) + permuted_merge
 
 
 _widths = random.Random("permuted-widths")
@@ -373,6 +371,63 @@ def test_permuted_keys_at_wide_exact_widths():
             assert nsprp.permuted_prp_inverse(pk, want) == x, (n, z, c, x)
             assert nsprp.permuted_prp_forward(back, x) == want
             assert nsprp.permuted_prp_inverse(back, want) == x
+
+
+def _tally_section(n, z):
+    """The length of the tally section that ends a permuted merge key file."""
+    spans = merge.hardcoded_values(n, z, 0, lambda nd: merge.span(n, nd)[1])
+    return sum((s.bit_length() + 7) // 8 for s in spans.values())
+
+
+def _assert_c_hidden(blobs, tail):
+    """The c = 0 and c = 1 blobs of one swap have one length and agree
+    outside their last ``tail`` bytes."""
+    b0, b1 = blobs
+    assert len(b0) == len(b1) and b0[:-tail] == b1[:-tail]
+
+
+def _swap_level(pk):
+    """The level of a permuted PRP key where its swap lands: N = 2 or a permuted merge."""
+    while pk.n > 2 and not isinstance(nsprp._merge_key(pk), merge.PermutedMergeKey):
+        pk = next(ch for ch in (nsprp._child_key(pk, 0), nsprp._child_key(pk, 1))
+                  if isinstance(ch, nsprp.PermutedPrpKey))
+    return pk
+
+
+def _assert_prp_c_hidden(k, z):
+    pks = [nsprp.prp_permute(k, z, c) for c in (0, 1)]
+    level = _swap_level(pks[0])
+    # the last record is kind 0, whose flag and three empty blob lengths end
+    # the file, or kind 1, whose permuted merge key ends it, tallies last
+    tail = 13 if level.n == 2 else _tally_section(level.n, nsprp._merge_key(level).z)
+    _assert_c_hidden([nsprp.serialize_permuted_key(pk) for pk in pks], tail)
+
+
+def _assert_merge_c_hidden(k, z):
+    pmks = [merge.merge_permute(k, z, c) for c in (0, 1)]
+    if pmks[0] is not None:
+        _assert_c_hidden([merge.serialize_permuted(pmk) for pmk in pmks], _tally_section(k.n, z))
+
+
+def test_permuted_key_length_does_not_show_c():
+    # the two keys of a swap stand for neighbouring hybrids; a reader must not
+    # tell them apart by length or by any byte but their tallies and N=2 bit
+    for n in range(2, 65):
+        k = key(n, 0x40)
+        for z in range(n - 1):
+            _assert_prp_c_hidden(k, z)
+    rng = random.Random("permuted-equal-length")
+    for n in PERMUTED_WIDTHS[-4:]:
+        _assert_prp_c_hidden(nsprp.make_prp_key(rng.randbytes(32), n), rng.randrange(n - 1))
+    for n0 in range(17):
+        for n1 in range(17):
+            if n0 + n1 >= 2:
+                k = merge.make_merge_key(bytes([n0, n1]) * 16, n0, n1)
+                for z in range(k.n - 1):
+                    _assert_merge_c_hidden(k, z)
+    # tallies crossing a byte boundary: 512 = 0x200
+    for s in range(36):
+        _assert_merge_c_hidden(merge.make_merge_key(bytes([s]) * 32, 512, 512), 511)
 
 
 def test_batch_outputs_pinned_digest():
@@ -433,8 +488,8 @@ def test_scale_keys_pinned_digest():
 
 # sha256 over both decompositions (each swap's z and its intermediate's
 # forward and flat inverse tables) and over every merge swap's permuted blob,
-# recorded before the merge and PRP steps became one step type
-DECOMP_SHA256 = "b42566d63da721385d97e016f1abbe4d47e4601e1ac51f5019e9ae99781dd938"
+# re-pinned when the permuted-key files dropped c, node lists and length prefixes
+DECOMP_SHA256 = "24b64f9cf535a221d428fc8d02dca155c663f7cec52995f7a49d42dcb245ec65"
 DECOMP_MERGE_SHAPES = [(5, 0), (0, 4), (2, 2), (4, 4), (3, 5), (5, 3), (6, 7)]
 
 

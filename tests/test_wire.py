@@ -4,7 +4,6 @@ rejects truncated, overlong or mislabelled input with ContractError only."""
 import hashlib
 import re
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -82,16 +81,14 @@ def _flip(blob, bit):
     return _patched(blob, bit // 8, blob[bit // 8] ^ 1 << bit % 8)
 
 
-def _edited_permuted_merge_blob(tallies=None, punctured=lambda p: p):
+def _edited_permuted_merge_blob(tallies):
     """The permuted merge key blob with the hard-coded tallies of ``tallies``,
-    keyed by (depth, path), and its punctured key passed through ``punctured``.
-    The key is the swap z=0, c=1 over n0=5, n1=6, whose table is (depth, path):
-    tally (0, 0): 6, (1, 0): 3, (1, 1): 3, (2, 0): 2, (2, 1): 1, (3, 0): 1,
-    (3, 1): 1, (4, 0): 1, (4, 1): 0."""
+    keyed by (depth, path).  The key is the swap z=0, c=1 over n0=5, n1=6,
+    whose table is (depth, path): tally (0, 0): 6, (1, 0): 3, (1, 1): 3,
+    (2, 0): 2, (2, 1): 1, (3, 0): 1, (3, 1): 1, (4, 0): 1, (4, 1): 0."""
     pmk = _permuted_merge_key()
-    hard = {**pmk.hardcoded, **{1 << depth | path: v for (depth, path), v in (tallies or {}).items()}}
-    return merge.serialize_permuted(merge.PermutedMergeKey(
-        punctured(pmk.punctured), hard, pmk.z, pmk.c, pmk.n0, pmk.n1))
+    hard = {**pmk.hardcoded, **{1 << depth | path: v for (depth, path), v in tallies.items()}}
+    return merge.serialize_permuted(merge.PermutedMergeKey(pmk.copath, hard, pmk.z, pmk.n0, pmk.n1))
 
 
 def _bad_owp_public_blob():
@@ -111,14 +108,6 @@ def _wide_punctured_path_blob():
     return _patched(blob, at, 0xFF)
 
 
-def _wide_hardcoded_path_blob():
-    pmk = _permuted_merge_key()
-    blob = merge.serialize_permuted(pmk)
-    first = min(pmk.hardcoded)
-    at = 4 + len(prng.serialize_punctured(pmk.punctured)) + 29 + 4 + 2  # first node's path u64
-    return blob[:at] + first.to_bytes(8, "little") + blob[at + 8:]
-
-
 def _permuted_prp_blob(n, z, c):
     return nsprp.serialize_permuted_key(nsprp.prp_permute(nsprp.make_prp_key(b"\x74" * 32, n), z, c))
 
@@ -127,10 +116,11 @@ def _edit_spine_record(z, c, i, field, edit):
     """The N=12 permuted PRP key blob at (z, c) with ``edit`` applied to
     field ``field`` (kind, flag, then three blobs) of spine record ``i``."""
     r = wire.Reader(_permuted_prp_blob(12, z, c), "permuted PRP key")
-    head = r.unpack("<QIQBH")
+    magic = r.take(len(nsprp.PERMUTED_MAGIC))
+    head = r.unpack(nsprp.PERMUTED_HEAD)
     records = [[*r.unpack("<BB"), r.blob("<I"), r.blob("<I"), r.blob("<I")] for _ in range(head[-1])]
     records[i][field] = edit(records[i][field])
-    out = [struct.pack("<QIQBH", *head)]
+    out = [magic, struct.pack(nsprp.PERMUTED_HEAD, *head)]
     for kind, flag, *blobs in records:
         out.append(struct.pack("<BB", kind, flag))
         out += [struct.pack("<I", len(b)) + b for b in blobs]
@@ -147,10 +137,28 @@ def _bump(blob, at, delta):
     return _patched(blob, at, blob[at] + delta)
 
 
+def _field_at(fmt, i):
+    """The offset of field ``i`` of the one-letter struct format ``fmt``."""
+    return struct.calcsize(fmt[:i + 1])
+
+
 def _bump_permuted_merge_head(blob, at, delta=1):
-    """A permuted merge key blob with byte ``at`` of its (n0, n1, kappa, c, z)
-    head, after the punctured key, raised by ``delta``."""
-    return _bump(blob, 4 + int.from_bytes(blob[:4], "little") + at, delta)
+    """A permuted merge key blob with byte ``at`` of its (n0, n1, kappa, z)
+    head, after the magic, raised by ``delta``."""
+    return _bump(blob, len(merge.PERMUTED_MAGIC) + at, delta)
+
+
+def _prp_field_at(i):
+    """The offset of field ``i`` of a permuted PRP key's head, after its magic."""
+    return len(nsprp.PERMUTED_MAGIC) + _field_at(nsprp.PERMUTED_HEAD, i)
+
+
+def _other_swap_merge_blob(z):
+    """The permuted merge key blob of the top merge of the N=12 key at the
+    first legal swap other than z."""
+    mk = nsprp._merge_key(nsprp.make_prp_key(b"\x74" * 32, 12))
+    return next(merge.serialize_permuted(pmk) for zz in range(mk.n - 1)
+                if zz != z and (pmk := merge.merge_permute(mk, zz, 1)))
 
 
 def _owp_tag_flipped(blob, tag_at):
@@ -201,17 +209,8 @@ HEADER_CASES = [
      lambda: _edited_permuted_merge_blob({(1, 1): 8}), "sum of its children"),
     # a permuted merge key whose tables are not those merge_permute builds
     ("permuted merge swap z", merge.deserialize_permuted,
-     lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), 21, 10),
-     "permuted merge key swap z=10, c=1 outside [0, N-1)"),
-    ("permuted merge nodes of another N", merge.deserialize_permuted,  # n1 6 -> 2
-     lambda: _flip(blob_of("permuted_merge_key"), 1722),
-     "permuted merge key hard-coded nodes are not those of the swap at z=0"),
-    ("permuted merge punctured nodes", merge.deserialize_permuted,
-     lambda: _edited_permuted_merge_blob(punctured=lambda p: replace(p, punctured=p.punctured[:-1])),
-     "permuted merge key punctured nodes are not those of the swap at z=0"),
-    ("permuted merge copath positions", merge.deserialize_permuted,
-     lambda: _edited_permuted_merge_blob(punctured=lambda p: replace(p, copath=p.copath[:-1])),
-     "permuted merge key copath positions are not those of the swap at z=0"),
+     lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), _field_at(merge.PERMUTED_HEAD, 3), 10),
+     "permuted merge key swap z=10 outside [0, N-1)"),
     ("permuted merge tally above its span", merge.deserialize_permuted,
      lambda: _edited_permuted_merge_blob({(0, 0): 9, (1, 1): 6}),
      "hard-coded tally 6 at node (depth 1, path 1) outside [0, 5]"),
@@ -222,23 +221,22 @@ HEADER_CASES = [
      lambda: _edited_permuted_merge_blob({(3, 0): 2, (3, 1): 0, (4, 1): 1}),
      "permuted merge key leaves z=0 and z+1 hold the same pile bit"),
     ("permuted prp record kind", nsprp.deserialize_permuted_key,
-     lambda: _patched(blob_of("permuted_prp_key"), 23, 3), "spine"),
+     lambda: _patched(blob_of("permuted_prp_key"), _prp_field_at(4), 3), "spine"),  # after the head: a kind
     ("permuted prp child key size", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(4, 1, 0, 2, lambda b: _bump(b, 0, 3)), "child key N 9 where its level has 6"),
     ("permuted prp merge key size", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(4, 1, 0, 3, lambda b: _bump(b, 0, 1)), "merge key (n0, n1) (7,"),
     ("permuted prp permuted merge key size", nsprp.deserialize_permuted_key,
-     lambda: _edit_spine_record(1, 1, 0, 4, lambda b: _bump_permuted_merge_head(b, 0)),
-     "permuted merge key hard-coded nodes are not those of the swap at z=1"),
-    ("permuted prp merge swap c", nsprp.deserialize_permuted_key,
-     lambda: _edit_spine_record(4, 1, 1, 4, lambda b: _bump_permuted_merge_head(b, 20)),
-     "permuted merge key swap z=3, c=2 outside [0, N-1) x {0, 1}"),
+     lambda: _edit_spine_record(1, 1, 0, 4, lambda b: blob_of("permuted_merge_key")),
+     "merge key (n0, n1) (5, 6) where its level has (6, 6)"),
+    ("permuted prp merge swap z", nsprp.deserialize_permuted_key,
+     lambda: _edit_spine_record(1, 1, 0, 4, lambda b: _other_swap_merge_blob(1)), "where its level has 1"),
     ("permuted prp recursion pile", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(4, 1, 0, 1, lambda flag: 1 - flag), "does not land in pile 1"),
     ("permuted prp bit record above N=2", nsprp.deserialize_permuted_key,
-     lambda: _patched(_permuted_prp_blob(2, 0, 1), 0, 2), "kind-0 record at a level over N=3"),
+     lambda: _patched(_permuted_prp_blob(2, 0, 1), _prp_field_at(0), 2), "kind-0 record at a level over N=3"),
     ("permuted prp swap z", nsprp.deserialize_permuted_key,
-     lambda: _patched(blob_of("permuted_prp_key"), 12, 11), "swap z=11"),
+     lambda: _patched(blob_of("permuted_prp_key"), _prp_field_at(2), 11), "swap z=11"),
     ("permuted prp bit record flag", nsprp.deserialize_permuted_key,
      lambda: _edit_spine_record(6, 1, 3, 1, lambda flag: 2), "malformed kind-0 record"),
     # prp_permute permutes only exact keys: a spine with a gauss key in it
@@ -287,9 +285,10 @@ HEADER_CASES = [
     ("prp key kappa 129", nsprp.deserialize_key,
      lambda: _patched(blob_of("prp_key"), 8, 129), "kappa 129 is not 128"),
     ("permuted merge key kappa 0", merge.deserialize_permuted,
-     lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), 16, -128), "kappa 0 is not 128"),
+     lambda: _bump_permuted_merge_head(blob_of("permuted_merge_key"), _field_at(merge.PERMUTED_HEAD, 2), -128),
+     "kappa 0 is not 128"),
     ("permuted prp key kappa 0", nsprp.deserialize_permuted_key,
-     lambda: _patched(blob_of("permuted_prp_key"), 8, 0), "kappa 0 is not 128"),
+     lambda: _patched(blob_of("permuted_prp_key"), _prp_field_at(1), 0), "kappa 0 is not 128"),
     ("instance mode", oss.deserialize_instance,
      lambda: _patched(blob_of("oss_instance"), 4, 2), "mode"),
     ("instance table width", oss.deserialize_instance,
@@ -299,8 +298,6 @@ HEADER_CASES = [
     # payload values wider than the width their header declares
     ("punctured key node path", prng.deserialize_punctured,
      _wide_punctured_path_blob, "node path wider than 3 bits"),
-    ("permuted merge node path", merge.deserialize_permuted,
-     _wide_hardcoded_path_blob, "node path wider than"),
     ("matrix column", gf2.deserialize_matrix,
      lambda: _patched(blob_of("gf2_matrix"), 4 + 15, 0xFF), "matrix column wider than 70 bits"),
     ("instance coset shift", oss.deserialize_instance,
@@ -313,6 +310,28 @@ HEADER_CASES = [
 def test_header_fields_are_validated(case, de, make_blob, fragment):
     with pytest.raises(ContractError, match=re.escape(fragment)):
         de(make_blob())
+
+
+# one blob of each permuted-key format in the layout before the magics, which
+# wrote c, the punctured key's node lists and every tally's node and length:
+# the swap z=0, c=1 of make_merge_key(b"\x72" * 32, 1, 1) and of
+# make_prp_key(b"\x74" * 32, 2)
+OLD_PERMUTED_MERGE_KEY = bytes.fromhex(
+    "590000000105006d65726765010000000000000200000001000053bbe1ab83a2ab34fb1a51fbef91"
+    "609ff3d7fdccfbcce053e9b189f8958267d40100011d4a624b3d414dc9500382e39340cce7f5d21a"
+    "a748b9b55ccfac75f2411c596f010000000000000001000000000000008000000001000000000000"
+    "00000300000000000000000000000000010001010000000000000000000100000100010000000000"
+    "0000010001")
+OLD_PERMUTED_PRP_KEY = bytes.fromhex("01000000000000008000000000000000000000000101000000000000000000000000000000")
+
+
+@pytest.mark.parametrize("de, blob, fragment", [
+    (merge.deserialize_permuted, OLD_PERMUTED_MERGE_KEY, "not a permuted merge key file"),
+    (nsprp.deserialize_permuted_key, OLD_PERMUTED_PRP_KEY, "not a permuted PRP key file"),
+])
+def test_old_permuted_key_layouts_are_refused(de, blob, fragment):
+    with pytest.raises(ContractError, match=fragment):
+        de(blob)
 
 
 def _spread(n):
